@@ -32,12 +32,10 @@ Runs the engine perf smoke and compares it against the checked-in
   stale baseline are failures with the re-baseline command in the message,
   never silent skips.
 
-The fresh run replays the committed baseline's configuration — scheduler
-mode, fusion, **and executor backend + worker count** — so the gate always
-compares like-with-like: an inline baseline never gates a process-pool run
-(whose wall profile legitimately differs) and vice versa.  The executor
-plane is behaviour-invariant by contract, so the determinism gate holds
-across backends regardless; only the wall/throughput gates need the pairing.
+The fresh run replays the committed baseline's data plane (``columnar``),
+so the gate always compares like-with-like.  The two planes are
+behaviour-invariant by contract, so the determinism gate holds across them
+regardless; only the wall/throughput gates need the pairing.
 
 Usage:
     PYTHONPATH=src python benchmarks/perf_gate.py \
@@ -68,7 +66,7 @@ _SIM_RTOL = 1e-9
 #: The command that rebuilds the committed baseline from scratch.
 _REBASELINE = (
     "PYTHONPATH=src python benchmarks/perf_smoke.py --out BENCH_engine.json "
-    "--compare-columnar --compare-executors"
+    "--compare-columnar"
 )
 
 
@@ -379,23 +377,9 @@ def main() -> int:
         print(f"perf gate: baseline {args.baseline} is not valid JSON ({exc})")
         print(f"Regenerate it with:\n    {_REBASELINE}")
         return 2
-    executor = baseline.get("executor", "inline")
-    workers = baseline.get("worker_count")
     columnar = baseline.get("columnar", "on")
-    print(
-        f"perf gate: baseline config scheduler={baseline.get('scheduler_mode', 'incremental')} "
-        f"fusion={baseline.get('fusion', 'on')} columnar={columnar} "
-        f"executor={executor}"
-        + (f" workers={workers}" if workers else "")
-    )
-    fresh = run_smoke(
-        args.out,
-        mode=baseline.get("scheduler_mode", "incremental"),
-        fusion=baseline.get("fusion", "on"),
-        executor=executor,
-        workers=workers,
-        columnar=columnar,
-    )
+    print(f"perf gate: baseline config columnar={columnar}")
+    fresh = run_smoke(args.out, columnar=columnar)
     # The columnar microbench rides along on every gate run: it is cheap
     # (a few seconds) and it is the only evidence that the batch kernels
     # still pay for themselves.

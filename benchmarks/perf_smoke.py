@@ -8,16 +8,13 @@ multi-tenant serving scenario (job server, fifo vs fair), and emits
 the ``SchedulerStats`` counters that evidence the O(1)/O(Δ) readiness
 machinery (resolve-cache hit rate, rebuild fraction, invalidation counts).
 
-The report records which executor plane produced the numbers (``executor``,
-``worker_count``, ``host_cpus``) so the perf gate always compares
-like-with-like; ``--compare-executors`` additionally re-runs the smoke under
-every other ``FLINT_EXECUTOR`` backend and embeds per-backend wall seconds.
+The report records which data plane produced the numbers (``columnar``) and
+the host's core count (``host_cpus``) so the perf gate always compares
+like-with-like.
 
 Usage:
     PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_engine.json]
-        [--executor inline|process|async] [--executor-workers N]
-        [--columnar on|off] [--compare-fusion] [--compare-executors]
-        [--compare-columnar]
+        [--columnar on|off] [--compare-columnar]
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ for path in (_ROOT, os.path.join(_ROOT, "src")):
 from benchmarks.conftest import BATCH_WORKLOADS, CLUSTER_SIZE  # noqa: E402
 from repro.analysis.experiments import build_engine_context  # noqa: E402
 from repro.core.ftmanager import FaultToleranceManager  # noqa: E402
-from repro.engine.executor import EXECUTOR_BACKENDS, resolve_backend  # noqa: E402
 from repro.simulation.clock import HOUR  # noqa: E402
 
 MARKET = "od/r3.large"
@@ -53,13 +49,13 @@ _COUNTER_FIELDS = (
     "readiness_rebuilds",
     "fused_chains",
     "fused_stages",
-    "kernels_offloaded",
-    "kernels_consumed",
-    "kernels_fallback",
     "columnar_chains",
     "columnar_stages",
     "columnar_fallbacks",
 )
+#: Sizing-memo counters live on the context, not SchedulerStats, but sum
+#: into the report's totals exactly like the fields above.
+_MEMO_FIELDS = ("record_size_memo_hits", "record_size_memo_misses")
 
 
 def _run_scenario(factory, checkpointing, failures, failure_at):
@@ -93,13 +89,8 @@ def _accumulate(agg, ctx):
         agg[field] = agg.get(field, 0) + getattr(stats, field)
     agg["tasks_completed"] = agg.get("tasks_completed", 0) + stats.tasks_completed
     agg["ready_queue_peak"] = max(agg.get("ready_queue_peak", 0), stats.ready_queue_peak)
-    # Sizing-memo counters live on the context, not SchedulerStats.
-    agg["record_size_memo_hits"] = (
-        agg.get("record_size_memo_hits", 0) + ctx.record_size_memo_hits
-    )
-    agg["record_size_memo_misses"] = (
-        agg.get("record_size_memo_misses", 0) + ctx.record_size_memo_misses
-    )
+    for field in _MEMO_FIELDS:
+        agg[field] = agg.get(field, 0) + getattr(ctx, field)
 
 
 def _counters_payload(agg):
@@ -120,27 +111,20 @@ def _counters_payload(agg):
         "readiness_invalidations": agg["readiness_invalidations"],
         "readiness_rebuilds": agg["readiness_rebuilds"],
         # O(Δ) evidence: the ready list is rebuilt on a small fraction of
-        # rounds; the legacy scheduler rebuilt it on every round.
+        # rounds, not on every one.
         "rebuild_fraction": (
             round(agg["readiness_rebuilds"] / rounds, 4) if rounds else None
         ),
         "ready_queue_peak": agg["ready_queue_peak"],
         # Fused data plane: narrow chains collapsed into single streamed
-        # passes (both zero under FLINT_FUSION=off, and for workloads whose
-        # narrow stages are all single-operator).
+        # passes (both zero for workloads whose narrow stages are all
+        # single-operator).
         "fused_chains": agg.get("fused_chains", 0),
         "fused_stages": agg.get("fused_stages", 0),
-        # Executor plane: kernels staged on the backend pool vs actually
-        # consumed by dispatched tasks (all zero under the inline plane;
-        # fallbacks mean the chain shape drifted between staging and
-        # dispatch, and the task recomputed inline).
-        "kernels_offloaded": agg.get("kernels_offloaded", 0),
-        "kernels_consumed": agg.get("kernels_consumed", 0),
-        "kernels_fallback": agg.get("kernels_fallback", 0),
         # Columnar plane: fused chains lowered to vectorised batch kernels
-        # (all zero under FLINT_COLUMNAR=off or FLINT_FUSION=off; fallbacks
-        # count chains whose records or kernels refused lowering and which
-        # re-ran on the row plane).
+        # (all zero under FLINT_COLUMNAR=off; fallbacks count chains whose
+        # records or kernels refused lowering and which re-ran on the row
+        # plane).
         "columnar_chains": agg.get("columnar_chains", 0),
         "columnar_stages": agg.get("columnar_stages", 0),
         "columnar_fallbacks": agg.get("columnar_fallbacks", 0),
@@ -378,7 +362,7 @@ def _smoke_longhorizon():
     wall = round(time.perf_counter() - wall_start, 3)
 
     entry = {}
-    agg: dict = {field: 0 for field in _COUNTER_FIELDS}
+    agg: dict = {field: 0 for field in _COUNTER_FIELDS + _MEMO_FIELDS}
     # One simulated canonical job is the unit of work here; the engine's
     # scheduler counters stay zero (this plane never builds a task graph).
     agg["tasks_completed"] = report.jobs
@@ -407,27 +391,10 @@ def _smoke_longhorizon():
     return entry, agg
 
 
-def run_smoke(
-    out_path: str,
-    mode: str = "incremental",
-    fusion: str = "on",
-    executor: str = "inline",
-    workers: "int | None" = None,
-    columnar: str = "on",
-) -> dict:
-    os.environ["FLINT_SCHEDULER"] = mode
-    os.environ["FLINT_FUSION"] = fusion
+def run_smoke(out_path: str, columnar: str = "on") -> dict:
+    # The env var is the channel that reaches every context the scenarios
+    # build.
     os.environ["FLINT_COLUMNAR"] = columnar
-    # Executor plane under test.  The env var is the channel that reaches
-    # every context the scenarios build; resolving here also validates the
-    # name and pins the effective pool size into the report, so the gate can
-    # compare like-with-like (inline baselines never gate a process run).
-    os.environ["FLINT_EXECUTOR"] = executor
-    if workers is not None:
-        os.environ["FLINT_WORKERS"] = str(workers)
-    else:
-        os.environ.pop("FLINT_WORKERS", None)
-    backend = resolve_backend(executor, workers)
     # Measured runs must never pay (or hide behind) tracing overhead: pin the
     # observability layer off and fail loudly if the env says otherwise, so
     # the committed gate always compares untraced engines.
@@ -437,14 +404,7 @@ def run_smoke(
     assert not tracing_enabled_by_env(), "perf smoke must run with tracing disabled"
     report = {
         "benchmark": "engine_perf_smoke",
-        "scheduler_mode": mode,
-        "fusion": fusion,
         "columnar": columnar,
-        "executor": backend.name,
-        "worker_count": backend.worker_count,
-        # Wall timings only mean anything relative to the host's core count:
-        # on a single-core machine the parallel backends pay serialisation
-        # and pool overhead with no concurrent compute to win back.
         "host_cpus": os.cpu_count(),
         "tracing": "disabled",
         "cluster_size": CLUSTER_SIZE,
@@ -466,7 +426,7 @@ def run_smoke(
         report["workloads"][name] = entry
         total_wall += entry["wall_seconds"]
         total_tasks += entry["tasks_completed"]
-        for field in _COUNTER_FIELDS:
+        for field in _COUNTER_FIELDS + _MEMO_FIELDS:
             totals[field] = totals.get(field, 0) + agg[field]
         totals["tasks_completed"] = total_tasks
         totals["ready_queue_peak"] = max(
@@ -482,78 +442,6 @@ def run_smoke(
         json.dump(report, fh, indent=2)
         fh.write("\n")
     return report
-
-
-def fusion_comparison(report: dict, unfused_out: str) -> dict:
-    """Re-run the smoke with ``FLINT_FUSION=off`` and compare wall/throughput.
-
-    The fused report must already exist; the unfused run lands beside it.
-    Simulated runtimes are identical by construction (fusion only changes
-    how narrow chains are executed, never what they compute or charge), so
-    the interesting deltas are wall seconds and tasks/second.
-    """
-    unfused = run_smoke(
-        unfused_out,
-        mode=report["scheduler_mode"],
-        fusion="off",
-        executor=report.get("executor", "inline"),
-        workers=report.get("worker_count"),
-        columnar=report.get("columnar", "on"),
-    )
-    comparison = {}
-    pairs = list(report["workloads"].items()) + [("totals", report["totals"])]
-    for name, fused_entry in pairs:
-        unfused_entry = (
-            unfused["totals"] if name == "totals" else unfused["workloads"][name]
-        )
-        fused_wall = fused_entry["wall_seconds"]
-        comparison[name] = {
-            "fused_wall_seconds": fused_wall,
-            "unfused_wall_seconds": unfused_entry["wall_seconds"],
-            "fused_tasks_per_second": fused_entry["tasks_per_second"],
-            "unfused_tasks_per_second": unfused_entry["tasks_per_second"],
-            "wall_speedup": (
-                round(unfused_entry["wall_seconds"] / fused_wall, 3)
-                if fused_wall else None
-            ),
-        }
-    return comparison
-
-
-def executor_comparison(report: dict, out_for, workers: "int | None" = None) -> dict:
-    """Re-run the smoke under every other executor backend.
-
-    Simulated runtimes are backend-invariant by contract (the golden
-    equivalence suite pins them bit-for-bit), so the deltas that matter are
-    wall seconds and task throughput per backend.  Interpret them against
-    ``host_cpus``: with a single core the process/async planes pay pickling
-    and pool overhead with no parallel compute to win back; the Figure 8
-    speedups need a multi-core host.  ``out_for(name)`` maps a backend name
-    to the path its full report is written to.
-    """
-    comparison = {}
-    for name in EXECUTOR_BACKENDS:
-        if name == report.get("executor", "inline"):
-            entry = report
-        else:
-            entry = run_smoke(
-                out_for(name),
-                mode=report["scheduler_mode"],
-                fusion=report["fusion"],
-                executor=name,
-                workers=workers,
-                columnar=report.get("columnar", "on"),
-            )
-        comparison[name] = {
-            "worker_count": entry["worker_count"],
-            "wall_seconds": entry["totals"]["wall_seconds"],
-            "tasks_per_second": entry["totals"]["tasks_per_second"],
-            "workload_wall_seconds": {
-                wname: wentry["wall_seconds"]
-                for wname, wentry in entry["workloads"].items()
-            },
-        }
-    return comparison
 
 
 def columnar_comparison(passes: int = 6) -> dict:
@@ -717,29 +605,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=os.path.join(_ROOT, "BENCH_engine.json"))
     parser.add_argument(
-        "--mode", default="incremental", choices=["incremental", "legacy"]
-    )
-    parser.add_argument("--fusion", default="on", choices=["on", "off"])
-    parser.add_argument(
         "--columnar", default="on", choices=["on", "off"],
         help="columnar batch-kernel plane for fused chains (FLINT_COLUMNAR)",
-    )
-    parser.add_argument(
-        "--executor", default="inline", choices=list(EXECUTOR_BACKENDS),
-        help="executor backend the measured runs use (FLINT_EXECUTOR)",
-    )
-    parser.add_argument(
-        "--executor-workers", type=int, default=None,
-        help="backend pool size (FLINT_WORKERS); default: host cores capped at 4",
-    )
-    parser.add_argument(
-        "--compare-fusion", action="store_true",
-        help="also run with FLINT_FUSION=off and report wall/throughput deltas",
-    )
-    parser.add_argument(
-        "--compare-executors", action="store_true",
-        help="also run under every other executor backend and record "
-        "per-backend wall seconds in the report",
     )
     parser.add_argument(
         "--compare-columnar", action="store_true",
@@ -747,25 +614,9 @@ def main() -> int:
         "batch kernels) and record per-workload speedups in the report",
     )
     args = parser.parse_args()
-    if args.compare_fusion and args.fusion != "on":
-        parser.error("--compare-fusion requires --fusion on (the fused side)")
-    report = run_smoke(
-        args.out, args.mode, fusion=args.fusion,
-        executor=args.executor, workers=args.executor_workers,
-        columnar=args.columnar,
-    )
-    stem, ext = os.path.splitext(args.out)
-    if args.compare_fusion:
-        comparison = fusion_comparison(report, stem + ".unfused" + ext)
-        report["fusion_comparison"] = comparison
-    if args.compare_executors:
-        report["executor_comparison"] = executor_comparison(
-            report, lambda name: f"{stem}.{name}{ext}",
-            workers=args.executor_workers,
-        )
+    report = run_smoke(args.out, columnar=args.columnar)
     if args.compare_columnar:
         report["columnar_comparison"] = columnar_comparison()
-    if args.compare_fusion or args.compare_executors or args.compare_columnar:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -822,20 +673,6 @@ def main() -> int:
         f"total: {totals['wall_seconds']}s wall, "
         f"{totals['tasks_completed']} tasks ({totals['tasks_per_second']}/s)"
     )
-    for name, cmp in report.get("fusion_comparison", {}).items():
-        print(
-            f"fusion {name}: wall {cmp['fused_wall_seconds']}s fused vs "
-            f"{cmp['unfused_wall_seconds']}s unfused "
-            f"({cmp['wall_speedup']}x), throughput "
-            f"{cmp['fused_tasks_per_second']}/s vs "
-            f"{cmp['unfused_tasks_per_second']}/s"
-        )
-    for name, cmp in report.get("executor_comparison", {}).items():
-        print(
-            f"executor {name} (workers={cmp['worker_count']}, "
-            f"host_cpus={report['host_cpus']}): "
-            f"{cmp['wall_seconds']}s wall, {cmp['tasks_per_second']} tasks/s"
-        )
     for name, cmp in report.get("columnar_comparison", {}).items():
         print(
             f"columnar {name}: {cmp['row_tasks_per_second']} tasks/s row vs "

@@ -16,6 +16,7 @@ runs are reproducible and safe to diff.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -43,20 +44,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="universe seed")
 
 
-def _add_executor(parser: argparse.ArgumentParser) -> None:
-    """Executor-plane flags for subcommands that run the engine.
+def _add_columnar(parser: argparse.ArgumentParser) -> None:
+    """Data-plane flag for subcommands that run the engine.
 
-    ``--executor`` mirrors ``FLINT_EXECUTOR`` and ``--executor-workers``
-    mirrors ``FLINT_WORKERS`` (distinct from ``--workers``, which sizes the
-    simulated *cluster*).  Precedence: flag > environment > default
-    (``inline``; pool sized to host cores, capped at 4).
+    ``--columnar`` mirrors ``FLINT_COLUMNAR``.  Precedence: flag >
+    environment > default (on).
     """
-    from repro.engine.executor import EXECUTOR_BACKENDS
-
-    parser.add_argument("--executor", choices=list(EXECUTOR_BACKENDS), default=None,
-                        help="where task bodies run (default: $FLINT_EXECUTOR or inline)")
-    parser.add_argument("--executor-workers", type=int, default=None,
-                        help="executor pool size (default: $FLINT_WORKERS or host cores)")
     parser.add_argument("--columnar", choices=["on", "off"], default=None,
                         help="vectorised batch kernels for fused chains "
                              "(default: $FLINT_COLUMNAR or on)")
@@ -115,20 +108,15 @@ def _print_streaming_summary(workload) -> None:
               f"(tau={ssc.policy.tau:.0f}s)")
 
 
-def _apply_executor(args: argparse.Namespace) -> None:
-    """Publish the executor flags to the environment.
+def _apply_columnar(args: argparse.Namespace) -> None:
+    """Publish ``--columnar`` to the environment.
 
     Scenario builders construct their own contexts, so — exactly like
     ``FLINT_TRACE`` — the environment is the channel that reaches every one
-    of them.  Flags override any inherited env value; absent flags leave the
-    environment (and therefore its precedence over defaults) untouched.
+    of them.  The flag overrides any inherited env value; an absent flag
+    leaves the environment (and therefore its precedence over the default)
+    untouched.  :func:`main` restores the caller's environment afterwards.
     """
-    import os
-
-    if args.executor is not None:
-        os.environ["FLINT_EXECUTOR"] = args.executor
-    if args.executor_workers is not None:
-        os.environ["FLINT_WORKERS"] = str(args.executor_workers)
     if args.columnar is not None:
         os.environ["FLINT_COLUMNAR"] = args.columnar
 
@@ -179,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         TPCHSession,
     )
 
-    _apply_executor(args)
+    _apply_columnar(args)
     provider = standard_provider(seed=args.seed)
     mode = Mode.INTERACTIVE if args.mode == "interactive" else Mode.BATCH
     flint = Flint(
@@ -228,7 +216,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.scenario import run_multitenant
     from repro.server.tenancy import RetryPolicy, TenancyConfig, TenantPolicy
 
-    _apply_executor(args)
+    _apply_columnar(args)
     tenancy = None
     if (args.tenant_quota is not None or args.tenant_rate is not None
             or args.breaker_threshold is not None):
@@ -324,15 +312,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     reconcile exactly with the scheduler's books (invariant 8), and prints a
     span/metrics summary.  Exits nonzero on any reconciliation violation.
     """
-    import os
-
     from repro.faults.invariants import InvariantChecker
     from repro.obs.export import write_chrome_trace, write_jsonl
 
     # The scenario builders construct their own contexts; the env var is the
     # channel that reaches every one of them.
     os.environ["FLINT_TRACE"] = "1"
-    _apply_executor(args)
+    _apply_columnar(args)
 
     captured = {}
 
@@ -560,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--hours", type=float, default=2.0)
     _add_streaming(p)
-    _add_executor(p)
+    _add_columnar(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("serve", help="multi-tenant job server scenario + SLO report")
@@ -596,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append query lifecycle JSONL journal at PATH")
     p.add_argument("--result-cache", action="store_true",
                    help="share query results across sessions by lineage key")
-    _add_executor(p)
+    _add_columnar(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("trace", help="run a scenario traced; export a Chrome timeline")
@@ -619,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revoke-at", type=float, default=150.0,
                    help="storm scenario: simulated time of the revocation burst")
     _add_streaming(p)
-    _add_executor(p)
+    _add_columnar(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("advise", help="what-if report: every market + both policies")
@@ -659,7 +645,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Subcommands publish flags as FLINT_* variables; a caller that imports
+    # ``main`` gets its environment back exactly as it was.
+    saved = {k: v for k, v in os.environ.items() if k.startswith("FLINT_")}
+    try:
+        return args.func(args)
+    finally:
+        for key in [k for k in os.environ if k.startswith("FLINT_") and k not in saved]:
+            del os.environ[key]
+        os.environ.update(saved)
 
 
 if __name__ == "__main__":

@@ -123,21 +123,6 @@ class BlockLocationIndex:
         live.sort(key=lambda w: w.worker_id)
         return live
 
-    def peek_holders(self, block_id: str) -> List["Worker"]:
-        """Live holders in join order with *no* lookup accounting.
-
-        The executor plane's payload staging must be invisible to the
-        index's counters (``lookups`` proves the scheduler's own probe
-        volume); the authoritative :meth:`holders` call still happens on
-        the simulated data path.
-        """
-        holders = self._locations.get(block_id)
-        if not holders:
-            return []
-        live = [w for w in holders.values() if w.alive]
-        live.sort(key=lambda w: w.worker_id)
-        return live
-
     def blocks_on(self, worker_id: str) -> List[str]:
         """Block ids currently attributed to one worker (diagnostics)."""
         return sorted(self._by_worker.get(worker_id, ()))

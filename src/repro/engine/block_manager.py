@@ -178,22 +178,6 @@ class BlockManager:
         self.stats.misses += 1
         return None
 
-    def peek(self, block_id: str) -> Optional[Any]:
-        """Read a block's data with *no* side effects.
-
-        Unlike :meth:`get` this touches neither the LRU order nor the hit
-        counters — the executor plane uses it to stage speculative task
-        payloads without perturbing the cache behaviour the simulation (and
-        its bit-identity contract) depends on.
-        """
-        block = self._memory.get(block_id)
-        if block is not None:
-            return block.data
-        spill_key = self._SPILL_PREFIX + block_id
-        if self.worker.local_disk.has(spill_key):
-            return self.worker.local_disk.get(spill_key)
-        return None
-
     def has(self, block_id: str) -> bool:
         return block_id in self._memory or self.worker.local_disk.has(self._SPILL_PREFIX + block_id)
 

@@ -140,14 +140,6 @@ class CheckpointRegistry:
         """Fetch a checkpointed partition's records."""
         return self.dfs.get(self.path_for(rdd.rdd_id, partition))
 
-    def peek_partition(self, rdd: "RDD", partition: int):
-        """Counter-free read of a checkpointed partition (or None).
-
-        Used by the executor plane to stage payloads; the simulated read
-        (DFS latency charge + read accounting) replays at consume time.
-        """
-        return self.dfs.peek(self.path_for(rdd.rdd_id, partition))
-
     def partition_nbytes(self, rdd: "RDD", partition: int) -> int:
         return self.dfs.size_of(self.path_for(rdd.rdd_id, partition))
 

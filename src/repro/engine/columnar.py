@@ -52,9 +52,15 @@ __all__ = [
 
 
 def columnar_enabled_by_env() -> bool:
-    """``FLINT_COLUMNAR`` parsed like ``FLINT_FUSION``: default on."""
-    return os.environ.get("FLINT_COLUMNAR", "on").lower() not in (
-        "off", "0", "false",
+    """``FLINT_COLUMNAR``: default on; an unrecognised value is an error."""
+    value = os.environ.get("FLINT_COLUMNAR", "on")
+    folded = value.lower()
+    if folded in ("on", "1", "true"):
+        return True
+    if folded in ("off", "0", "false"):
+        return False
+    raise ValueError(
+        f"FLINT_COLUMNAR={value!r} is not one of on/1/true/off/0/false"
     )
 
 

@@ -19,6 +19,7 @@ from repro.cluster.environment import Environment
 from repro.engine.block_index import BlockLocationIndex
 from repro.engine.block_manager import block_id_for
 from repro.engine.checkpoint import CheckpointRegistry
+from repro.engine.columnar import columnar_enabled_by_env
 from repro.engine.costs import CostModel
 from repro.engine.shuffle import ShuffleManager
 from repro.obs import Observability
@@ -36,35 +37,18 @@ class FlintContext:
         env: Environment,
         cluster: Cluster,
         cost_model: Optional[CostModel] = None,
-        scheduler_mode: Optional[str] = None,
         obs: Optional[Observability] = None,
-        fusion: Optional[bool] = None,
         columnar: Optional[bool] = None,
-        executor: Optional[str] = None,
-        executor_workers: Optional[int] = None,
     ):
         self.env = env
         self.cluster = cluster
         self.cost_model = cost_model or CostModel()
-        #: Fused narrow-chain execution (``FLINT_FUSION``, default on).
-        #: ``off`` routes every task through the seed's per-RDD
-        #: ``compute``/``iterator`` recursion — the golden reference the
-        #: fusion equivalence tests compare against.
-        if fusion is None:
-            fusion = os.environ.get("FLINT_FUSION", "on").lower() not in (
-                "off", "0", "false",
-            )
-        self.fusion_enabled = bool(fusion)
-        #: Columnar fused-chain execution (``FLINT_COLUMNAR``, default on).
-        #: Rides the fused plane only: a chain whose stages all carry batch
-        #: kernels and whose boundary records columnarise runs as vectorised
-        #: NumPy passes instead of per-record closures, bit-identical by
-        #: contract.  Inert when fusion is off (there are no chains to
-        #: lower) — the effective switch is ``fusion_enabled and
-        #: columnar_enabled``.
+        #: Columnar fused-chain execution (``FLINT_COLUMNAR``, default on):
+        #: a chain whose stages all carry batch kernels and whose boundary
+        #: records columnarise runs as vectorised NumPy passes instead of
+        #: per-record closures, bit-identical by contract.  Off leaves every
+        #: chain on the fused row plane that refusals fall back to.
         if columnar is None:
-            from repro.engine.columnar import columnar_enabled_by_env
-
             columnar = columnar_enabled_by_env()
         self.columnar_enabled = bool(columnar)
         #: Bumped by :meth:`RDD.set_record_size`; versions every RDD's
@@ -97,19 +81,10 @@ class FlintContext:
         self._rdds_by_id: Dict[int, "RDD"] = {}
         #: Pool new jobs land in when none is named (see :meth:`job_pool`).
         self.current_job_pool = "default"
-        #: Executor plane backend (``FLINT_EXECUTOR``, default ``inline``):
-        #: where the pure bodies of tasks physically run.  The simulated
-        #: clock, billing, and trace books are backend-invariant; resolved
-        #: before the scheduler so its dispatch loop can consult it.
-        from repro.engine.executor import resolve_backend
-
-        self.executor = resolve_backend(executor, executor_workers)
         # Import here to break the rdd <-> scheduler <-> context cycle.
         from repro.engine.scheduler import TaskScheduler
 
-        if scheduler_mode is None:
-            scheduler_mode = os.environ.get("FLINT_SCHEDULER", "incremental")
-        self.scheduler = TaskScheduler(self, mode=scheduler_mode)
+        self.scheduler = TaskScheduler(self)
         fault_spec = os.environ.get("FLINT_FAULT_PLAN")
         if fault_spec:
             # Deferred import: repro.faults builds on the engine modules.
@@ -243,9 +218,8 @@ class FlintContext:
     def block_exists_scan(self, rdd: "RDD", partition: int) -> bool:
         """Reference worker-scan implementation of :meth:`block_exists`.
 
-        This is the original O(workers) probe.  The legacy scheduler mode
-        resolves readiness through it, and the block-index property tests
-        hold :meth:`block_exists` to exactly its answers.
+        This is the original O(workers) probe; the block-index property
+        tests hold :meth:`block_exists` to exactly its answers.
         """
         block_id = block_id_for(rdd.rdd_id, partition)
         return any(
@@ -279,18 +253,6 @@ class FlintContext:
     def metrics_report(self) -> Dict[str, Any]:
         """``FLINT_TRACE=1`` counters/gauges/histograms (empty when off)."""
         return self.obs.metrics.snapshot()
-
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        """Contexts never cross a process boundary — refuse to pickle.
-
-        Same contract as :meth:`RDD.__reduce__`: an executor-plane closure
-        capturing the context would ship the entire live engine.
-        """
-        raise TypeError(
-            "FlintContext is driver-side state and cannot be pickled; executor "
-            "kernels must capture plain data and pure functions only"
-        )
 
     @property
     def now(self) -> float:

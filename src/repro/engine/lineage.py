@@ -23,9 +23,6 @@ def fusion_edge(node: "RDD", split: int):
     cogroup with two narrow sides).  Range dependencies (union) contribute
     at most one parent partition each, so a union fuses through whichever
     side covers ``split``.
-
-    Shared by the scheduler's fused data plane and the executor plane's
-    payload builder, which must walk chains identically.
     """
     edge = None
     for dep in node.dependencies:

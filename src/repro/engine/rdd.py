@@ -70,9 +70,9 @@ class RDD:
         # Set for post-shuffle RDDs so joins can avoid redundant shuffles.
         self.partitioner: Optional[HashPartitioner] = None
         #: How many lineage edges point at this RDD.  An RDD consumed by
-        #: more than one dependant must stay a fusion boundary: the unfused
-        #: path memoises (and charges) it once per task, which fusion can
-        #: only reproduce by resolving it through ``TaskRuntime.iterator``.
+        #: more than one dependant must stay a fusion boundary: it is
+        #: computed (and charged) once per task and served to each consumer
+        #: from the ``TaskRuntime.iterator`` memo.
         self.dependents = 0
         for dep in dependencies:
             dep.rdd.dependents += 1
@@ -81,24 +81,26 @@ class RDD:
     # ------------------------------------------------------------------
     # Core contract
     # ------------------------------------------------------------------
-    #: True for operators that can run as a stage of a fused narrow chain:
-    #: :meth:`compute_fused` consumes the parent's already-resolved records
-    #: instead of re-entering ``runtime.iterator``.  Sources and shuffle
-    #: consumers stay False — they are pipeline breakers by construction.
+    #: True for single-narrow-parent operators, which run as stages of a
+    #: fused chain and are defined by :meth:`compute_fused` (plus an
+    #: optional :meth:`batch_kernel`).  Sources and shuffle consumers stay
+    #: False — they are pipeline breakers and define :meth:`compute`.
     supports_fusion = False
 
     def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        """Produce the records of partition ``split`` (pure, deterministic)."""
+        """Produce the records of partition ``split`` (pure, deterministic).
+
+        Implemented by pipeline breakers only; inputs are reached through
+        ``runtime.iterator`` / ``runtime.shuffle_fetch``.
+        """
         raise NotImplementedError
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         """Produce partition ``split`` from the parent's record stream.
 
-        Fused form of :meth:`compute` for single-narrow-parent operators:
-        ``records`` is an iterable of the (sole contributing) parent
-        partition's records, already resolved by the task runtime.  Must
-        return exactly what ``compute`` would — the fused and unfused data
-        planes are held bit-identical by the equivalence tests.
+        Implemented by fusable operators only: ``records`` is an iterable
+        of the (sole contributing) parent partition's records, already
+        resolved by the task runtime.  Pure and deterministic.
         """
         raise NotImplementedError
 
@@ -107,9 +109,8 @@ class RDD:
 
         The columnar plane lowers a fused chain to batch kernels only when
         *every* stage provides one; None (the default) keeps the stage — and
-        therefore any chain through it — on the row plane.  A kernel must be
-        picklable (it ships with executor-plane payloads) and must satisfy
-        the bit-identity contract: applied to the columnarised parent
+        therefore any chain through it — on the row plane.  A kernel must
+        satisfy the bit-identity contract: applied to the columnarised parent
         records it produces exactly ``compute_fused``'s records, in order,
         with the same record count (charges replay from batch lengths).  It
         may raise :class:`~repro.engine.columnar.ColumnarUnsupported` when
@@ -590,22 +591,6 @@ class RDD:
     def lookup(self, key: Any) -> List[Any]:
         """All values for ``key`` (pair RDDs)."""
         return [v for k, v in self.collect() if k == key]
-
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        """RDDs never cross a process boundary — refuse to pickle.
-
-        A task kernel that (transitively) captures an RDD would otherwise
-        drag the whole driver object graph — context, cluster, event queue —
-        into its blob.  Executor-plane closures must capture plain data and
-        pure functions only: use ``fused_kernel()`` / ``merge_kernel()`` /
-        ``source_kernel()``, which extract exactly what the transform needs.
-        """
-        raise TypeError(
-            f"{type(self).__name__} (id={self.rdd_id}) is driver-side state and "
-            "cannot be pickled; ship work through fused_kernel()/merge_kernel()/"
-            "source_kernel() closures instead"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}(id={self.rdd_id}, partitions={self.num_partitions})"

@@ -15,10 +15,9 @@ scheduling rounds in a pending-task dependency graph and invalidated only
 when a block, shuffle output, or checkpoint actually appears or disappears
 (change listeners on the block-location index, the shuffle manager, and the
 checkpoint registry).  A round with no state change filters a cached ready
-list instead of re-walking the lineage DAG.  The seed's recompute-everything
-resolver is retained as ``mode="legacy"`` and must stay simulation-identical
-— ``tests/engine/test_scheduler_equivalence.py`` holds the two modes to
-bit-equal runtimes and task counts.
+list instead of re-walking the lineage DAG.  The observable contract —
+simulated runtimes, billing, task counts, results — is pinned by the frozen
+goldens in ``tests/engine/test_engine_golden.py``.
 
 The scheduler multiplexes a *set* of in-flight jobs: ``submit_job`` is
 non-blocking and returns a :class:`JobHandle`; ``run_job`` is submit + wait
@@ -28,7 +27,7 @@ jobs under the root scheduling policy (``fifo`` submission order, or
 ``fair`` weighted max-min across :class:`~repro.engine.pools.Pool`\\ s, with
 interactive pools strictly ahead of batch pools).  A single job under
 either policy dispatches in exactly the seed's order, so single-job runs
-stay bit-identical in both scheduler modes.
+stay bit-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.engine.block_manager import BlockManager, block_id_for
 from repro.engine.checkpoint import CheckpointWriteError
 from repro.engine.columnar import ColumnarUnsupported, from_records
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
-from repro.engine.executor import TaskKernel, build_task_payload
 from repro.engine.lineage import fusion_edge
 from repro.engine.partitioner import HashPartitioner, stable_hash
 from repro.engine.pools import DEFAULT_POOL, SCHEDULING_POLICIES, Pool
@@ -80,11 +78,6 @@ def _combine_sort_key(kv):
 _ABSENT = object()
 
 
-# Canonical home is repro.engine.lineage (shared with the executor plane's
-# payload builder, which must walk narrow chains identically).
-_fusion_edge = fusion_edge
-
-
 @dataclass
 class SchedulerStats:
     """Aggregate counters over the scheduler's lifetime."""
@@ -115,34 +108,22 @@ class SchedulerStats:
     jobs_completed: int = 0
     jobs_failed: int = 0
     concurrent_jobs_peak: int = 0
-    #: Fused data plane: narrow chains executed as one streamed pass, and
-    #: the total operator stages they covered (``FLINT_FUSION=off`` leaves
-    #: both at zero).
+    #: Fused data plane: multi-operator narrow chains executed as one
+    #: streamed pass, and the total operator stages they covered.
     fused_chains: int = 0
     fused_stages: int = 0
-    #: Executor plane: kernels staged onto a parallel backend, kernels whose
-    #: precomputed records a dispatch actually consumed, and staged kernels
-    #: invalidated at consume time (chain shape drifted between staging and
-    #: dispatch — the task fell back to the inline path).  All zero under
-    #: ``FLINT_EXECUTOR=inline``; excluded from :meth:`task_counts` because
-    #: they describe *where* bodies ran, which backends are free to vary.
-    kernels_offloaded: int = 0
-    kernels_consumed: int = 0
-    kernels_fallback: int = 0
     #: Columnar plane: fused chains lowered to vectorised batch kernels
     #: (and the stages they covered), plus chains that *attempted* the
     #: lowering and fell back to rows (records refused columnarisation, or
     #: a kernel raised ``ColumnarUnsupported`` on the runtime schema).
-    #: Chains/stages are backend-invariant (a consumed executor kernel that
-    #: ran columnar counts too); fallbacks are plane-local diagnostics —
-    #: like the ``kernels_*`` counters they are excluded from
+    #: These describe *how* bodies ran, so they are excluded from
     #: :meth:`task_counts`.
     columnar_chains: int = 0
     columnar_stages: int = 0
     columnar_fallbacks: int = 0
 
     def task_counts(self) -> Dict[str, int]:
-        """The counters that must agree across scheduler modes."""
+        """The counters that must agree across data planes."""
         return {
             "tasks_completed": self.tasks_completed,
             "tasks_lost": self.tasks_lost,
@@ -167,7 +148,6 @@ class TaskRuntime:
         context: "FlintContext",
         worker: "Worker",
         active_target_id: Optional[int],
-        kernel: Optional[TaskKernel] = None,
     ):
         self.context = context
         self.worker = worker
@@ -177,20 +157,7 @@ class TaskRuntime:
         self.pending_puts: List[PendingPut] = []
         self.computed: List[ComputedPartition] = []
         self._memo: Dict[Tuple[int, int], List[Any]] = {}
-        self._fusion = context.fusion_enabled
-        #: Columnar lowering rides the fused plane only: with fusion off
-        #: there are no chains to lower, so the flag is inert by design.
-        self._columnar = self._fusion and context.columnar_enabled
-        #: Speculatively precomputed task body from the executor plane, if
-        #: the backend staged one for this task's target.  Consumed at most
-        #: once: the data plane validates it against the chain it is about
-        #: to compute and substitutes the pure records, while every
-        #: state-dependent effect (cache reads, shuffle fetches, charges,
-        #: injection points) still runs inline in the original order.
-        self._kernel = kernel
-        #: Boundary substitutions for an in-progress chain-kernel consume,
-        #: keyed by ``(rdd_id, partition)`` -> ``(replay, records)``.
-        self._seeded: Dict[Tuple[int, int], Tuple[str, Optional[List[Any]]]] = {}
+        self._columnar = context.columnar_enabled
 
     def charge(self, seconds: float) -> None:
         """Add simulated seconds to this task's duration."""
@@ -224,10 +191,10 @@ class TaskRuntime:
             self._memo[key] = data
             return data
 
-        if self._fusion and rdd.supports_fusion:
+        if rdd.supports_fusion:
             data = self._compute_fused(rdd, partition)
         else:
-            data = self._replay_or_compute(rdd, partition)
+            data = rdd.compute(partition, self)
         nbytes = rdd.partition_bytes(len(data))
         self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
         if rdd.persisted:
@@ -248,19 +215,21 @@ class TaskRuntime:
         Walks up the lineage collecting operator stages until a pipeline
         breaker — a cached/persisted/checkpointed partition, a per-task memo
         hit, a shuffle or multi-parent dependency, a source, or a node with
-        more than one dependant (which the unfused path would memoise and
-        serve twice).  The boundary input resolves through the normal
-        :meth:`iterator` path, then records stream through each stage's
-        ``compute_fused`` without re-entering per-RDD resolution.
+        more than one dependant (memoised once per task and served to each).
+        The boundary input resolves through the normal :meth:`iterator`
+        path, then records stream through each stage's ``compute_fused``
+        without re-entering per-RDD resolution.
 
-        Simulated time is bit-identical to the unfused recursion: the input
-        subtree charges first, then each interior stage deepest-first with
-        its own record count, size, and multiplier (the caller charges the
-        chain head, exactly as it charges any computed node).
+        Simulated time charges the input subtree first, then each interior
+        stage deepest-first with its own record count, size, and multiplier
+        (the caller charges the chain head, exactly as it charges any
+        computed node) — the order the frozen goldens pin.
         """
-        edge = _fusion_edge(rdd, partition)
+        edge = fusion_edge(rdd, partition)
         if edge is None:
-            return rdd.compute(partition, self)
+            raise IndexError(
+                f"{rdd.name} partition {partition} has no single narrow parent to fuse through"
+            )
         ctx = self.context
         checkpoints = ctx.checkpoints
         memo = self._memo
@@ -274,46 +243,28 @@ class TaskRuntime:
             and not ctx.block_exists(node, split)
             and not checkpoints.has_partition(node, split)
         ):
-            edge = _fusion_edge(node, split)
+            edge = fusion_edge(node, split)
             if edge is None:
                 break
             stages.append((node, split))
             node, split = edge
-        kernel = self._kernel
-        if (
-            kernel is not None
-            and kernel.kind == "chain"
-            and kernel.target == (rdd.rdd_id, partition)
-        ):
-            self._kernel = None
-            if kernel.stage_sig == tuple(
-                (s.rdd_id, sp) for s, sp in stages
-            ) and kernel.boundary_id == (node.rdd_id, split):
-                return self._consume_chain(kernel, stages, node, split)
-            # The chain the walk just found is not the chain the kernel ran
-            # (a block/checkpoint appeared or vanished since staging): the
-            # kernel's records are still *data*-correct, but its stage
-            # counts no longer describe the charges this plane owes.  Drop
-            # it and compute inline.
-            ctx.scheduler.stats.kernels_fallback += 1
         if self._columnar:
             data = self._compute_columnar(stages, node, split)
             if data is not None:
                 return data
-        if len(stages) == 1:
-            return rdd.compute(partition, self)
         stream: List[Any] = self.iterator(node, split)
-        cost = self.cost
-        charge = self.charge
-        for i in range(len(stages) - 1, 0, -1):
-            inner, inner_split = stages[i]
-            stream = inner.compute_fused(stream, inner_split)
-            charge(cost.compute_time(
-                len(stream) * inner.record_size, inner.compute_multiplier
-            ))
-        stats = ctx.scheduler.stats
-        stats.fused_chains += 1
-        stats.fused_stages += len(stages)
+        if len(stages) > 1:
+            cost = self.cost
+            charge = self.charge
+            for i in range(len(stages) - 1, 0, -1):
+                inner, inner_split = stages[i]
+                stream = inner.compute_fused(stream, inner_split)
+                charge(cost.compute_time(
+                    len(stream) * inner.record_size, inner.compute_multiplier
+                ))
+            stats = ctx.scheduler.stats
+            stats.fused_chains += 1
+            stats.fused_stages += len(stages)
         return rdd.compute_fused(stream, partition)
 
     def _compute_columnar(
@@ -373,119 +324,6 @@ class TaskRuntime:
             stats.fused_chains += 1
             stats.fused_stages += len(stages)
         return batch.to_records()
-
-    def _consume_chain(
-        self,
-        kernel: TaskKernel,
-        stages: List[Tuple["RDD", int]],
-        node: "RDD",
-        split: int,
-    ) -> List[Any]:
-        """Replay a validated chain kernel's charges; substitute its records.
-
-        The boundary resolves through the real :meth:`iterator` — cache-read
-        or checkpoint charges, recursive recomputation, pending puts,
-        memoisation all happen exactly as inline — with only the boundary
-        node's own pure compute substituted (seeded below) when the kernel
-        had to produce it.  Interior stage charges replay from the kernel's
-        recorded record counts in the same deepest-first order; the caller
-        charges the chain head from the returned records, exactly as it
-        charges any computed node.
-        """
-        if kernel.replay != "data":
-            self._seeded[(node.rdd_id, split)] = (kernel.replay, kernel.boundary_records)
-        try:
-            self.iterator(node, split)
-        finally:
-            self._seeded.pop((node.rdd_id, split), None)
-        cost = self.cost
-        charge = self.charge
-        counts = kernel.stage_counts
-        last = len(stages) - 1
-        for i in range(last, 0, -1):
-            inner = stages[i][0]
-            charge(cost.compute_time(
-                counts[last - i] * inner.record_size, inner.compute_multiplier
-            ))
-        stats = self.context.scheduler.stats
-        stats.kernels_consumed += 1
-        if kernel.used_columnar:
-            # The offloaded kernel ran the same columnar lowering the inline
-            # plane would have (same boundary records, same batch kernels),
-            # so the chain/stage counters stay backend-invariant.
-            stats.columnar_chains += 1
-            stats.columnar_stages += len(stages)
-        if len(stages) > 1:
-            stats.fused_chains += 1
-            stats.fused_stages += len(stages)
-        return kernel.records
-
-    def _replay_or_compute(self, rdd: "RDD", partition: int) -> List[Any]:
-        """Non-fusable compute branch with kernel substitution.
-
-        Checks (in order) a boundary seed left by an in-progress chain
-        consume, then this task's own node kernel; either replays the
-        node's state-dependent skeleton and substitutes the precomputed
-        records.  Anything else — no kernel, wrong target, inapplicable
-        replay — computes inline.
-        """
-        seeded = self._seeded.pop((rdd.rdd_id, partition), None)
-        if seeded is not None:
-            data = self._replay_node(rdd, partition, seeded[0], seeded[1])
-            if data is not None:
-                return data
-        kernel = self._kernel
-        if (
-            kernel is not None
-            and kernel.kind == "node"
-            and kernel.target == (rdd.rdd_id, partition)
-        ):
-            self._kernel = None
-            data = self._replay_node(rdd, partition, kernel.replay, kernel.records)
-            stats = self.context.scheduler.stats
-            if data is not None:
-                stats.kernels_consumed += 1
-                return data
-            stats.kernels_fallback += 1
-        return rdd.compute(partition, self)
-
-    def _replay_node(
-        self, rdd: "RDD", partition: int, replay: str, records: Optional[List[Any]]
-    ) -> Optional[List[Any]]:
-        """Re-run one node's state-dependent effects; return the pure records.
-
-        Each skeleton mirrors the node's ``compute`` with the pure merge or
-        transform elided: shuffle fetches go through :meth:`shuffle_fetch`
-        (real transfer charges, injection points, ``ShuffleFetchFailure``
-        propagation), narrow inputs through :meth:`iterator`.  Partition
-        data is a pure function of lineage, so the substituted records are
-        valid whenever the skeleton completes.  Returns None when the
-        replay kind does not apply (caller computes inline).
-        """
-        if records is None:
-            return None
-        if replay == "source":
-            return records
-        if replay == "shuffle":
-            dep = getattr(rdd, "shuffle_dependency", None)
-            if dep is None:
-                return None
-            self.shuffle_fetch(dep, partition)
-            return records
-        if replay == "cogroup":
-            for dep in rdd.dependencies:
-                if isinstance(dep, ShuffleDependency):
-                    self.shuffle_fetch(dep, partition)
-                else:
-                    self.iterator(dep.rdd, partition)
-            return records
-        if replay == "narrow":
-            edge = _fusion_edge(rdd, partition)
-            if edge is None:
-                return None
-            self.iterator(edge[0], edge[1])
-            return records
-        return None
 
     def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
         """Gather one reduce bucket from all map outputs, charging transfer time."""
@@ -654,11 +492,8 @@ class TaskScheduler(ClusterListener):
     def __init__(
         self,
         context: "FlintContext",
-        mode: str = "incremental",
         scheduling_policy: str = "fifo",
     ):
-        if mode not in ("incremental", "legacy"):
-            raise ValueError(f"unknown scheduler mode {mode!r}")
         if scheduling_policy not in SCHEDULING_POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {scheduling_policy!r} "
@@ -667,8 +502,6 @@ class TaskScheduler(ClusterListener):
         self.context = context
         self.env = context.env
         self.cluster = context.cluster
-        self.mode = mode
-        self.incremental = mode == "incremental"
         #: Root policy for sharing slots between concurrent jobs.
         self.scheduling_policy = scheduling_policy
         self.busy: Dict[str, int] = {}
@@ -687,10 +520,6 @@ class TaskScheduler(ClusterListener):
         #: Scheduling pools by name; jobs land in ``default`` unless routed.
         self.pools: Dict[str, Pool] = {DEFAULT_POOL: Pool(DEFAULT_POOL)}
         self.stats = SchedulerStats()
-        #: Executor-plane kernels staged for ready-but-undispatched specs,
-        #: by spec key.  Populated only when the context's executor backend
-        #: is speculative (process/async); always empty under ``inline``.
-        self._kernels: Dict[Tuple, TaskKernel] = {}
         #: Completed-task count per job id, maintained unconditionally (it is
         #: two dict ops per completion) so the tracing invariant can
         #: reconcile emitted task spans against the scheduler's own books.
@@ -723,10 +552,9 @@ class TaskScheduler(ClusterListener):
         # rdd_id -> RDD for every node the resolver has seen, so
         # invalidation can re-resolve a popped node in place.
         self._rdd_index: Dict[int, "RDD"] = {}
-        if self.incremental:
-            context.block_index.add_listener(self._on_block_event)
-            context.shuffle_manager.add_listener(self._on_shuffle_event)
-            context.checkpoints.add_listener(self._on_checkpoint_event)
+        context.block_index.add_listener(self._on_block_event)
+        context.shuffle_manager.add_listener(self._on_shuffle_event)
+        context.checkpoints.add_listener(self._on_checkpoint_event)
         self.cluster.add_listener(self)
         for worker in self.cluster.live_workers():
             self._register_worker(worker)
@@ -1034,9 +862,6 @@ class TaskScheduler(ClusterListener):
         self.stats.scheduling_rounds += 1
         with self.timers.section("schedule_round"):
             ckpt_specs, job_specs = self._ready_specs()
-            if self.context.executor.speculative:
-                with self.timers.section("kernel_prefetch"):
-                    self._prefetch_kernels(job_specs)
             depth = len(ckpt_specs) + sum(len(s) for _j, s in job_specs)
             if depth > self.stats.ready_queue_peak:
                 self.stats.ready_queue_peak = depth
@@ -1061,53 +886,6 @@ class TaskScheduler(ClusterListener):
                     break
                 self._dispatch(spec, worker, job)
 
-    def _prefetch_kernels(self, job_specs: List[Tuple[_JobState, List[TaskSpec]]]) -> None:
-        """Stage this round's ready frontier onto the executor backend.
-
-        Each new ready spec gets its pure body built from side-effect-free
-        peeks of current driver state and executed as one parallel batch;
-        results wait in ``_kernels`` for their dispatch to validate and
-        consume.  Staging is speculative and invisible: it touches no
-        simulated state, no counters the inline plane maintains, and a
-        kernel that cannot be built, shipped, or validated simply leaves
-        its task on the inline path.
-        """
-        ready_keys: Set[Tuple] = set()
-        candidates: List[TaskSpec] = []
-        for _job, specs in job_specs:
-            for spec in specs:
-                key = spec.key
-                if key in ready_keys:
-                    continue
-                ready_keys.add(key)
-                if key not in self.running and key not in self._kernels:
-                    candidates.append(spec)
-        if self._kernels:
-            # A spec that left every frontier (dispatched, satisfied, or its
-            # job retired) will never consume its kernel — drop it.
-            for key in [k for k in self._kernels if k not in ready_keys]:
-                del self._kernels[key]
-        payloads = []
-        for spec in candidates:
-            payload = build_task_payload(self.context, spec)
-            if payload is not None:
-                payloads.append(payload)
-        if not payloads:
-            return
-        staged = 0
-        wall = 0.0
-        for payload, result in zip(payloads, self.context.executor.run_batch(payloads)):
-            if result is None:
-                continue
-            self._kernels[payload.key] = TaskKernel.from_result(payload, result)
-            staged += 1
-            wall += result.wall_seconds
-        self.stats.kernels_offloaded += staged
-        obs = self.context.obs
-        if obs.enabled and staged:
-            obs.metrics.inc("executor.kernels_offloaded", staged)
-            obs.metrics.observe("executor.kernel_wall_seconds", wall)
-
     def _ready_specs(self) -> Tuple[List[TaskSpec], List[Tuple[_JobState, List[TaskSpec]]]]:
         """Pending checkpoint writes plus each job's ready frontier."""
         ckpt_specs: List[TaskSpec] = []
@@ -1122,8 +900,6 @@ class TaskScheduler(ClusterListener):
         return ckpt_specs, job_specs
 
     def _specs_for_job(self, job: _JobState) -> List[TaskSpec]:
-        if not self.incremental:
-            return self._ready_job_specs_scan(job)
         if job.ready_list is None:
             with self.timers.section("ready_rebuild"):
                 job.ready_list = self._build_ready_list(job)
@@ -1201,10 +977,10 @@ class TaskScheduler(ClusterListener):
             yield job, spec
 
     def _build_ready_list(self, job: _JobState) -> Dict[Tuple, TaskSpec]:
-        """The seed's depth-first frontier walk over incremental resolves.
+        """Depth-first frontier walk over the cached resolves.
 
-        Enumeration order is kept bit-identical to the legacy walk: RESULT
-        roots pushed in partition order (popped descending), running specs
+        Enumeration order is part of the frozen contract: RESULT roots
+        pushed in partition order (popped descending), running specs
         pruned without expansion, ``visited`` dedupe by task key.  Returns
         an insertion-ordered dict so later candidacy transitions pop specs
         by key in O(1) (see ``_specs_for_job``).
@@ -1227,14 +1003,14 @@ class TaskScheduler(ClusterListener):
             if spec.kind == TaskKind.SHUFFLE_MAP:
                 # Cached needed lists may be stale supersets (benign shrink
                 # events leave them in place); an already-available map is
-                # one the legacy walk would never have pushed — skipping it
-                # here, without expanding it, restores the exact legacy walk.
+                # one a fresh resolve would never have pushed — skipping it
+                # here, without expanding it, gives the exact fresh walk.
                 if sm.map_output_available(spec.dep.shuffle_id, spec.partition):
                     continue
                 target = spec.dep.rdd
             else:
                 target = spec.rdd
-            is_ready, needed = self._resolve_inc(target, spec.partition)
+            is_ready, needed = self._resolve(target, spec.partition)
             if is_ready:
                 ready[key] = spec
             else:
@@ -1252,74 +1028,6 @@ class TaskScheduler(ClusterListener):
             ready = job.ready_list
             if ready is not None:
                 ready.pop(key, None)
-
-    def _ready_job_specs_scan(self, job: _JobState) -> List[TaskSpec]:
-        """Legacy mode: recompute the frontier from scratch (seed behaviour)."""
-        specs: List[TaskSpec] = []
-        cache: Dict[Tuple[int, int], Tuple[bool, List[TaskSpec]]] = {}
-        visited: Set[Tuple] = set()
-        stack: List[TaskSpec] = [
-            s for s in job.root_specs if not job.has_result(s.partition)
-        ]
-        while stack:
-            spec = stack.pop()
-            if spec.key in visited:
-                continue
-            visited.add(spec.key)
-            if spec.key in self.running:
-                continue
-            target = spec.dep.rdd if spec.kind == TaskKind.SHUFFLE_MAP else spec.rdd
-            ready, needed = self._resolve(target, spec.partition, cache)
-            if ready:
-                specs.append(spec)
-            else:
-                stack.extend(needed)
-        return specs
-
-    def _resolve(
-        self,
-        rdd: "RDD",
-        partition: int,
-        cache: Dict[Tuple[int, int], Tuple[bool, List[TaskSpec]]],
-    ) -> Tuple[bool, List[TaskSpec]]:
-        """Can ``(rdd, partition)`` be produced right now?  (Legacy resolver.)
-
-        Returns ``(ready, needed_map_tasks)``: not-ready partitions name the
-        shuffle-map tasks (transitively) blocking them.  The cache lives for
-        one scheduling round, and readiness leaves are answered by the
-        original worker scans / per-map probes — this is the seed resolver,
-        kept as the reference the incremental engine is tested against.
-        """
-        key = (rdd.rdd_id, partition)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        if self.context.block_exists_scan(rdd, partition) or self.context.checkpoints.has_partition(
-            rdd, partition
-        ):
-            result = (True, [])
-            cache[key] = result
-            return result
-        ready = True
-        needed: List[TaskSpec] = []
-        for dep in rdd.dependencies:
-            if isinstance(dep, ShuffleDependency):
-                missing = self.context.shuffle_manager.missing_maps_by_probe(dep)
-                if missing:
-                    ready = False
-                    needed.extend(
-                        TaskSpec(TaskKind.SHUFFLE_MAP, dep.rdd, m, dep=dep) for m in missing
-                    )
-            elif isinstance(dep, NarrowDependency):
-                for parent_partition in dep.parents_of(partition):
-                    sub_ready, sub_needed = self._resolve(dep.rdd, parent_partition, cache)
-                    ready = ready and sub_ready
-                    needed.extend(sub_needed)
-            else:  # pragma: no cover - no other dependency kinds exist
-                raise EngineError(f"unknown dependency type {type(dep).__name__}")
-        result = (ready, needed)
-        cache[key] = result
-        return result
 
     def _map_spec(self, dep: ShuffleDependency, map_id: int) -> TaskSpec:
         sk = (dep.shuffle_id, map_id)
@@ -1348,13 +1056,15 @@ class TaskScheduler(ClusterListener):
         self._missing_spec_lists[sid] = (epoch, specs)
         return specs
 
-    def _resolve_inc(self, rdd: "RDD", partition: int) -> Tuple[bool, List[TaskSpec]]:
-        """Persistent-cache twin of :meth:`_resolve`.
+    def _resolve(self, rdd: "RDD", partition: int) -> Tuple[bool, List[TaskSpec]]:
+        """Can ``(rdd, partition)`` be produced right now?
 
-        Identical decision logic, but answers live across scheduling rounds
-        in ``_resolve_cache``, leaves are O(1) lookups (block-location index,
-        shuffle missing-sets), and every consult is recorded as a reverse
-        edge so change events invalidate exactly the decisions they affect.
+        Returns ``(ready, needed_map_tasks)``: not-ready partitions name the
+        shuffle-map tasks (transitively) blocking them.  Answers live across
+        scheduling rounds in ``_resolve_cache``, leaves are O(1) lookups
+        (block-location index, shuffle missing-sets), and every consult is
+        recorded as a reverse edge so change events invalidate exactly the
+        decisions they affect.
         """
         key = (rdd.rdd_id, partition)
         cached = self._resolve_cache.get(key)
@@ -1380,7 +1090,7 @@ class TaskScheduler(ClusterListener):
             elif isinstance(dep, NarrowDependency):
                 for parent_partition in dep.parents_of(partition):
                     self._dependents.setdefault((dep.rdd.rdd_id, parent_partition), set()).add(key)
-                    sub_ready, sub_needed = self._resolve_inc(dep.rdd, parent_partition)
+                    sub_ready, sub_needed = self._resolve(dep.rdd, parent_partition)
                     ready = ready and sub_ready
                     needed.extend(sub_needed)
             else:  # pragma: no cover - no other dependency kinds exist
@@ -1462,7 +1172,7 @@ class TaskScheduler(ClusterListener):
             # changed either, so the cascade and the ready list both stand.
             rdd = self._rdd_index.get(k[0])
             if rdd is not None:
-                new = self._resolve_inc(rdd, k[1])
+                new = self._resolve(rdd, k[1])
                 if new[0] == old[0] and self._needed_unchanged(new[1], old[1]):
                     continue
             self._drop_ready_lists()
@@ -1520,8 +1230,7 @@ class TaskScheduler(ClusterListener):
             self._ckpt_busy[worker.worker_id] = self._ckpt_busy.get(worker.worker_id, 0) + 1
             self._checkpoint_queue.pop(spec.key, None)
         target_id = job.rdd.rdd_id if job is not None else None
-        kernel = self._kernels.pop(spec.key, None) if self._kernels else None
-        runtime = TaskRuntime(self.context, worker, target_id, kernel=kernel)
+        runtime = TaskRuntime(self.context, worker, target_id)
         result = None
         buckets = None
         try:

@@ -236,18 +236,6 @@ class ShuffleManager:
             return []
         return sorted(missing)
 
-    def missing_maps_by_probe(self, dep: ShuffleDependency) -> List[int]:
-        """Reference per-map probe implementation of :meth:`missing_maps`.
-
-        The original O(maps) worker-probe loop.  The legacy scheduler mode
-        uses it, and the equivalence tests hold the maintained missing set
-        to exactly its answers.
-        """
-        self.missing_queries += 1
-        return [
-            m for m in range(dep.num_map_partitions) if not self.has_map_output(dep.shuffle_id, m)
-        ]
-
     def is_complete(self, dep: ShuffleDependency) -> bool:
         return not self._ensure_tracked(dep)
 
@@ -313,36 +301,6 @@ class ShuffleManager:
                     },
                 ))
             return buckets, local_bytes, remote_bytes
-
-    def peek_reduce_buckets(
-        self, dep: ShuffleDependency, reduce_id: int
-    ) -> Optional[List[List[Any]]]:
-        """One reduce bucket from every map output, with *no* side effects.
-
-        The executor plane stages speculative reduce merges from this.  It
-        bypasses :meth:`fetch` entirely: no fault-injection hook, no missing
-        query counter, no byte accounting, no fetch-plan build — the real
-        ``fetch`` replays all of that at consume time so the simulation stays
-        bit-identical.  Returns None unless every map output is present on a
-        live worker (``LocalDisk.get`` is counter-free, so reads here are
-        invisible).
-        """
-        missing = self._missing.get(dep.shuffle_id)
-        if missing is None or missing:
-            return None
-        statuses = self._outputs.get(dep.shuffle_id)
-        if statuses is None:
-            return None
-        buckets: List[List[Any]] = []
-        for map_id in range(dep.num_map_partitions):
-            status = statuses.get(map_id)
-            if status is None:
-                return None
-            worker = self._workers.get(status.worker_id)
-            if worker is None or not worker.alive or not worker.local_disk.has(status.disk_key):
-                return None
-            buckets.append(worker.local_disk.get(status.disk_key)[reduce_id])
-        return buckets
 
     def _fetch_plan(self, dep: ShuffleDependency) -> FetchPlan:
         """The cached :class:`FetchPlan` for a complete shuffle.
@@ -449,7 +407,7 @@ class ShuffleManager:
         """Reference O(maps) implementation of :meth:`output_bytes`.
 
         The equivalence tests hold the maintained counter to exactly its
-        answers, mirroring :meth:`missing_maps_by_probe`.
+        answers.
         """
         return sum(s.total_bytes for s in self._outputs.get(dep.shuffle_id, {}).values())
 

@@ -62,32 +62,6 @@ class TaskSpec:
 
 
 @dataclass
-class TaskResult:
-    """Serialisable output of one executor-plane kernel execution.
-
-    This is the only object that crosses the worker/driver process boundary
-    on the way back: plain records and counts, no engine references — it
-    must survive ``pickle`` round trips (see :mod:`repro.engine.closure`).
-
-    ``stage_counts`` holds the record count after each applied stage (in
-    application order); the driver replays the corresponding simulated-time
-    charges from them.  ``boundary_records`` carries the chain's resolved
-    boundary input when the driver asked for it (``ship_boundary``), so the
-    boundary node's own compute can be substituted at consume time.
-    """
-
-    records: List[Any]
-    stage_counts: List[int] = field(default_factory=list)
-    boundary_records: Optional[List[Any]] = None
-    wall_seconds: float = 0.0
-    #: True when the kernel ran its staged *batch* stages (columnar plane)
-    #: instead of the row closures.  Records and stage counts are identical
-    #: either way (the batch-kernel contract); the flag only keeps the
-    #: driver's columnar chain/stage counters backend-invariant.
-    used_columnar: bool = False
-
-
-@dataclass
 class PendingPut:
     """A deferred block-manager insert (applied at task completion).
 

@@ -1,10 +1,13 @@
 """Concrete RDD implementations.
 
-Every subclass implements ``compute(split, runtime)`` as a *pure* function of
-its parents' records (reached through ``runtime.iterator``, which resolves
-caches, checkpoints, and shuffle outputs).  Purity is what makes lineage
-recomputation after a revocation return byte-identical results — an invariant
-the property-based tests hammer on.
+Sources and shuffle consumers implement ``compute(split, runtime)``, reaching
+their inputs through the task runtime (which resolves caches, checkpoints,
+and shuffle outputs); single-parent narrow operators implement
+``compute_fused(records, split)`` over the parent's already-resolved records
+(plus an optional ``batch_kernel``) and run as stages of a fused chain.
+Either way the body is a *pure* function of its parents' records.  Purity is
+what makes lineage recomputation after a revocation return byte-identical
+results — an invariant the property-based tests hammer on.
 """
 
 from __future__ import annotations
@@ -91,19 +94,6 @@ class GeneratedRDD(RDD):
     def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
         return list(self._generator(split))
 
-    def source_kernel(self, split: int) -> Callable[[], List[Any]]:
-        """Picklable zero-arg closure producing this partition's records.
-
-        Captures only the generator and the split — never ``self`` — so the
-        executor plane can run the source read out of process.
-        """
-        gen = self._generator
-
-        def kernel() -> List[Any]:
-            return list(gen(split))
-
-        return kernel
-
 
 class MappedRDD(RDD):
     """One-to-one record transformation."""
@@ -127,29 +117,11 @@ class MappedRDD(RDD):
         self._fn = fn
         self._batch_fn = batch_fn
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return [self._fn(x) for x in records]
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         return self._batch_fn
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        """Picklable ``records -> records`` twin of :meth:`compute_fused`.
-
-        Every fusable class colocates its kernel with ``compute_fused`` so
-        any drift between the two bodies is visible in one diff hunk (and
-        caught by the pickling-parity tests).
-        """
-        fn = self._fn
-
-        def kernel(records: Any) -> List[Any]:
-            return [fn(x) for x in records]
-
-        return kernel
 
 
 class FilteredRDD(RDD):
@@ -170,20 +142,8 @@ class FilteredRDD(RDD):
         self._batch_fn = batch_fn
         self.partitioner = parent.partitioner
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return [x for x in records if self._predicate(x)]
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        predicate = self._predicate
-
-        def kernel(records: Any) -> List[Any]:
-            return [x for x in records if predicate(x)]
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         if self._batch_fn is None:
@@ -220,10 +180,6 @@ class FlatMappedRDD(RDD):
         self._fn = fn
         self._batch_fn = batch_fn
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         out: List[Any] = []
         extend = out.extend
@@ -231,18 +187,6 @@ class FlatMappedRDD(RDD):
         for x in records:
             extend(fn(x))
         return out
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        fn = self._fn
-
-        def kernel(records: Any) -> List[Any]:
-            out: List[Any] = []
-            extend = out.extend
-            for x in records:
-                extend(fn(x))
-            return out
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         return self._batch_fn
@@ -270,23 +214,11 @@ class MapPartitionsRDD(RDD):
         self._fn = fn
         self._batch_fn = batch_fn
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         # The user function gets a private list copy, exactly as unfused:
         # it may mutate its argument, and ``records`` can be a cached
         # partition the block manager still owns.
         return list(self._fn(list(records)))
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        fn = self._fn
-
-        def kernel(records: Any) -> List[Any]:
-            return list(fn(list(records)))
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         return self._batch_fn
@@ -307,18 +239,8 @@ class PartitionIndexedRDD(RDD):
             parent.context, [OneToOneDependency(parent)], parent.num_partitions, name="indexKey"
         )
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return [((split, i), x) for i, x in enumerate(records)]
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        def kernel(records: Any) -> List[Any]:
-            return [((split, i), x) for i, x in enumerate(records)]
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         # Built-in: prepend a ((split, i), ·) key column pair — pure array
@@ -350,21 +272,9 @@ class ZipWithIndexRDD(RDD):
         )
         self._offsets = list(offsets)
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         base = self._offsets[split]
         return [(x, base + i) for i, x in enumerate(records)]
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        base = self._offsets[split]
-
-        def kernel(records: Any) -> List[Any]:
-            return [(x, base + i) for i, x in enumerate(records)]
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         base = self._offsets[split]
@@ -392,10 +302,6 @@ class SampledRDD(RDD):
         self._fraction = fraction
         self._seed = seed
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        parent = self.dependencies[0].rdd
-        return self.compute_fused(runtime.iterator(parent, split), split)
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         # Seeded by (user seed, partition) only — not the RDD id — so the
         # same pipeline built twice samples identically.
@@ -406,21 +312,6 @@ class SampledRDD(RDD):
             return []
         mask = rng.random(len(records)) < self._fraction
         return [x for x, keep in zip(records, mask) if keep]
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        fraction = self._fraction
-        seed = self._seed
-
-        def kernel(records: Any) -> List[Any]:
-            rng = SeededRNG(seed, f"sample-{split}")
-            if type(records) is not list:
-                records = list(records)
-            if not records:
-                return []
-            mask = rng.random(len(records)) < fraction
-            return [x for x, keep in zip(records, mask) if keep]
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         # Built-in: the same seeded RNG draws the same mask over the same
@@ -456,21 +347,8 @@ class UnionRDD(RDD):
             offset += parent.num_partitions
         super().__init__(context, deps, offset, name="union")
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        for dep in self.dependencies:
-            parents = dep.parents_of(split)
-            if parents:
-                return self.compute_fused(runtime.iterator(dep.rdd, parents[0]), split)
-        raise IndexError(f"partition {split} out of range for union")
-
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return list(records)
-
-    def fused_kernel(self, split: int) -> Callable[[Any], List[Any]]:
-        def kernel(records: Any) -> List[Any]:
-            return list(records)
-
-        return kernel
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
         # Identity: columns are immutable by convention, so the same batch
@@ -535,44 +413,6 @@ class ShuffledRDD(RDD):
                     )
         return sorted(merged.items(), key=_record_hash_key)
 
-    def merge_kernel(self) -> Callable[[List[List[Any]]], List[Any]]:
-        """Picklable ``buckets -> records`` twin of the merge in :meth:`compute`.
-
-        Captures the aggregator functions and the combine flag — not the
-        dependency or ``self`` — so the reduce-side merge can run out of
-        process over driver-peeked buckets.
-        """
-        dep = self.shuffle_dependency
-        aggregator = dep.aggregator
-        map_side_combine = dep.map_side_combine
-
-        def kernel(buckets: List[List[Any]]) -> List[Any]:
-            if aggregator is None:
-                out: List[Any] = []
-                for bucket in buckets:
-                    out.extend(bucket)
-                return out
-            create, merge_value, merge_combiners = aggregator
-            merged: Dict[Any, Any] = {}
-            get = merged.get
-            if map_side_combine:
-                for bucket in buckets:
-                    for key, value in bucket:
-                        prev = get(key, _ABSENT)
-                        merged[key] = (
-                            value if prev is _ABSENT else merge_combiners(prev, value)
-                        )
-            else:
-                for bucket in buckets:
-                    for key, value in bucket:
-                        prev = get(key, _ABSENT)
-                        merged[key] = (
-                            create(value) if prev is _ABSENT else merge_value(prev, value)
-                        )
-            return sorted(merged.items(), key=_record_hash_key)
-
-        return kernel
-
 
 class CoGroupedRDD(RDD):
     """Groups two (or more) keyed RDDs by key: ``(k, ([vs_0], [vs_1], ...))``.
@@ -625,34 +465,3 @@ class CoGroupedRDD(RDD):
                         groups[side].append(value)
         return sorted(table.items(), key=_record_hash_key)
 
-    def merge_kernel(self) -> Callable[[List[List[List[Any]]]], List[Any]]:
-        """Picklable twin of :meth:`compute`'s merge over pre-fetched sides.
-
-        Takes ``sides``: one list of record-lists per dependency, in
-        dependency order (a narrow side contributes a single record list, a
-        shuffle side one list per map output) — exactly the ``sources``
-        sequence the inline merge walks.
-        """
-        n = len(self.dependencies)
-
-        def kernel(sides: List[List[List[Any]]]) -> List[Any]:
-            table: Dict[Any, Tuple[List[Any], ...]] = {}
-            get = table.get
-            for side, sources in enumerate(sides):
-                if n == 2:
-                    for records in sources:
-                        for key, value in records:
-                            groups = get(key)
-                            if groups is None:
-                                groups = table[key] = ([], [])
-                            groups[side].append(value)
-                else:
-                    for records in sources:
-                        for key, value in records:
-                            groups = get(key)
-                            if groups is None:
-                                groups = table[key] = tuple([] for _ in range(n))
-                            groups[side].append(value)
-            return sorted(table.items(), key=_record_hash_key)
-
-        return kernel

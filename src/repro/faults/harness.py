@@ -34,7 +34,7 @@ _PRICE = 0.175
 
 
 def build_fault_context(
-    num_workers: int = 6, seed: int = 0, mode: str = "incremental", trace: bool = False
+    num_workers: int = 6, seed: int = 0, trace: bool = False
 ) -> FlintContext:
     """A deterministic on-demand cluster for one fault-injection run.
 
@@ -45,7 +45,7 @@ def build_fault_context(
     env = Environment(provider, seed=seed)
     cluster = Cluster(env)
     obs = Observability(enabled=True) if trace else None
-    ctx = FlintContext(env, cluster, scheduler_mode=mode, obs=obs)
+    ctx = FlintContext(env, cluster, obs=obs)
     cluster.launch(_MARKET_ID, bid=_PRICE, count=num_workers)
     return ctx
 
@@ -55,7 +55,6 @@ class FaultRunReport:
     """Everything needed to judge (and replay) one fault-injection run."""
 
     spec: str
-    mode: str
     results_match: bool
     faults_fired: List[FiredFault] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
@@ -76,14 +75,13 @@ class FaultRunReport:
 
 def run_reference(
     workload_factory: Callable[[FlintContext], Any],
-    mode: str = "incremental",
     num_workers: int = 6,
     seed: int = 0,
     checkpointing: bool = True,
     mttf: float = 1800.0,
 ) -> tuple:
     """The failure-free run; returns ``(results, simulated_runtime)``."""
-    ctx = build_fault_context(num_workers, seed, mode)
+    ctx = build_fault_context(num_workers, seed)
     manager = _attach_manager(ctx, checkpointing, mttf)
     workload = workload_factory(ctx)
     workload.load()
@@ -108,7 +106,6 @@ def _attach_manager(ctx: FlintContext, checkpointing: bool, mttf: float):
 def run_with_plan(
     workload_factory: Callable[[FlintContext], Any],
     plan: Union[str, FaultPlan],
-    mode: str = "incremental",
     num_workers: int = 6,
     seed: int = 0,
     checkpointing: bool = True,
@@ -121,7 +118,6 @@ def run_with_plan(
 
     Args:
         plan: a spec string or parsed :class:`FaultPlan`.
-        mode: scheduler mode for both runs (``FLINT_SCHEDULER`` values).
         checkpointing: attach the Flint fault-tolerance manager (fixed MTTF)
             so checkpoint-targeted faults have checkpoints to hit.
         reference: optional precomputed ``(results, runtime)`` — the chaos
@@ -135,11 +131,11 @@ def run_with_plan(
         plan = FaultPlan.parse(plan)
     if reference is None:
         reference = run_reference(
-            workload_factory, mode, num_workers, seed, checkpointing, mttf
+            workload_factory, num_workers, seed, checkpointing, mttf
         )
     ref_results, ref_runtime = reference
 
-    ctx = build_fault_context(num_workers, seed, mode, trace=trace)
+    ctx = build_fault_context(num_workers, seed, trace=trace)
     checker = InvariantChecker(ctx)
     injector = FaultInjector(plan, checker).install(ctx)
     manager = _attach_manager(ctx, checkpointing, mttf)
@@ -170,7 +166,6 @@ def run_with_plan(
 
     report = FaultRunReport(
         spec=str(plan),
-        mode=mode,
         results_match=results_match,
         faults_fired=injector.fired,
         violations=checker.violations,
@@ -182,7 +177,5 @@ def run_with_plan(
         event_log=[e.to_dict() for e in ctx.obs.bus.events] if ctx.obs.enabled else [],
     )
     if raise_on_violation and report.violations:
-        raise InvariantViolation(
-            [f"plan {report.spec!r} mode={mode}"] + report.violations
-        )
+        raise InvariantViolation([f"plan {report.spec!r}"] + report.violations)
     return report

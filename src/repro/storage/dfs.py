@@ -81,16 +81,6 @@ class DistributedFileSystem:
         self.reads += 1
         return entry.data
 
-    def peek(self, path: str) -> Optional[Any]:
-        """Read an object without touching the read counters (or None).
-
-        The executor plane stages speculative task payloads through this;
-        the authoritative read (and its ``reads``/byte accounting) happens
-        later on the simulated data path.
-        """
-        entry = self._entries.get(path)
-        return None if entry is None else entry.data
-
     def exists(self, path: str) -> bool:
         return path in self._entries
 

@@ -2,7 +2,7 @@
 
 DStreams on top of the RDD engine (§6's Spark-Streaming observation made
 first-class): a :class:`StreamingContext` drives batches on the simulated
-clock, transformations lower to the existing RDD/fusion/columnar/executor
+clock, transformations lower to the existing fused RDD and columnar data
 planes, and τ-periodic state checkpointing (``core/interval.py``) keeps
 operator-state lineage — and therefore recovery after a revocation —
 bounded on transient servers.

@@ -5,15 +5,15 @@ build derived streams lazily; nothing materialises until the
 :class:`~repro.streaming.context.StreamingContext` drives a batch and runs
 the registered output actions.  Because every batch lowers to ordinary
 RDDs, the whole existing execution stack — incremental scheduler, fused
-narrow chains, columnar batch kernels, and all three executor backends —
-applies to streaming jobs unchanged, and the bit-identical contracts those
-planes carry extend to streams for free.
+narrow chains, columnar batch kernels — applies to streaming jobs
+unchanged, and the bit-identical contract the two data planes carry extends
+to streams for free.
 
 Closure discipline: the per-record functions passed to ``map``/``filter``/
-``flat_map``/``update_state_by_key`` travel to the executor plane, so they
-must capture plain data and pure functions only (never a DStream, RDD, or
-context).  The builder callables (``transform``) run driver-side and are
-free to capture anything.
+``flat_map``/``update_state_by_key`` are re-run on every lineage
+recomputation, so they must capture plain data and pure functions only
+(never a DStream, RDD, or context).  The builder callables (``transform``)
+run once per batch and are free to capture anything.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 # ----------------------------------------------------------------------
-# Picklable closure factories for the state plane.  These are module-level
-# so cloudpickle ships them (plus the captured user function) to the
-# process/async executors without dragging driver state along.
+# Closure factories for the state plane: module-level so the returned
+# functions capture only the user function, never a DStream or context.
 # ----------------------------------------------------------------------
 def _merge_record(merge_fn: Callable[[Any, Any], Any], zero: Any):
     """Fold one cogroup row ``(key, (olds, news))`` into ``(key, merged)``."""

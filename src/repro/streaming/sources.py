@@ -2,8 +2,8 @@
 
 A :class:`StreamSource` describes an infinite discretised input: batch ``b``
 of the stream is a deterministic pure function of ``(source config, b)``, so
-every backend — inline, process, async executors; row or columnar data
-plane — regenerates byte-identical batches, and a revoked partition can
+either data plane — row or columnar — regenerates byte-identical batches,
+and a revoked partition can
 always be recomputed from the source alone (the transient-server property
 the whole engine is built around).
 
@@ -19,9 +19,9 @@ Flink-vs-Spark reproducibility study (PAPERS.md):
   stateful-wordcount input.
 
 The per-partition generators returned by :meth:`StreamSource.generator_for`
-capture only plain data (ints, strings, tuples) so the executor plane can
-ship them out-of-process; they must never close over the source object,
-an RDD, or the context.
+capture only plain data (ints, strings, tuples); they must never close over
+the source object, an RDD, or the context, so a batch's lineage pins no
+driver state.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ DEFAULT_RECORD_SIZE = 250_000
 class StreamSource:
     """One unbounded, replayable input stream (batch-indexed).
 
-    Subclasses implement :meth:`generator_for`, returning a *picklable*
+    Subclasses implement :meth:`generator_for`, returning a pure
     per-partition generator for one batch.  Everything else — record
     counts, reference materialisation for tests — derives from it.
     """
@@ -75,7 +75,7 @@ class StreamSource:
         return self.per_partition * self.num_partitions
 
     def generator_for(self, batch: int) -> Callable[[int], List[Any]]:
-        """A pure, picklable ``partition -> records`` function for one batch."""
+        """A pure ``partition -> records`` function for one batch."""
         raise NotImplementedError
 
     def reference_records(self, batch: int) -> List[Any]:
@@ -174,8 +174,8 @@ class TextSource(StreamSource):
     Each record is one line of ``words_per_line`` space-joined words drawn
     uniformly from ``vocabulary``.  Strings keep this stream on the row
     plane (the columnar boundary refuses non-numeric leaves), which is
-    exactly the point: wordcount exercises closure-based flat_map under
-    every executor backend.
+    exactly the point: wordcount exercises closure-based flat_map and the
+    columnar plane's refusal path.
     """
 
     def __init__(

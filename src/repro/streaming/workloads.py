@@ -32,7 +32,7 @@ VOCABULARY: Tuple[str, ...] = (
 
 
 # ----------------------------------------------------------------------
-# Module-level kernels: picklable for the process/async executor plane.
+# Module-level kernels shared by the workloads below.
 # ----------------------------------------------------------------------
 def _identity(record):
     return record
@@ -252,7 +252,6 @@ def run_recovery_benchmark(
     initial_delta: float = 20.0,
     min_tau: float = 30.0,
     max_tau: float = 60.0,
-    mode: str = "incremental",
 ) -> Dict[str, float]:
     """Revoke servers mid-stream; measure how checkpointing bounds recovery.
 
@@ -268,14 +267,14 @@ def run_recovery_benchmark(
     batch latency and the task count the recovery batch needed — the
     quantities checkpointing shrinks.
 
-    Everything reported is simulated (deterministic for a fixed seed and
-    backend-invariant), so the numbers double as perf-gate anchors.
+    Everything reported is simulated (deterministic for a fixed seed), so
+    the numbers double as perf-gate anchors.
     """
     if not 0 <= revoke_after_batch < num_batches - 1:
         raise ValueError("revoke_after_batch must leave at least one batch after it")
     from repro.faults.harness import _PRICE, build_fault_context
 
-    ctx = build_fault_context(num_workers, seed=0, mode=mode)
+    ctx = build_fault_context(num_workers, seed=0)
     workload = StreamingWordCountWorkload(
         ctx,
         lines_per_batch=lines_per_batch,

@@ -121,13 +121,23 @@ def test_select_refuses_bad_masks():
 
 def test_env_switch_parsing(monkeypatch):
     for raw, expect in (
-        ("on", True), ("1", True), ("", True), ("anything", True),
+        ("on", True), ("1", True), ("true", True), ("ON", True),
         ("off", False), ("0", False), ("false", False), ("FALSE", False),
     ):
         monkeypatch.setenv("FLINT_COLUMNAR", raw)
         assert columnar_enabled_by_env() is expect
     monkeypatch.delenv("FLINT_COLUMNAR")
     assert columnar_enabled_by_env() is True
+
+
+@pytest.mark.parametrize("raw", ["offf", "no", "", "2"])
+def test_env_switch_rejects_unrecognised_values(monkeypatch, raw):
+    """A typo must not silently select the default plane."""
+    monkeypatch.setenv("FLINT_COLUMNAR", raw)
+    with pytest.raises(ValueError, match="FLINT_COLUMNAR"):
+        columnar_enabled_by_env()
+    with pytest.raises(ValueError, match="FLINT_COLUMNAR"):
+        build_on_demand_context(1)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +187,6 @@ def _key_batch(batch):
 
 
 def _build_planes(monkeypatch, columnar):
-    monkeypatch.setenv("FLINT_FUSION", "on")
     monkeypatch.setenv("FLINT_COLUMNAR", columnar)
     return build_on_demand_context(4)
 
@@ -205,7 +214,7 @@ def test_columnar_chain_matches_row_plane(monkeypatch):
     assert stats.columnar_chains == 4
     assert stats.columnar_stages == 12
     assert stats.columnar_fallbacks == 0
-    # Fusion books stay backend- and plane-invariant.
+    # Fusion books stay plane-invariant.
     assert stats.fused_chains == off_ctx.scheduler.stats.fused_chains == 4
     assert stats.fused_stages == off_ctx.scheduler.stats.fused_stages == 12
     assert off_ctx.scheduler.stats.columnar_chains == 0
@@ -217,15 +226,6 @@ def test_columnar_off_never_lowers(monkeypatch):
     _chain(ctx).collect()
     assert ctx.scheduler.stats.columnar_chains == 0
     assert ctx.scheduler.stats.columnar_stages == 0
-
-
-def test_columnar_requires_fusion(monkeypatch):
-    monkeypatch.setenv("FLINT_FUSION", "off")
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
-    ctx = build_on_demand_context(4)
-    result = _chain(ctx).collect()
-    assert result == [((x + 1) % 7, x + 1) for x in range(200) if (x + 1) % 2 == 0]
-    assert ctx.scheduler.stats.columnar_chains == 0
 
 
 def test_kernel_refusal_falls_back_with_identical_results(monkeypatch):

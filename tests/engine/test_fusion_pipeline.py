@@ -4,7 +4,10 @@ These tests drive synthetic multi-operator chains (the paper workloads'
 narrow stages are all single-operator, so fusion is a no-op there) and pin
 down every pipeline-breaker the fusion walk must respect: persisted or
 cached partitions, checkpointed parents, shuffle inputs, and shared
-(multi-dependent) nodes.
+(multi-dependent) nodes.  Each pipeline's results and simulated clock are
+also frozen as a ``chain/<name>`` row of ``golden_engine.json``
+(``test_engine_golden.py`` imports :data:`PIPELINES`), captured while the
+per-RDD recursion still existed to agree with them.
 """
 
 from __future__ import annotations
@@ -14,118 +17,96 @@ import pytest
 from tests.conftest import build_on_demand_context
 
 
-@pytest.fixture
-def planes(monkeypatch):
-    """A (fused, unfused) context pair built identically apart from the knob."""
-
-    def build(fusion):
-        monkeypatch.setenv("FLINT_FUSION", fusion)
-        return build_on_demand_context(4)
-
-    return build("on"), build("off")
-
-
-def _chain(ctx):
+def multi_op(ctx):
     base = ctx.parallelize(list(range(200)), 4, record_size=100)
-    return (
+    chain = (
         base.map(lambda x: x + 1)
         .filter(lambda x: x % 2 == 0)
         .map(lambda x: (x % 7, x))
     )
+    return chain.collect()
 
 
-def test_multi_op_chain_fuses_and_matches(planes):
-    on, off = planes
-    results = {}
-    for ctx in (on, off):
-        t0 = ctx.now
-        results[ctx] = (_chain(ctx).collect(), ctx.now - t0)
-    assert results[on] == results[off]
+def persisted_mid_chain(ctx):
+    base = ctx.parallelize(list(range(120)), 4, record_size=100)
+    mid = base.map(lambda x: x * 2).map(lambda x: x + 3).persist()
+    head = mid.map(lambda x: (x % 5, x)).filter(lambda kv: kv[0] != 1)
+    first = head.collect()
+    # The persisted node must actually materialise into the cache —
+    # fusing through it would starve every later consumer.
+    assert ctx.cached_partition_count(mid) == 4
+    second = head.collect()
+    mid.unpersist()
+    assert ctx.cached_partition_count(mid) == 0
+    third = head.collect()
+    return first, second, third
+
+
+def checkpointed_parent(ctx):
+    base = ctx.parallelize(list(range(80)), 2, record_size=100)
+    mid = base.map(lambda x: x + 10).map(lambda x: x * 3)
+    mid.persist().checkpoint()
+    mid.count()
+    ctx.env.run_until(ctx.now + 60)  # let async checkpoint writes land
+    assert ctx.checkpoints.is_fully_checkpointed(mid)
+    # Drop the cache so the next read must come from the checkpoint,
+    # not from a re-fused recompute of mid's lineage.
+    mid.unpersist()
+    head = mid.map(lambda x: x - 1).map(lambda x: (x % 4, x))
+    return head.collect()
+
+
+def union_chain(ctx):
+    left = ctx.parallelize(list(range(60)), 2, record_size=100).map(
+        lambda x: x * 2
+    )
+    right = ctx.parallelize(list(range(60, 120)), 2, record_size=100).map(
+        lambda x: x * 5
+    )
+    merged = left.union(right).map(lambda x: x + 1).filter(lambda x: x % 3 != 0)
+    return merged.collect()
+
+
+def shared_node(ctx):
+    """A node with two dependants must memoise, not re-stream per consumer."""
+    base = ctx.parallelize(list(range(40)), 2, record_size=100)
+    shared = base.map(lambda x: x + 1).map(lambda x: x * 2)
+    combined = shared.map(lambda x: x + 100).union(shared.map(lambda x: -x))
+    return sorted(combined.collect())
+
+
+#: name -> (pipeline, fused_chains, fused_stages) on a 4-worker context.
+PIPELINES = {
     # One fused pass per partition, covering all three chained operators.
-    assert on.scheduler.stats.fused_chains == 4
-    assert on.scheduler.stats.fused_stages == 12
-    assert off.scheduler.stats.fused_chains == 0
-
-
-def test_persisted_mid_chain_is_boundary_until_unpersisted(planes):
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
-        base = ctx.parallelize(list(range(120)), 4, record_size=100)
-        mid = base.map(lambda x: x * 2).map(lambda x: x + 3).persist()
-        head = mid.map(lambda x: (x % 5, x)).filter(lambda kv: kv[0] != 1)
-        first = head.collect()
-        # The persisted node must actually materialise into the cache —
-        # fusing through it would starve every later consumer.
-        assert ctx.cached_partition_count(mid) == 4
-        second = head.collect()
-        mid.unpersist()
-        assert ctx.cached_partition_count(mid) == 0
-        third = head.collect()
-        outcomes[ctx] = (first, second, third, ctx.now)
-    assert outcomes[on] == outcomes[off]
-    stats = on.scheduler.stats
-    chains = stats.fused_chains
-    stages = stats.fused_stages
+    "multi_op": (multi_op, 4, 12),
     # While mid is persisted the chain breaks there: run 1 fuses the head's
     # two operators and mid's own two on first materialisation; run 2 fuses
     # only the head again (mid now served from cache).  After unpersist,
     # run 3 streams all four operators in one pass from the source.
-    assert chains == (4 + 4) + 4 + 4
-    assert stages == (4 * 2 + 4 * 2) + 4 * 2 + 4 * 4
-
-
-def test_checkpointed_parent_is_boundary(planes):
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
-        base = ctx.parallelize(list(range(80)), 2, record_size=100)
-        mid = base.map(lambda x: x + 10).map(lambda x: x * 3)
-        mid.persist().checkpoint()
-        mid.count()
-        ctx.env.run_until(ctx.now + 60)  # let async checkpoint writes land
-        assert ctx.checkpoints.is_fully_checkpointed(mid)
-        # Drop the cache so the next read must come from the checkpoint,
-        # not from a re-fused recompute of mid's lineage.
-        mid.unpersist()
-        head = mid.map(lambda x: x - 1).map(lambda x: (x % 4, x))
-        outcomes[ctx] = (head.collect(), ctx.now)
-    assert outcomes[on] == outcomes[off]
-    # The second action fuses only head's two operators; the checkpointed
-    # parent resolves through the registry (2 partitions, 2-stage chains).
-    assert on.scheduler.stats.fused_stages == 2 * 2 + 2 * 2
-
-
-def test_union_chain_fuses_through_range_dependency(planes):
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
-        left = ctx.parallelize(list(range(60)), 2, record_size=100).map(
-            lambda x: x * 2
-        )
-        right = ctx.parallelize(list(range(60, 120)), 2, record_size=100).map(
-            lambda x: x * 5
-        )
-        merged = left.union(right).map(lambda x: x + 1).filter(lambda x: x % 3 != 0)
-        outcomes[ctx] = (merged.collect(), ctx.now)
-    assert outcomes[on] == outcomes[off]
+    "persisted_mid_chain": (
+        persisted_mid_chain, (4 + 4) + 4 + 4, (4 * 2 + 4 * 2) + 4 * 2 + 4 * 4,
+    ),
+    # The first action fuses mid's two operators; the second fuses only
+    # head's two — the checkpointed parent resolves through the registry
+    # (2 partitions, 2-stage chains).
+    "checkpointed_parent": (checkpointed_parent, 2 + 2, 2 * 2 + 2 * 2),
     # Each union output partition covers exactly one parent partition, so
     # the chain fuses across the union into the contributing side:
     # filter -> map -> union -> side map = 4 stages on all 4 partitions.
-    assert on.scheduler.stats.fused_chains == 4
-    assert on.scheduler.stats.fused_stages == 16
+    "union_chain": (union_chain, 4, 16),
+    # Each of the 4 union partitions fuses union -> side map and stops at
+    # the shared node, whose own two operators then fuse once per task.
+    "shared_node": (shared_node, 4 + 4, 4 * 2 + 4 * 2),
+}
 
 
-def test_shared_node_is_boundary(planes):
-    """A node with two dependants must memoise, not re-stream per consumer."""
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
-        base = ctx.parallelize(list(range(40)), 2, record_size=100)
-        shared = base.map(lambda x: x + 1).map(lambda x: x * 2)
-        combined = shared.map(lambda x: x + 100).union(shared.map(lambda x: -x))
-        outcomes[ctx] = (sorted(combined.collect()), ctx.now)
-    assert outcomes[on] == outcomes[off]
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_chain_fuses_up_to_its_boundaries(name):
+    pipeline, chains, stages = PIPELINES[name]
+    ctx = build_on_demand_context(4)
+    pipeline(ctx)
+    stats = ctx.scheduler.stats
+    assert (stats.fused_chains, stats.fused_stages) == (chains, stages)
 
 
 def test_record_size_memo_counters():

@@ -4,7 +4,7 @@ The manager precomputes, once per output epoch, every reducer's bucket
 references and local/remote byte splits; registrations, evictions, and
 worker loss bump the epoch so no fetch is ever served from a stale plan.
 The maintained ``output_bytes`` counter is held to the reference scan
-implementation, mirroring the ``missing_maps_by_probe`` pattern.
+implementation (``output_bytes_by_scan``).
 """
 
 from __future__ import annotations

@@ -2,21 +2,18 @@
 
 ``run_job`` is now submit-then-wait, so a single job driven through the
 non-blocking surface must be bit-identical to the blocking call — same
-results, same simulated runtime, same full :class:`SchedulerStats` — under
-both scheduler modes, with and without a mid-job revocation.  Any drift
-means multiplexing changed single-job scheduling, which it must never do.
+results, same simulated runtime, same full :class:`SchedulerStats` — with
+and without a mid-job revocation.  Any drift means multiplexing changed
+single-job scheduling, which it must never do.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.analysis.experiments import build_engine_context
 
 _MARKET = "od/r3.large"
-MODES = ("incremental", "legacy")
 
 
 def _pipeline(ctx):
@@ -30,10 +27,8 @@ def _pipeline(ctx):
     return source.key_by(lambda v: v % 7).reduce_by_key(lambda a, b: a + b)
 
 
-def _run(monkeypatch, mode, surface, revoke_at=None):
-    monkeypatch.setenv("FLINT_SCHEDULER", mode)
+def _run(surface, revoke_at=None):
     ctx = build_engine_context(num_workers=4, seed=0)
-    assert ctx.scheduler.mode == mode
     rdd = _pipeline(ctx)
     if revoke_at is not None:
         def inject(_event):
@@ -56,33 +51,22 @@ def _run(monkeypatch, mode, surface, revoke_at=None):
     return results, runtime, dataclasses.asdict(ctx.scheduler.stats)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_submit_job_bit_identical_to_run_job(monkeypatch, mode):
-    run_results, run_rt, run_stats = _run(monkeypatch, mode, "run_job")
-    sub_results, sub_rt, sub_stats = _run(monkeypatch, mode, "submit_job")
+def test_submit_job_bit_identical_to_run_job():
+    run_results, run_rt, run_stats = _run("run_job")
+    sub_results, sub_rt, sub_stats = _run("submit_job")
     assert sub_results == run_results
     assert sub_rt == run_rt
     assert sub_stats == run_stats
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_submit_job_bit_identical_under_revocation(monkeypatch, mode):
+def test_submit_job_bit_identical_under_revocation():
     # Land the kill mid-job: half the failure-free runtime.
-    _, base_rt, _ = _run(monkeypatch, mode, "run_job")
+    _, base_rt, _ = _run("run_job")
     revoke_at = base_rt * 0.5
-    run_results, run_rt, run_stats = _run(monkeypatch, mode, "run_job", revoke_at)
-    sub_results, sub_rt, sub_stats = _run(monkeypatch, mode, "submit_job", revoke_at)
+    run_results, run_rt, run_stats = _run("run_job", revoke_at)
+    sub_results, sub_rt, sub_stats = _run("submit_job", revoke_at)
     assert run_stats["tasks_lost"] > 0 or run_rt > base_rt
     assert sub_results == run_results
     assert sub_rt == run_rt
     assert sub_stats == run_stats
 
-
-def test_modes_agree_on_results(monkeypatch):
-    results = {
-        mode: _run(monkeypatch, mode, "submit_job") for mode in MODES
-    }
-    inc_results, inc_rt, _ = results["incremental"]
-    leg_results, leg_rt, _ = results["legacy"]
-    assert inc_results == leg_results
-    assert inc_rt == leg_rt

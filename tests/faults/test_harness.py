@@ -30,11 +30,10 @@ def test_report_counts_invariant_checks():
     assert report.checks_run >= 2
 
 
-def test_both_scheduler_modes_survive_same_plan():
+def test_warned_revocation_with_a_straggler_is_survived():
     spec = "revoke at=dispatch:15 warn=60; slow at=dispatch:5 factor=3 worker=2"
-    for mode in ("incremental", "legacy"):
-        report = run_with_plan(CHAOS_WORKLOADS["ALS"], spec, mode=mode)
-        assert report.passed, f"mode={mode}: {report.violations}"
+    report = run_with_plan(CHAOS_WORKLOADS["ALS"], spec)
+    assert report.passed, report.violations
 
 
 def test_shared_reference_short_circuits_rerun():
@@ -96,7 +95,7 @@ def test_generate_spec_rejects_unknown_family():
 
 
 def test_chaos_smoke_sweep_passes():
-    report = run_chaos([0, 1], workloads=["PageRank"], modes=["incremental"])
+    report = run_chaos([0, 1], workloads=["PageRank"])
     assert report.plans_run == 4  # 2 seeds x 2 families
     assert report.passed, [f.violations for f in report.failures]
     assert report.checks_run > 0
@@ -110,10 +109,9 @@ def test_chaos_trace_failure_writes_timeline(tmp_path):
     from repro.faults.harness import run_reference
 
     factory = CHAOS_WORKLOADS["KMeans"]
-    reference = run_reference(factory, "incremental", num_workers=6, seed=0)
+    reference = run_reference(factory, num_workers=6, seed=0)
     failure = ChaosFailure(
-        seed=0, master_seed=0, workload="KMeans", mode="incremental",
-        family="revocation", spec="revoke at=task:10", violations=["boom"],
+        seed=0, master_seed=0, workload="KMeans", family="revocation", spec="revoke at=task:10", violations=["boom"],
     )
     _trace_failure(factory, failure, reference, str(tmp_path))
     assert len(failure.trace_paths) == 2
@@ -128,12 +126,10 @@ def test_chaos_failure_replay_command_round_trips():
     from repro.faults.chaos import ChaosFailure
 
     failure = ChaosFailure(
-        seed=57, master_seed=3, workload="ALS", mode="legacy",
-        family="io", spec="revoke at=task:2", violations=["boom"],
+        seed=57, master_seed=3, workload="ALS", family="io", spec="revoke at=task:2", violations=["boom"],
     )
     cmd = failure.replay_command()
     assert "--replay-seed 57" in cmd
     assert "--master-seed 3" in cmd
     assert "--workload ALS" in cmd
-    assert "--mode legacy" in cmd
     assert "--family io" in cmd

@@ -41,7 +41,6 @@ def test_streaming_plans_uphold_invariants(seed):
     report = run_with_plan(
         _StreamingChaosWorkload,
         spec,
-        mode="incremental",
         num_workers=NUM_WORKERS,
         checkpointing=True,
         mttf=1800.0,
@@ -54,7 +53,6 @@ def test_streaming_family_sweep():
     report = run_chaos(
         seeds=range(2),
         workloads=["Streaming"],
-        modes=["incremental"],
         families=["streaming"],
     )
     assert report.plans_run == 2

@@ -42,7 +42,6 @@ def test_tenancy_plans_match_reference(seed):
     report = run_with_plan(
         _TenancyChaosWorkload,
         spec,
-        mode="incremental",
         num_workers=NUM_WORKERS,
         checkpointing=True,
         mttf=1800.0,
@@ -55,7 +54,6 @@ def test_tenancy_family_sweep():
     report = run_chaos(
         seeds=range(2),
         workloads=["Tenancy"],
-        modes=["incremental"],
         families=["tenancy"],
     )
     assert report.plans_run == 2

@@ -106,74 +106,57 @@ def test_advise_command(capsys):
     assert "savings" in out
 
 
-def test_executor_flags_publish_env(monkeypatch, capsys):
-    """--executor/--executor-workers mirror FLINT_EXECUTOR/FLINT_WORKERS."""
-    import os
+@pytest.fixture
+def planes(monkeypatch):
+    """``columnar_enabled`` of every engine context ``main`` builds."""
+    from repro.engine.context import FlintContext
 
-    monkeypatch.delenv("FLINT_EXECUTOR", raising=False)
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
-    assert main(_SERVE_SMALL + ["--executor", "process", "--executor-workers", "2"]) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "process"
-    assert os.environ["FLINT_WORKERS"] == "2"
-    capsys.readouterr()
+    seen = []
+    original = FlintContext.__init__
 
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        seen.append(self.columnar_enabled)
 
-def test_executor_flag_wins_over_env(monkeypatch, capsys):
-    """Precedence: flag > environment > default."""
-    import os
-
-    monkeypatch.setenv("FLINT_EXECUTOR", "async")
-    assert main(_SERVE_SMALL + ["--executor", "inline"]) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "inline"
-    capsys.readouterr()
+    monkeypatch.setattr(FlintContext, "__init__", recording)
+    return seen
 
 
-def test_executor_env_survives_when_flag_absent(monkeypatch, capsys):
-    import os
-
-    monkeypatch.setenv("FLINT_EXECUTOR", "async")
-    monkeypatch.setenv("FLINT_WORKERS", "2")
-    assert main(_SERVE_SMALL) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "async"
-    assert os.environ["FLINT_WORKERS"] == "2"
-    capsys.readouterr()
-
-
-def test_executor_backend_is_report_invariant(monkeypatch, capsys):
-    """The serve report is bit-identical whichever backend runs the bodies."""
-    monkeypatch.delenv("FLINT_EXECUTOR", raising=False)
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
-    assert main(_SERVE_SMALL + ["--executor", "inline"]) == 0
-    inline_out = capsys.readouterr().out
-    assert main(_SERVE_SMALL + ["--executor", "process", "--executor-workers", "2"]) == 0
-    process_out = capsys.readouterr().out
-    assert inline_out == process_out
-
-
-def test_parser_rejects_unknown_executor():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--executor", "gpu"])
-
-
-def test_columnar_flag_publishes_env(monkeypatch, capsys):
+def test_columnar_flag_wins_over_env(monkeypatch, planes, capsys):
     """--columnar mirrors FLINT_COLUMNAR; flag > environment > default."""
     import os
 
     monkeypatch.delenv("FLINT_COLUMNAR", raising=False)
     assert main(_SERVE_SMALL + ["--columnar", "off"]) == 0
-    assert os.environ["FLINT_COLUMNAR"] == "off"
     monkeypatch.setenv("FLINT_COLUMNAR", "off")
     assert main(_SERVE_SMALL + ["--columnar", "on"]) == 0
-    assert os.environ["FLINT_COLUMNAR"] == "on"
+    assert planes == [False, True]
+    assert os.environ["FLINT_COLUMNAR"] == "off"  # the caller's value is back
     capsys.readouterr()
 
 
-def test_columnar_env_survives_when_flag_absent(monkeypatch, capsys):
-    import os
-
+def test_columnar_env_applies_when_flag_absent(monkeypatch, planes, capsys):
     monkeypatch.setenv("FLINT_COLUMNAR", "off")
     assert main(_SERVE_SMALL) == 0
-    assert os.environ["FLINT_COLUMNAR"] == "off"
+    monkeypatch.delenv("FLINT_COLUMNAR")
+    assert main(_SERVE_SMALL) == 0
+    assert planes == [False, True]
+    capsys.readouterr()
+
+
+def test_main_leaves_the_environment_unchanged(tmp_path, monkeypatch, capsys):
+    """Flags travel to the scenario builders as FLINT_* variables; a caller
+    importing ``main`` must get its own environment back afterwards."""
+    import os
+
+    for key in [k for k in os.environ if k.startswith("FLINT_")]:
+        monkeypatch.delenv(key)
+    before = dict(os.environ)
+    assert main(_SERVE_SMALL + ["--columnar", "off"]) == 0
+    assert dict(os.environ) == before
+    assert main(["trace", "streaming", "--workers", "4", "--batches", "2",
+                 "--out", str(tmp_path / "t.json"), "--seed", "3"]) == 0
+    assert dict(os.environ) == before
     capsys.readouterr()
 
 
@@ -215,11 +198,10 @@ def test_run_streaming_windowed(capsys):
     assert "state checkpoints:" not in out
 
 
-def test_trace_streaming_scenario(tmp_path, monkeypatch, capsys):
+def test_trace_streaming_scenario(tmp_path, capsys):
     """trace streaming exports stream-batch spans on their own lane."""
     import json
 
-    monkeypatch.setenv("FLINT_TRACE", "0")  # scope cmd_trace's override
     out = tmp_path / "stream.json"
     assert main(["trace", "streaming", "--workers", "4", "--batches", "2",
                  "--out", str(out), "--seed", "3"]) == 0
@@ -232,31 +214,11 @@ def test_trace_streaming_scenario(tmp_path, monkeypatch, capsys):
     assert "span/book reconciliation: OK" in text
 
 
-def test_streaming_executor_flags_publish_env(monkeypatch, capsys):
-    """The streaming scenario honours the same flag > env precedence."""
-    import os
-
-    monkeypatch.setenv("FLINT_EXECUTOR", "async")
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
-    assert main(_STREAM_SMALL + ["--executor", "process",
-                                 "--executor-workers", "2",
-                                 "--columnar", "off"]) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "process"
-    assert os.environ["FLINT_WORKERS"] == "2"
-    assert os.environ["FLINT_COLUMNAR"] == "off"
-    capsys.readouterr()
-
-
 def test_streaming_report_is_plane_invariant(monkeypatch, capsys):
-    """Same streaming report whichever executor/data plane runs it."""
-    monkeypatch.delenv("FLINT_EXECUTOR", raising=False)
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
+    """Same streaming report whichever data plane runs it."""
     monkeypatch.delenv("FLINT_COLUMNAR", raising=False)
-    assert main(_STREAM_SMALL + ["--executor", "inline", "--columnar", "off"]) == 0
-    inline_out = capsys.readouterr().out
-    assert main(_STREAM_SMALL + ["--executor", "process",
-                                 "--executor-workers", "2",
-                                 "--columnar", "on"]) == 0
-    process_out = capsys.readouterr().out
-    assert inline_out == process_out
+    assert main(_STREAM_SMALL + ["--columnar", "off"]) == 0
+    row_out = capsys.readouterr().out
+    assert main(_STREAM_SMALL + ["--columnar", "on"]) == 0
+    columnar_out = capsys.readouterr().out
+    assert row_out == columnar_out

@@ -240,3 +240,32 @@ def test_longhorizon_simulated_cost_drift_fails():
         "behaviour-identical" in f and "longhorizon_total_cost" in f
         for f in failures
     )
+
+
+def test_smoke_totals_sum_the_sizing_memo_counters(monkeypatch, tmp_path):
+    """``totals`` once reported 0 memo hits and a null hit rate while every
+    workload reported thousands: the totals loop skipped the memo fields."""
+    from benchmarks import perf_smoke
+
+    def fake(hits, misses):
+        agg = {field: 0 for field in perf_smoke._COUNTER_FIELDS}
+        agg.update(tasks_completed=10, ready_queue_peak=1,
+                   record_size_memo_hits=hits, record_size_memo_misses=misses)
+        entry = {"wall_seconds": 0.5, "tasks_completed": 10,
+                 "scheduler_counters": perf_smoke._counters_payload(agg)}
+        return lambda: (entry, agg)
+
+    # run_smoke publishes its plane through the environment; scope that.
+    monkeypatch.setenv("FLINT_COLUMNAR", "on")
+    monkeypatch.setenv("FLINT_TRACE", "0")
+    monkeypatch.setattr(perf_smoke, "BATCH_WORKLOADS", {})
+    monkeypatch.setattr(perf_smoke, "_smoke_multitenant", fake(300, 100))
+    monkeypatch.setattr(perf_smoke, "_smoke_saturation", fake(500, 100))
+    monkeypatch.setattr(perf_smoke, "_smoke_streaming", fake(0, 0))
+    # LongHorizon runs for real (a fraction of a second): it never touches
+    # the sizing memo but must still carry the fields the totals sum.
+    report = perf_smoke.run_smoke(str(tmp_path / "bench.json"))
+    counters = report["totals"]["scheduler_counters"]
+    assert counters["record_size_memo_hits"] == 800
+    assert counters["record_size_memo_misses"] == 200
+    assert counters["record_size_memo_hit_rate"] == 0.8
