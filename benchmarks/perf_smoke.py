@@ -456,8 +456,7 @@ def columnar_comparison(passes: int = 6) -> dict:
     engine charges fused chains.
     """
     from repro.engine.columnar import from_records
-    from repro.engine.scheduler import _combine_sort_key
-    from repro.engine.transformations import _ABSENT, _record_hash_key
+    from repro.engine.shuffle import hash_sort_key
     from repro.workloads.datagen import generate_clustered_points, initial_centroids
     from repro.workloads.kmeans import _assign_batch, _closest
     from repro.workloads.pagerank import (
@@ -554,11 +553,12 @@ def columnar_comparison(passes: int = 6) -> dict:
     # plane pays both calls per record, so the bench must too.
     pr_damp_record = lambda kv: (kv[0], pr_damp(kv[1]))  # noqa: E731
     pr_buckets = 8  # the workload's reduce partition count
+    _ABSENT = object()  # missing-key sentinel, as in the engine's combine loops
 
     def pr_row(part):
         # The row plane's per-iteration sequence, verbatim from the engine:
         # flat_map (FlatMappedRDD.compute_fused's extend loop), map-side
-        # combine (_execute_map's sentinel-get + create/merge per record),
+        # combine (bucket_map_output's sentinel-get + create/merge per record),
         # bucket distribution + per-bucket hash sort (the shuffle write),
         # the reduce-side combiner merge, hash-ordered output, and the
         # damping map.  The columnar side produces the identical output
@@ -579,7 +579,7 @@ def columnar_comparison(passes: int = 6) -> dict:
         for item in combined.items():
             tables[(item[0] & 0x7FFFFFFF) % pr_buckets].append(item)
         buckets = [
-            sorted(t, key=_combine_sort_key) if len(t) > 1 else t for t in tables
+            sorted(t, key=hash_sort_key) if len(t) > 1 else t for t in tables
         ]
         merged = {}
         get = merged.get
@@ -589,7 +589,7 @@ def columnar_comparison(passes: int = 6) -> dict:
                 merged[key] = (
                     value if prev is _ABSENT else pr_combine(prev, value)
                 )
-        reduced = sorted(merged.items(), key=_record_hash_key)
+        reduced = sorted(merged.items(), key=hash_sort_key)
         return [pr_damp_record(kv) for kv in reduced]
 
     def pr_col(part):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.engine import lineage
-from repro.engine.profiling import SectionTimers, profiling_enabled_by_env
 from repro.obs import SpanEvent
 from repro.storage.dfs import DistributedFileSystem
 
@@ -51,9 +50,6 @@ class CheckpointRegistry:
         #: returning True makes the write raise :class:`CheckpointWriteError`
         #: before any state mutates (the scheduler re-queues the task).
         self.write_failure_hook: Optional[Callable[[int, int], bool]] = None
-        #: ``FLINT_PROFILE=1`` section timing for the write/GC paths
-        #: (see :meth:`FlintContext.profile_report`).
-        self.timers = SectionTimers(enabled=profiling_enabled_by_env())
 
     def add_listener(self, listener: Callable[[int, Optional[int], bool], None]) -> None:
         self._listeners.append(listener)
@@ -99,28 +95,27 @@ class CheckpointRegistry:
             CheckpointWriteError: when the installed fault hook fails the
                 write; nothing is mutated in that case.
         """
-        with self.timers.section("checkpoint_write"):
-            if self.write_failure_hook is not None and self.write_failure_hook(
-                rdd.rdd_id, partition
-            ):
-                raise CheckpointWriteError(rdd.rdd_id, partition)
-            self.dfs.put(self.path_for(rdd.rdd_id, partition), data, nbytes, t)
-            self._written.setdefault(rdd.rdd_id, set()).add(partition)
-            self._num_partitions.setdefault(rdd.rdd_id, rdd.num_partitions)
-            self.bytes_written += nbytes
-            self.partitions_written += 1
-            obs = self.obs
-            if obs is not None and obs.enabled:
-                obs.metrics.inc("checkpoint.bytes_written", nbytes)
-                obs.metrics.inc("checkpoint.partitions_written")
-                obs.bus.emit(SpanEvent(
-                    kind="checkpoint-write",
-                    name=f"ckpt rdd{rdd.rdd_id}[{partition}]",
-                    start=t,
-                    status="instant",
-                    attrs={"rdd": rdd.rdd_id, "partition": partition, "nbytes": nbytes},
-                ))
-            self._notify(rdd.rdd_id, partition, True)
+        if self.write_failure_hook is not None and self.write_failure_hook(
+            rdd.rdd_id, partition
+        ):
+            raise CheckpointWriteError(rdd.rdd_id, partition)
+        self.dfs.put(self.path_for(rdd.rdd_id, partition), data, nbytes, t)
+        self._written.setdefault(rdd.rdd_id, set()).add(partition)
+        self._num_partitions.setdefault(rdd.rdd_id, rdd.num_partitions)
+        self.bytes_written += nbytes
+        self.partitions_written += 1
+        obs = self.obs
+        if obs is not None and obs.enabled:
+            obs.metrics.inc("checkpoint.bytes_written", nbytes)
+            obs.metrics.inc("checkpoint.partitions_written")
+            obs.bus.emit(SpanEvent(
+                kind="checkpoint-write",
+                name=f"ckpt rdd{rdd.rdd_id}[{partition}]",
+                start=t,
+                status="instant",
+                attrs={"rdd": rdd.rdd_id, "partition": partition, "nbytes": nbytes},
+            ))
+        self._notify(rdd.rdd_id, partition, True)
 
     def discard_partition(self, rdd: "RDD", partition: int) -> bool:
         """Delete one partition's checkpoint (system-snapshot epoch resets).
@@ -175,30 +170,29 @@ class CheckpointRegistry:
         if not self.is_fully_checkpointed(rdd):
             return 0
         deleted = 0
-        with self.timers.section("checkpoint_gc"):
-            for ancestor in lineage.ancestors(rdd):
-                # A persisted ancestor is still *live*: the program holds a
-                # reference and may branch new lineage from it (KMeans keeps
-                # iterating over its cached points), so its checkpoint is
-                # not redundant yet.  Unpersist makes it collectable.
-                if ancestor.persisted:
-                    continue
-                if ancestor.rdd_id in self._written:
-                    deleted += self.dfs.delete_prefix(self.rdd_prefix(ancestor.rdd_id))
-                    self._written.pop(ancestor.rdd_id, None)
-                    self._marked.discard(ancestor.rdd_id)
-                    self._notify(ancestor.rdd_id, None, False)
-            self.gc_deleted += deleted
-            obs = self.obs
-            if deleted and obs is not None and obs.enabled:
-                obs.metrics.inc("checkpoint.gc_deleted", deleted)
-                obs.bus.emit(SpanEvent(
-                    kind="checkpoint-gc",
-                    name=f"gc after rdd{rdd.rdd_id}",
-                    start=obs.now(),
-                    status="instant",
-                    attrs={"rdd": rdd.rdd_id, "deleted": deleted},
-                ))
+        for ancestor in lineage.ancestors(rdd):
+            # A persisted ancestor is still *live*: the program holds a
+            # reference and may branch new lineage from it (KMeans keeps
+            # iterating over its cached points), so its checkpoint is
+            # not redundant yet.  Unpersist makes it collectable.
+            if ancestor.persisted:
+                continue
+            if ancestor.rdd_id in self._written:
+                deleted += self.dfs.delete_prefix(self.rdd_prefix(ancestor.rdd_id))
+                self._written.pop(ancestor.rdd_id, None)
+                self._marked.discard(ancestor.rdd_id)
+                self._notify(ancestor.rdd_id, None, False)
+        self.gc_deleted += deleted
+        obs = self.obs
+        if deleted and obs is not None and obs.enabled:
+            obs.metrics.inc("checkpoint.gc_deleted", deleted)
+            obs.bus.emit(SpanEvent(
+                kind="checkpoint-gc",
+                name=f"gc after rdd{rdd.rdd_id}",
+                start=obs.now(),
+                status="instant",
+                attrs={"rdd": rdd.rdd_id, "deleted": deleted},
+            ))
         return deleted
 
     @property

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
 from repro.cluster.cluster import Cluster
 from repro.cluster.environment import Environment
 from repro.engine.block_index import BlockLocationIndex
-from repro.engine.block_manager import block_id_for
+from repro.engine.block_manager import BlockManager, block_id_for
 from repro.engine.checkpoint import CheckpointRegistry
 from repro.engine.columnar import columnar_enabled_by_env
 from repro.engine.costs import CostModel
@@ -176,6 +176,19 @@ class FlintContext:
         """Advance simulated time with no job active (interactive idle)."""
         self.env.run_until(t)
 
+    def adopt_worker(self, worker: "Worker") -> None:
+        """Wire a joining worker into the application-wide services."""
+        if worker.block_manager is None:
+            worker.block_manager = BlockManager(worker, index=self.block_index, obs=self.obs)
+        else:
+            if worker.block_manager.index is None:
+                worker.block_manager.index = self.block_index
+            if worker.block_manager.obs is None:
+                worker.block_manager.obs = self.obs
+        if worker.obs is None:
+            worker.obs = self.obs
+        self.shuffle_manager.register_worker(worker)
+
     # ------------------------------------------------------------------
     # Block lookup across the cluster
     # ------------------------------------------------------------------
@@ -238,18 +251,6 @@ class FlintContext:
                 worker.block_manager.remove_rdd(rdd.rdd_id)
 
     # ------------------------------------------------------------------
-    def profile_report(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """``FLINT_PROFILE=1`` section timings across the hot subsystems.
-
-        One merged view of the scheduler's rounds, the shuffle fetch path,
-        and the checkpoint writer (empty sub-dicts when profiling is off).
-        """
-        return {
-            "scheduler": self.scheduler.timers.report(),
-            "shuffle": self.shuffle_manager.timers.report(),
-            "checkpoint": self.checkpoints.timers.report(),
-        }
-
     def metrics_report(self) -> Dict[str, Any]:
         """``FLINT_TRACE=1`` counters/gauges/histograms (empty when off)."""
         return self.obs.metrics.snapshot()

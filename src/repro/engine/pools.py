@@ -21,6 +21,7 @@ top of these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Tuple
 
 POOL_POLICIES = ("fifo", "fair")
 PRIORITY_CLASSES = ("interactive", "batch")
@@ -76,3 +77,56 @@ class Pool:
     @property
     def active_jobs(self) -> int:
         return self.jobs_submitted - self.jobs_finished
+
+
+def allocation_order(
+    policy: str, job_specs: List[Tuple[Any, List[Any]]], pools: Dict[str, Pool]
+) -> Iterator[Tuple[Any, Any]]:
+    """Yield ``(job, spec)`` in slot-allocation order under the root ``policy``.
+
+    ``fifo`` (and any single-job round) preserves the seed's exact dispatch
+    order: jobs in submission order, each frontier in walk order.  ``fair``
+    interleaves dispatches by weighted max-min share — every yield goes to
+    the pool with the smallest ``running_tasks / weight`` (interactive pools
+    strictly first, pool name as the deterministic tiebreak), then to a job
+    inside that pool by its intra-pool policy.  Shares count this round's
+    tentative allocations, so a single round spreads free slots rather than
+    handing them all to the first-sorted pool.
+    """
+    if policy == "fifo" or len(job_specs) <= 1:
+        for job, specs in job_specs:
+            for spec in specs:
+                yield job, spec
+        return
+    pool_alloc: Dict[str, int] = {}
+    job_alloc: Dict[int, int] = {}
+    entries: List[List[Any]] = []
+    for job, specs in job_specs:
+        pool = pools[job.pool]
+        pool_alloc.setdefault(pool.name, pool.running_tasks)
+        job_alloc[job.job_id] = job.running_tasks
+        entries.append([job, pool, specs, 0])
+
+    def share_key(entry: List[Any]) -> Tuple:
+        job, pool = entry[0], entry[1]
+        if pool.policy == "fair":
+            intra = (job_alloc[job.job_id], job.job_id)
+        else:
+            intra = (job.job_id, 0)
+        return (
+            pool.priority_rank,
+            pool_alloc[pool.name] / pool.weight,
+            pool.name,
+            intra,
+        )
+
+    while entries:
+        entry = min(entries, key=share_key)
+        job, pool, specs, idx = entry
+        spec = specs[idx]
+        entry[3] += 1
+        if entry[3] >= len(specs):
+            entries.remove(entry)
+        pool_alloc[pool.name] += 1
+        job_alloc[job.job_id] += 1
+        yield job, spec

@@ -22,7 +22,7 @@ from repro.engine.partitioner import HashPartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
-    from repro.engine.scheduler import TaskRuntime
+    from repro.engine.task_runtime import TaskRuntime
 
 #: Fallback virtual record size (bytes) when nothing better is known.
 DEFAULT_RECORD_SIZE = 100

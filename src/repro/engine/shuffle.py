@@ -6,6 +6,10 @@ those map outputs and forces the map tasks to re-run, the behaviour behind
 the paper's shuffle-sensitive results (PageRank in Figures 7/8).  The
 ``ShuffleManager`` is the driver-side MapOutputTracker: it knows which map
 outputs exist and where.
+
+The bucket layout — which reducer a key goes to, in what order records leave
+a bucket — is defined once, below the manager: :func:`bucket_map_output`
+writes it and :func:`merge_reduce_buckets` reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Set, Tuple
 
 from repro.engine.dependencies import ShuffleDependency
-from repro.engine.profiling import SectionTimers, profiling_enabled_by_env
+from repro.engine.partitioner import HashPartitioner, stable_hash
 from repro.obs import SpanEvent
 from repro.storage.local_disk import DiskFullError
 
@@ -107,9 +111,6 @@ class ShuffleManager:
         #: injected revocation of a serving worker surfaces as the genuine
         #: :class:`ShuffleFetchFailure` recovery path.
         self.fault_injector = None
-        #: ``FLINT_PROFILE=1`` section timing for the fetch/register hot
-        #: paths (see :meth:`FlintContext.profile_report`).
-        self.timers = SectionTimers(enabled=profiling_enabled_by_env())
 
     def add_listener(self, listener: Callable[[int, int, bool], None]) -> None:
         self._listeners.append(listener)
@@ -167,53 +168,52 @@ class ShuffleManager:
             raise ValueError(
                 f"expected {dep.num_reduce_partitions} buckets, got {len(buckets)}"
             )
-        with self.timers.section("shuffle_register"):
-            bucket_bytes = [len(b) * record_size for b in buckets]
-            key = self._disk_key(dep.shuffle_id, map_id)
-            total = sum(bucket_bytes)
-            missing = self._ensure_tracked(dep)
-            try:
-                worker.local_disk.put(key, buckets, total)
-            except DiskFullError:
-                # Old shuffle files are always recoverable through lineage,
-                # so a full disk evicts them oldest-first (Spark's
-                # ContextCleaner plays the analogous role via RDD GC).
-                self._evict_local_state(worker, needed=total, keep_key=key)
-                worker.local_disk.put(key, buckets, total)
-            status = MapStatus(worker.worker_id, key, bucket_bytes)
-            sid = dep.shuffle_id
-            statuses = self._outputs.setdefault(sid, {})
-            old = statuses.get(map_id)
-            if old is not None and old.worker_id != worker.worker_id:
-                owned = self._owned.get(old.worker_id)
-                if owned is not None:
-                    owned.discard((sid, map_id))
-            statuses[map_id] = status
-            self._invalidate_plan(sid)
-            self._total_bytes[sid] = (
-                self._total_bytes.get(sid, 0)
-                + total
-                - (old.total_bytes if old is not None else 0)
-            )
-            self._owned.setdefault(worker.worker_id, set()).add((sid, map_id))
-            missing.discard(map_id)
-            self.bytes_written += total
-            obs = self.obs
-            if obs is not None and obs.enabled:
-                obs.metrics.inc("shuffle.bytes_written", total)
-                if not missing:
-                    obs.bus.emit(SpanEvent(
-                        kind="stage",
-                        name=f"shuffle-{dep.shuffle_id}-maps-complete",
-                        start=obs.now(),
-                        status="instant",
-                        attrs={
-                            "shuffle_id": dep.shuffle_id,
-                            "num_maps": dep.num_map_partitions,
-                        },
-                    ))
-            self._notify(dep.shuffle_id, map_id, True)
-            return status
+        bucket_bytes = [len(b) * record_size for b in buckets]
+        key = self._disk_key(dep.shuffle_id, map_id)
+        total = sum(bucket_bytes)
+        missing = self._ensure_tracked(dep)
+        try:
+            worker.local_disk.put(key, buckets, total)
+        except DiskFullError:
+            # Old shuffle files are always recoverable through lineage,
+            # so a full disk evicts them oldest-first (Spark's
+            # ContextCleaner plays the analogous role via RDD GC).
+            self._evict_local_state(worker, needed=total, keep_key=key)
+            worker.local_disk.put(key, buckets, total)
+        status = MapStatus(worker.worker_id, key, bucket_bytes)
+        sid = dep.shuffle_id
+        statuses = self._outputs.setdefault(sid, {})
+        old = statuses.get(map_id)
+        if old is not None and old.worker_id != worker.worker_id:
+            owned = self._owned.get(old.worker_id)
+            if owned is not None:
+                owned.discard((sid, map_id))
+        statuses[map_id] = status
+        self._invalidate_plan(sid)
+        self._total_bytes[sid] = (
+            self._total_bytes.get(sid, 0)
+            + total
+            - (old.total_bytes if old is not None else 0)
+        )
+        self._owned.setdefault(worker.worker_id, set()).add((sid, map_id))
+        missing.discard(map_id)
+        self.bytes_written += total
+        obs = self.obs
+        if obs is not None and obs.enabled:
+            obs.metrics.inc("shuffle.bytes_written", total)
+            if not missing:
+                obs.bus.emit(SpanEvent(
+                    kind="stage",
+                    name=f"shuffle-{dep.shuffle_id}-maps-complete",
+                    start=obs.now(),
+                    status="instant",
+                    attrs={
+                        "shuffle_id": dep.shuffle_id,
+                        "num_maps": dep.num_map_partitions,
+                    },
+                ))
+        self._notify(dep.shuffle_id, map_id, True)
+        return status
 
     def has_map_output(self, shuffle_id: int, map_id: int) -> bool:
         status = self._outputs.get(shuffle_id, {}).get(map_id)
@@ -264,43 +264,42 @@ class ShuffleManager:
         Raises:
             ShuffleFetchFailure: when any map output has been lost.
         """
-        with self.timers.section("shuffle_fetch"):
-            if self.fault_injector is not None:
-                self.fault_injector.on_shuffle_fetch(dep, reduce_id, to_worker)
-            # Inline missing_maps: the happy path needs only the emptiness
-            # check, and the query counter must tick exactly as before.
-            self.missing_queries += 1
-            missing = self._missing.get(dep.shuffle_id)
-            if missing is None:
-                missing = self._ensure_tracked(dep)
-            if missing:
-                raise ShuffleFetchFailure(dep.shuffle_id, sorted(missing))
-            plan = self._fetch_plan(dep)
-            buckets = [all_buckets[reduce_id] for all_buckets in plan.bucket_lists]
-            total = plan.reduce_bytes[reduce_id]
-            served = plan.worker_bytes.get(to_worker.worker_id)
-            local_bytes = served[reduce_id] if served is not None else 0
-            remote_bytes = total - local_bytes
-            self.bytes_fetched_local += local_bytes
-            self.bytes_fetched_remote += remote_bytes
-            obs = self.obs
-            if obs is not None and obs.enabled:
-                obs.metrics.inc("shuffle.bytes_fetched_local", local_bytes)
-                obs.metrics.inc("shuffle.bytes_fetched_remote", remote_bytes)
-                obs.bus.emit(SpanEvent(
-                    kind="shuffle-fetch",
-                    name=f"shuffle-{dep.shuffle_id}-reduce-{reduce_id}",
-                    start=obs.now(),
-                    worker=to_worker.worker_id,
-                    status="instant",
-                    attrs={
-                        "shuffle_id": dep.shuffle_id,
-                        "reduce_id": reduce_id,
-                        "local_bytes": local_bytes,
-                        "remote_bytes": remote_bytes,
-                    },
-                ))
-            return buckets, local_bytes, remote_bytes
+        if self.fault_injector is not None:
+            self.fault_injector.on_shuffle_fetch(dep, reduce_id, to_worker)
+        # Inline missing_maps: the happy path needs only the emptiness
+        # check, and the query counter must tick exactly as before.
+        self.missing_queries += 1
+        missing = self._missing.get(dep.shuffle_id)
+        if missing is None:
+            missing = self._ensure_tracked(dep)
+        if missing:
+            raise ShuffleFetchFailure(dep.shuffle_id, sorted(missing))
+        plan = self._fetch_plan(dep)
+        buckets = [all_buckets[reduce_id] for all_buckets in plan.bucket_lists]
+        total = plan.reduce_bytes[reduce_id]
+        served = plan.worker_bytes.get(to_worker.worker_id)
+        local_bytes = served[reduce_id] if served is not None else 0
+        remote_bytes = total - local_bytes
+        self.bytes_fetched_local += local_bytes
+        self.bytes_fetched_remote += remote_bytes
+        obs = self.obs
+        if obs is not None and obs.enabled:
+            obs.metrics.inc("shuffle.bytes_fetched_local", local_bytes)
+            obs.metrics.inc("shuffle.bytes_fetched_remote", remote_bytes)
+            obs.bus.emit(SpanEvent(
+                kind="shuffle-fetch",
+                name=f"shuffle-{dep.shuffle_id}-reduce-{reduce_id}",
+                start=obs.now(),
+                worker=to_worker.worker_id,
+                status="instant",
+                attrs={
+                    "shuffle_id": dep.shuffle_id,
+                    "reduce_id": reduce_id,
+                    "local_bytes": local_bytes,
+                    "remote_bytes": remote_bytes,
+                },
+            ))
+        return buckets, local_bytes, remote_bytes
 
     def _fetch_plan(self, dep: ShuffleDependency) -> FetchPlan:
         """The cached :class:`FetchPlan` for a complete shuffle.
@@ -430,3 +429,109 @@ class ShuffleManager:
             if worker is not None and worker.alive:
                 out.add(status.worker_id)
         return sorted(out)
+
+
+# ----------------------------------------------------------------------
+# The bucket layout: map-side write, reduce-side merge
+# ----------------------------------------------------------------------
+#: Missing-key sentinel for the combine loops (one dict lookup per record
+#: instead of a membership probe plus a read).
+_ABSENT = object()
+
+
+def hash_sort_key(kv):
+    """``stable_hash`` of a pair's key, with the int fast path inlined."""
+    k = kv[0]
+    if type(k) is int:
+        return k & 0x7FFFFFFF
+    return stable_hash(k)
+
+
+def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[List[List[Any]], int]:
+    """Split one map partition into per-reducer buckets.
+
+    Returns ``(buckets, records_written)``; with map-side combine the
+    buckets hold one combiner per distinct key, in hash order.
+    """
+    n_buckets = dep.num_reduce_partitions
+    partitioner = dep.partitioner
+    # ``num_reduce_partitions`` is the partitioner's own partition
+    # count, so a plain HashPartitioner's bucket choice can be inlined
+    # into the per-record loops (no function call per record).
+    hashed = type(partitioner) is HashPartitioner
+    pf = partitioner.partition_for
+    if dep.map_side_combine:
+        create, merge_value, _merge_combiners = dep.aggregator
+        # Combine into one table, then distribute: the partitioner runs
+        # once per distinct key instead of once per record, and tiny
+        # buckets skip the sort.  Within a bucket the insertion order
+        # (first key occurrence) and merged values are exactly the
+        # per-bucket-table walk's, and the stable sort preserves it for
+        # hash ties — the buckets are bit-identical to the seed's.
+        combined: Dict[Any, Any] = {}
+        get = combined.get
+        for key, value in records:
+            prev = get(key, _ABSENT)
+            combined[key] = (
+                create(value) if prev is _ABSENT else merge_value(prev, value)
+            )
+        tables: List[List[Any]] = [[] for _ in range(n_buckets)]
+        if hashed:
+            for item in combined.items():
+                key = item[0]
+                if type(key) is int:
+                    tables[(key & 0x7FFFFFFF) % n_buckets].append(item)
+                else:
+                    tables[stable_hash(key) % n_buckets].append(item)
+        else:
+            for item in combined.items():
+                tables[pf(item[0])].append(item)
+        buckets = [
+            sorted(t, key=hash_sort_key) if len(t) > 1 else t
+            for t in tables
+        ]
+        return buckets, len(combined)
+    buckets = [[] for _ in range(n_buckets)]
+    if hashed:
+        for record in records:
+            key = record[0]
+            if type(key) is int:
+                buckets[(key & 0x7FFFFFFF) % n_buckets].append(record)
+            else:
+                buckets[stable_hash(key) % n_buckets].append(record)
+    else:
+        for record in records:
+            buckets[pf(record[0])].append(record)
+    return buckets, len(records)
+
+
+def merge_reduce_buckets(dep: ShuffleDependency, buckets: List[List[Any]]) -> List[Any]:
+    """One reducer's records from its fetched buckets (one per map output).
+
+    With an aggregator the values merge per key and leave in hash order;
+    without one the buckets concatenate untouched.
+    """
+    if dep.aggregator is None:
+        out: List[Any] = []
+        for bucket in buckets:
+            out.extend(bucket)
+        return out
+    create, merge_value, merge_combiners = dep.aggregator
+    merged: Dict[Any, Any] = {}
+    get = merged.get
+    if dep.map_side_combine:
+        # Map side already produced combiners.
+        for bucket in buckets:
+            for key, value in bucket:
+                prev = get(key, _ABSENT)
+                merged[key] = (
+                    value if prev is _ABSENT else merge_combiners(prev, value)
+                )
+    else:
+        for bucket in buckets:
+            for key, value in bucket:
+                prev = get(key, _ABSENT)
+                merged[key] = (
+                    create(value) if prev is _ABSENT else merge_value(prev, value)
+                )
+    return sorted(merged.items(), key=hash_sort_key)

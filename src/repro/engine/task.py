@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
+from repro.obs import SpanEvent
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.dependencies import ShuffleDependency
     from repro.engine.rdd import RDD
@@ -108,3 +110,23 @@ class RunningTask:
     # The job whose frontier this task was dispatched from (None for
     # checkpoint writes); drives per-job and per-pool slot accounting.
     job: Any = None
+
+    def span(self, end: float, status: str) -> SpanEvent:
+        spec = self.spec
+        rdd = spec.dep.rdd if spec.kind == TaskKind.SHUFFLE_MAP else spec.rdd
+        job = self.job
+        return SpanEvent(
+            kind="task",
+            name=f"{spec.kind.value} rdd{rdd.rdd_id}[{spec.partition}]",
+            start=self.started_at,
+            end=end,
+            worker=self.worker_id,
+            job_id=job.job_id if job is not None else None,
+            pool=job.pool if job is not None else None,
+            status=status,
+            attrs={
+                "task_kind": spec.kind.value,
+                "rdd": rdd.rdd_id,
+                "partition": spec.partition,
+            },
+        )

@@ -1,0 +1,246 @@
+"""The per-task data plane: how a dispatched task computes its records.
+
+Fused narrow chains stream through one pass (lowered to columnar batch
+kernels where every stage carries one); everything a task does is charged
+to the cost model and its side effects are buffered until completion.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.engine.block_manager import block_id_for
+from repro.engine.columnar import ColumnarUnsupported, from_records
+from repro.engine.dependencies import ShuffleDependency
+from repro.engine.lineage import fusion_edge
+from repro.engine.shuffle import bucket_map_output
+from repro.engine.task import ComputedPartition, PendingPut, TaskKind, TaskSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.worker import Worker
+    from repro.engine.context import FlintContext
+    from repro.engine.rdd import RDD
+
+
+class TaskRuntime:
+    """Per-task data-plane context: resolves inputs and accounts time.
+
+    ``iterator`` is how an RDD's ``compute`` reaches its parents; it resolves
+    (in order) the distributed cache, the checkpoint store, and finally
+    recursive recomputation, charging the cost model for whichever path it
+    takes.  Side effects (cache inserts, materialisation reports) are
+    buffered for the scheduler to apply at completion time.
+    """
+
+    def __init__(
+        self,
+        context: "FlintContext",
+        worker: "Worker",
+        active_target_id: Optional[int],
+    ):
+        self.context = context
+        self.worker = worker
+        self.cost = context.cost_model
+        self.active_target_id = active_target_id
+        self.time_charged = 0.0
+        self.pending_puts: List[PendingPut] = []
+        self.computed: List[ComputedPartition] = []
+        self._memo: Dict[Tuple[int, int], List[Any]] = {}
+        self._columnar = context.columnar_enabled
+
+    def charge(self, seconds: float) -> None:
+        """Add simulated seconds to this task's duration."""
+        if seconds < 0:
+            raise ValueError("cannot charge negative time")
+        self.time_charged += seconds
+
+    def iterator(self, rdd: "RDD", partition: int) -> List[Any]:
+        """Records of ``(rdd, partition)`` via cache, checkpoint, or recompute."""
+        key = (rdd.rdd_id, partition)
+        memoised = self._memo.get(key)
+        if memoised is not None:
+            return memoised
+
+        found = self.context.find_block(rdd, partition, prefer=self.worker)
+        if found is not None:
+            data, nbytes, holder, tier = found
+            if holder.worker_id == self.worker.worker_id:
+                if tier == "disk":
+                    self.charge(self.cost.local_read_time(nbytes))
+            else:
+                self.charge(self.cost.network_time(nbytes))
+            self._memo[key] = data
+            return data
+
+        registry = self.context.checkpoints
+        if registry.has_partition(rdd, partition):
+            nbytes = registry.partition_nbytes(rdd, partition)
+            self.charge(self.context.env.dfs.read_duration(nbytes))
+            data = registry.read_partition(rdd, partition)
+            self._memo[key] = data
+            return data
+
+        if rdd.supports_fusion:
+            data = self._compute_fused(rdd, partition)
+        else:
+            data = rdd.compute(partition, self)
+        nbytes = rdd.partition_bytes(len(data))
+        self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
+        if rdd.persisted:
+            self.pending_puts.append(
+                PendingPut(
+                    block_id_for(rdd.rdd_id, partition), data, nbytes, rdd.disk_persist,
+                    rdd=rdd,
+                )
+            )
+        if self._is_materialisation_point(rdd):
+            self.computed.append(ComputedPartition(rdd, partition, data, nbytes))
+        self._memo[key] = data
+        return data
+
+    def _compute_fused(self, rdd: "RDD", partition: int) -> List[Any]:
+        """Materialise ``(rdd, partition)`` by streaming its narrow chain.
+
+        Walks up the lineage collecting operator stages until a pipeline
+        breaker — a cached/persisted/checkpointed partition, a per-task memo
+        hit, a shuffle or multi-parent dependency, a source, or a node with
+        more than one dependant (memoised once per task and served to each).
+        The boundary input resolves through the normal :meth:`iterator`
+        path, then records stream through each stage's ``compute_fused``
+        without re-entering per-RDD resolution.
+
+        Simulated time charges the input subtree first, then each interior
+        stage deepest-first with its own record count, size, and multiplier
+        (the caller charges the chain head, exactly as it charges any
+        computed node) — the order the frozen goldens pin.
+        """
+        edge = fusion_edge(rdd, partition)
+        if edge is None:
+            raise IndexError(
+                f"{rdd.name} partition {partition} has no single narrow parent to fuse through"
+            )
+        ctx = self.context
+        checkpoints = ctx.checkpoints
+        memo = self._memo
+        stages = [(rdd, partition)]
+        node, split = edge
+        while (
+            node.supports_fusion
+            and node.dependents == 1
+            and not node.persisted
+            and (node.rdd_id, split) not in memo
+            and not ctx.block_exists(node, split)
+            and not checkpoints.has_partition(node, split)
+        ):
+            edge = fusion_edge(node, split)
+            if edge is None:
+                break
+            stages.append((node, split))
+            node, split = edge
+        if self._columnar:
+            data = self._compute_columnar(stages, node, split)
+            if data is not None:
+                return data
+        stream: List[Any] = self.iterator(node, split)
+        if len(stages) > 1:
+            cost = self.cost
+            charge = self.charge
+            for i in range(len(stages) - 1, 0, -1):
+                inner, inner_split = stages[i]
+                stream = inner.compute_fused(stream, inner_split)
+                charge(cost.compute_time(
+                    len(stream) * inner.record_size, inner.compute_multiplier
+                ))
+            stats = ctx.scheduler.stats
+            stats.fused_chains += 1
+            stats.fused_stages += len(stages)
+        return rdd.compute_fused(stream, partition)
+
+    def _compute_columnar(
+        self, stages: List[Tuple["RDD", int]], node: "RDD", split: int
+    ) -> Optional[List[Any]]:
+        """Lower a walked chain to batch kernels; None means "use rows".
+
+        Lowering applies only when every stage carries a batch kernel and
+        the boundary records columnarise; a kernel may still refuse the
+        runtime schema (``ColumnarUnsupported``).  Either way the row plane
+        takes over with nothing double-charged: the boundary resolve below
+        went through the normal :meth:`iterator` (same charges, memo,
+        pending puts as the row path's own resolve), so the fallback's
+        re-resolve is a memo hit.
+
+        Charges are bit-identical to the row plane by construction: batch
+        lengths equal the row plane's per-stage record counts (the kernel
+        contract), and they are charged in the same deepest-first order
+        *after* all kernels ran — pure accumulation onto ``time_charged``,
+        so applying them post hoc changes nothing.  The head stage is
+        charged by the caller from the returned records, as always.
+        """
+        kernels = []
+        for stage, stage_split in stages:
+            kernel = stage.batch_kernel(stage_split)
+            if kernel is None:
+                return None
+            kernels.append(kernel)
+        stream = self.iterator(node, split)
+        stats = self.context.scheduler.stats
+        batch = from_records(stream)
+        if batch is None:
+            # Empty boundaries are trivially row-plane (nothing to
+            # vectorise); only real refusals count as fallbacks.
+            if stream:
+                stats.columnar_fallbacks += 1
+            return None
+        counts: List[int] = []
+        try:
+            for i in range(len(stages) - 1, -1, -1):
+                batch = kernels[i](batch)
+                counts.append(batch.length)
+        except ColumnarUnsupported:
+            stats.columnar_fallbacks += 1
+            return None
+        cost = self.cost
+        charge = self.charge
+        last = len(stages) - 1
+        for i in range(last, 0, -1):
+            inner = stages[i][0]
+            charge(cost.compute_time(
+                counts[last - i] * inner.record_size, inner.compute_multiplier
+            ))
+        stats.columnar_chains += 1
+        stats.columnar_stages += len(stages)
+        if last >= 1:
+            stats.fused_chains += 1
+            stats.fused_stages += len(stages)
+        return batch.to_records()
+
+    def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
+        """Gather one reduce bucket from all map outputs, charging transfer time."""
+        buckets, local_bytes, remote_bytes = self.context.shuffle_manager.fetch(
+            dep, reduce_id, self.worker
+        )
+        self.charge(self.cost.network_time(remote_bytes) + self.cost.local_read_time(local_bytes))
+        return buckets
+
+    def run(self, spec: TaskSpec) -> Tuple[Any, Optional[List[List[Any]]]]:
+        """Execute one task body; returns ``(result, map_buckets)``."""
+        if spec.kind == TaskKind.RESULT:
+            data = self.iterator(spec.rdd, spec.partition)
+            result = spec.func(data)
+            if isinstance(result, list):
+                self.charge(self.cost.driver_transfer_time(len(result) * spec.rdd.record_size))
+            return result, None
+        if spec.kind == TaskKind.SHUFFLE_MAP:
+            dep = spec.dep
+            buckets, written = bucket_map_output(dep, self.iterator(dep.rdd, spec.partition))
+            self.charge(self.cost.shuffle_write_time(written * dep.rdd.record_size))
+            return None, buckets
+        # CHECKPOINT: the payload was captured at compute time; only the write costs.
+        self.charge(self.context.env.dfs.write_duration(spec.nbytes))
+        return None, None
+
+    def _is_materialisation_point(self, rdd: "RDD") -> bool:
+        """Storage-point RDDs make up the observable lineage frontier."""
+        if rdd.persisted or rdd.rdd_id == self.active_target_id:
+            return True
+        return any(isinstance(dep, ShuffleDependency) for dep in rdd.dependencies)

@@ -22,26 +22,15 @@ from repro.engine.dependencies import (
     RangeDependency,
     ShuffleDependency,
 )
-from repro.engine.partitioner import HashPartitioner, stable_hash
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
+from repro.engine.shuffle import hash_sort_key, merge_reduce_buckets
 from repro.engine.sizeof import estimate_record_size
 from repro.simulation.rng import SeededRNG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
-    from repro.engine.scheduler import TaskRuntime
-
-#: Missing-key sentinel for the aggregation merge loops (one dict lookup
-#: per record instead of a membership probe plus a read).
-_ABSENT = object()
-
-
-def _record_hash_key(kv):
-    """``stable_hash`` of a pair's key, with the int fast path inlined."""
-    k = kv[0]
-    if type(k) is int:
-        return k & 0x7FFFFFFF
-    return stable_hash(k)
+    from repro.engine.task_runtime import TaskRuntime
 
 
 class ParallelCollectionRDD(RDD):
@@ -387,31 +376,7 @@ class ShuffledRDD(RDD):
 
     def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
         dep = self.shuffle_dependency
-        buckets = runtime.shuffle_fetch(dep, split)
-        if dep.aggregator is None:
-            out: List[Any] = []
-            for bucket in buckets:
-                out.extend(bucket)
-            return out
-        create, merge_value, merge_combiners = dep.aggregator
-        merged: Dict[Any, Any] = {}
-        get = merged.get
-        if dep.map_side_combine:
-            # Map side already produced combiners.
-            for bucket in buckets:
-                for key, value in bucket:
-                    prev = get(key, _ABSENT)
-                    merged[key] = (
-                        value if prev is _ABSENT else merge_combiners(prev, value)
-                    )
-        else:
-            for bucket in buckets:
-                for key, value in bucket:
-                    prev = get(key, _ABSENT)
-                    merged[key] = (
-                        create(value) if prev is _ABSENT else merge_value(prev, value)
-                    )
-        return sorted(merged.items(), key=_record_hash_key)
+        return merge_reduce_buckets(dep, runtime.shuffle_fetch(dep, split))
 
 
 class CoGroupedRDD(RDD):
@@ -463,5 +428,5 @@ class CoGroupedRDD(RDD):
                         if groups is None:
                             groups = table[key] = tuple([] for _ in range(n))
                         groups[side].append(value)
-        return sorted(table.items(), key=_record_hash_key)
+        return sorted(table.items(), key=hash_sort_key)
 

@@ -238,10 +238,7 @@ class InvariantChecker:
         for worker_id, busy in scheduler.busy.items():
             worker = workers.get(worker_id)
             if worker is None or not worker.alive:
-                # A zero entry for a deliberately terminated worker is inert;
-                # a non-zero one means lost tasks were never cleaned up.
-                if busy != 0:
-                    out.append(f"busy count {busy} retained for dead worker {worker_id}")
+                out.append(f"busy count {busy} retained for dead worker {worker_id}")
                 continue
             if busy != census.get(worker_id, 0):
                 out.append(
@@ -268,15 +265,14 @@ class InvariantChecker:
             job = running.job
             if job is None:  # checkpoint write: job-agnostic by design
                 continue
-            if job.finished or jobs.get(job.job_id) is not job:
+            if job.done or jobs.get(job.job_id) is not job:
                 out.append(
                     f"task {key} still running on behalf of retired job "
                     f"{job.name!r} (id {job.job_id})"
                 )
                 continue
             job_census[job.job_id] += 1
-            if job.pool is not None:
-                pool_census[job.pool.name] += 1
+            pool_census[job.pool] += 1
         for job in jobs.values():
             if job.running_tasks != job_census.get(job.job_id, 0):
                 out.append(

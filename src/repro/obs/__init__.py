@@ -10,9 +10,8 @@ provider, and job server — the same first-class hook-point pattern as the
 fault injector, never monkeypatching.
 
 Gating: tracing is **off by default**.  It turns on via the ``FLINT_TRACE``
-environment variable (any value but empty/``0``/``false``, mirroring
-``FLINT_PROFILE``) or by passing an enabled :class:`Observability` to the
-context.  Every hook site guards on ``obs.enabled``, so the disabled hot
+environment variable (any value but empty/``0``/``false``) or by passing an
+enabled :class:`Observability` to the context.  Every hook site guards on ``obs.enabled``, so the disabled hot
 path costs one attribute check and the simulation's behaviour — event
 order, charged time, results — is identical either way; emission is
 observation-only by construction.

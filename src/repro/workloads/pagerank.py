@@ -51,7 +51,7 @@ def _accumulate_batch(batch: ColumnarBatch) -> ColumnarBatch:
     first value — ``0.0 + v`` is bit-identical to ``v`` for the positive
     shares PageRank produces, and ``-0.0`` contributions are refused
     because the implicit zero seed would flip their sign bit), and output
-    in ``sorted(merged.items(), key=_record_hash_key)`` order.  For
+    in ``sorted(merged.items(), key=hash_sort_key)`` order.  For
     non-negative int keys below 2**31 the hash fast path ``k & 0x7FFFFFFF``
     is the identity, so that order is simply ascending key; anything else
     is refused.  The engine's shuffle merge itself stays on the row plane;

@@ -168,3 +168,41 @@ def test_job_progresses_alongside_checkpoint_backlog():
     t0 = ctx.now
     assert ctx.parallelize(list(range(100)), 4).count() == 100
     assert ctx.now - t0 < 60.0
+
+
+def test_terminated_worker_leaves_no_slot_entry():
+    """Deliberate shutdown with tasks in flight: the worker's slot entry goes
+    with it, and the stragglers' completions do not bring it back."""
+    ctx = build_on_demand_context(3)
+    rdd = ctx.parallelize(list(range(120)), 12, record_size=100_000)
+    handle = ctx.scheduler.submit_job(rdd, len)
+    victim = ctx.cluster.live_workers()[0]
+    assert ctx.scheduler.busy[victim.worker_id] > 0
+    ctx.cluster.terminate_worker(victim)
+    assert victim.worker_id not in ctx.scheduler.busy
+    assert sum(handle.wait()) == 120
+    assert ctx.scheduler.stats.tasks_lost > 0
+    live = {w.worker_id for w in ctx.cluster.live_workers()}
+    assert set(ctx.scheduler.busy) <= live
+    assert all(count == 0 for count in ctx.scheduler.busy.values())
+
+
+def test_slot_table_release_rules():
+    from repro.engine.slots import SlotTable
+
+    table = SlotTable()
+    table.add_worker("w")
+    with pytest.raises(RuntimeError):
+        table.release("w", checkpoint=False)  # live worker, nothing held
+    table.acquire("w", checkpoint=True)
+    with pytest.raises(KeyError):
+        table.acquire("ghost", checkpoint=False)  # never joined
+    table.release("w", checkpoint=True)
+    with pytest.raises(RuntimeError):
+        table.release("w", checkpoint=True)  # double release
+    table.acquire("w", checkpoint=False)
+    with pytest.raises(RuntimeError):
+        table.release("w", checkpoint=True)  # holds a compute slot only
+    table.forget_worker("w")
+    table.release("w", checkpoint=False)  # its slots went with it: no-op
+    assert "w" not in table.busy
