@@ -455,15 +455,11 @@ def columnar_comparison(passes: int = 6) -> dict:
     outputs are identical.  One task = one partition-pass, mirroring how the
     engine charges fused chains.
     """
-    from repro.engine.columnar import from_records
+    from repro.engine.columnar import Sum, from_records
     from repro.engine.shuffle import hash_sort_key
     from repro.workloads.datagen import generate_clustered_points, initial_centroids
     from repro.workloads.kmeans import _assign_batch, _closest
-    from repro.workloads.pagerank import (
-        _accumulate_batch,
-        _contributions_batch,
-        _rank_update_batch,
-    )
+    from repro.workloads.pagerank import _contributions_batch, _rank_update_batch
 
     comparison = {}
 
@@ -523,7 +519,7 @@ def columnar_comparison(passes: int = 6) -> dict:
     # rank accumulation, and the damping update, over cogroup-shaped
     # records (src, ([dsts-list], [rank])).  The row side is the closure /
     # combiner work the engine streams per record; the columnar side runs
-    # the three batch kernels with one conversion in and one out.
+    # the two batch kernels around the engine's segmented ``Sum`` combine.
     def pr_partition(p, vertices=2_500, fanout=32, universe=5_000):
         return [
             (
@@ -548,6 +544,7 @@ def columnar_comparison(passes: int = 6) -> dict:
 
     pr_create = lambda v: v  # noqa: E731 - reduce_by_key's create_combiner
     pr_combine = lambda a, b: a + b  # noqa: E731 - the reduce_by_key lambda
+    pr_sum = Sum()  # the same reducer, declared
     pr_damp = lambda total: 0.15 + 0.85 * total  # noqa: E731
     # map_values wraps the value fn in a per-record pair lambda; the row
     # plane pays both calls per record, so the bench must too.
@@ -563,7 +560,7 @@ def columnar_comparison(passes: int = 6) -> dict:
         # the reduce-side combiner merge, hash-ordered output, and the
         # damping map.  The columnar side produces the identical output
         # with batch kernels, so the aggregate machinery collapses into
-        # two bincounts.
+        # one segmented reduction.
         contribs = []
         extend = contribs.extend
         for kv in part:
@@ -593,8 +590,13 @@ def columnar_comparison(passes: int = 6) -> dict:
         return [pr_damp_record(kv) for kv in reduced]
 
     def pr_col(part):
+        # The engine's own kernels, one conversion in and one out: the
+        # fan-out batch is reduced by segment (``Sum.combine``), and with
+        # one map output and one bucket the combined batch *is* the merged,
+        # hash-ordered reduce partition the damping kernel runs over.
         batch = _contributions_batch(from_records(part))
-        return _rank_update_batch(_accumulate_batch(batch)).to_records()
+        reduced, _sizes = pr_sum.combine(batch, 1)
+        return _rank_update_batch(reduced).to_records()
 
     pr_parts = [pr_partition(p) for p in range(8)]
     bench("PageRank", pr_parts, pr_row, pr_col)

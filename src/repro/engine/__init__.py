@@ -21,7 +21,7 @@ Key pieces, mirroring Spark's architecture:
 * :class:`~repro.engine.context.FlintContext` — the user-facing entry point.
 """
 
-from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, Sum
 from repro.engine.context import FlintContext
 from repro.engine.costs import CostModel
 from repro.engine.partitioner import HashPartitioner
@@ -34,4 +34,5 @@ __all__ = [
     "CostModel",
     "HashPartitioner",
     "RDD",
+    "Sum",
 ]

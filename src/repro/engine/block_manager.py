@@ -14,7 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.engine.columnar import ColumnarBatch
+from repro.engine.columnar import ColumnarBatch, from_records
 from repro.storage.local_disk import DiskFullError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,6 +44,10 @@ class _Block:
     data: Any
     nbytes: int
     spill: bool = False
+    #: Columnar form of ``data``, set by :meth:`BlockManager.columnar`.  It
+    #: lives on the entry so that every way the entry leaves memory (LRU
+    #: drop or spill, remove, overwrite, revocation) takes it along.
+    batch: Optional[ColumnarBatch] = None
 
 
 class BlockManager:
@@ -177,6 +181,16 @@ class BlockManager:
             )
         self.stats.misses += 1
         return None
+
+    def columnar(self, block_id: str, rows: Any) -> Optional[ColumnarBatch]:
+        """``from_records(rows)``, converted once while ``rows`` is this
+        memory-resident block's payload (the block's derived sidecar)."""
+        block = self._memory.get(block_id)
+        if block is None or block.data is not rows:
+            return from_records(rows)
+        if block.batch is None:
+            block.batch = from_records(rows)
+        return block.batch
 
     def has(self, block_id: str) -> bool:
         return block_id in self._memory or self.worker.local_disk.has(self._SPILL_PREFIX + block_id)

@@ -2,22 +2,29 @@
 
 ``FLINT_COLUMNAR`` (default on) lets the fused-chain compiler lower a
 narrow chain to *vectorised batch kernels* operating on arrays-of-columns
-instead of streaming records one at a time through Python closures.  The
-representation lives strictly *inside* one fused-chain execution:
+instead of streaming records one at a time through Python closures.
 
-- **Plane boundary rule.** Everything observable — block-manager puts,
+- **Plane boundary rules.** Everything observable — block-manager puts,
   checkpoint payloads, shuffle buckets, memoised partitions, action results
-  — is always *row* form (plain Python lists of records).  A chain converts
-  rows → columns on entry, runs its batch kernels, and converts back on
-  exit.  The block manager enforces this (it refuses ColumnarBatch
-  payloads).
+  — is always *row* form (plain Python lists of records); the block manager
+  refuses ColumnarBatch payloads.  Columns exist in three derived places
+  only: inside one fused-chain execution (rows → columns on entry, batch
+  kernels, columns → rows on exit); as a *sidecar* of a memory-resident
+  cached block (``BlockManager.columnar``: the block's rows converted once,
+  owned by the block entry and gone with it, so an iterative job does not
+  re-columnarise the same cached partition on every pass); and at a map
+  head that feeds a declared combine (:class:`Sum`), whose buckets are
+  reduced straight from the batch — such a head is never turned back into
+  rows unless something observes it (it is persisted or a materialisation
+  point).
 - **Bit-identity rule.** ``to_records(from_records(rows))`` must equal
   ``rows`` exactly — same Python types (``int`` stays ``int``, ``float``
   stays ``float``), same values, same nesting.  ``from_records`` therefore
   *refuses* (returns None) anything it cannot round-trip: empty partitions,
   ragged tuples, mixed-type columns, bools, ints outside int64, and any
   non-numeric leaf.  Refusal is never an error — the chain silently falls
-  back to the row plane.
+  back to the row plane.  :meth:`Sum.combine` holds the same line: its
+  buckets equal the row combine loop's exactly, or it refuses.
 
 A batch is a schema tree plus a column tree mirroring it:
 
@@ -32,7 +39,10 @@ A batch is a schema tree plus a column tree mirroring it:
 Batch kernels may raise :class:`ColumnarUnsupported` when the runtime
 schema does not fit them; the runtime counts a fallback and re-runs the
 chain on the row plane, so a kernel only ever has to be *correct or
-refuse*, never general.
+refuse*, never general.  Columns are immutable: a kernel's input may be a
+cached block's sidecar, shared by every task that reads the block, so a
+kernel builds new arrays (passing inputs through untouched is fine) and
+never writes into the ones it was given.
 """
 
 from __future__ import annotations
@@ -43,9 +53,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.partitioner import hash_int_keys
+
 __all__ = [
     "ColumnarBatch",
     "ColumnarUnsupported",
+    "Sum",
     "columnar_enabled_by_env",
     "from_records",
 ]
@@ -175,7 +188,7 @@ def _select(schema: Any, column: Any, mask: np.ndarray) -> Any:
 class ColumnarBatch:
     """One partition's records as a schema tree of NumPy columns."""
 
-    __slots__ = ("schema", "data", "length")
+    __slots__ = ("schema", "data", "length", "__weakref__")
 
     def __init__(self, schema: Any, data: Any, length: int):
         self.schema = schema
@@ -230,3 +243,126 @@ def from_records(records: Sequence[Any]) -> Optional[ColumnarBatch]:
     except _Refuse:
         return None
     return ColumnarBatch(schema, data, len(records))
+
+
+class Sum:
+    """Declared reducer: elementwise ``+`` over numbers and tuple trees.
+
+    ``rdd.reduce_by_key(Sum())`` merges values leaf by leaf — a value is a
+    number or a fixed-shape tuple of values (KMeans's ``(vector, count)``).
+    Declaring the reducer, instead of passing a lambda, lets the engine
+    derive both forms of the one definition: calling the instance is the
+    row merge, and :meth:`combine` is the same left fold as a segmented
+    NumPy reduction over a lowered map head (:meth:`buckets`: its result
+    as the shuffle's row-form buckets).
+    """
+
+    __slots__ = ()
+
+    def __call__(self, a: Any, b: Any) -> Any:
+        if type(a) is not tuple:
+            return a + b
+        if len(a) != len(b):
+            raise ValueError(f"Sum over tuples of different shape: {a!r} + {b!r}")
+        return tuple([
+            x + y if type(x) is not tuple else self(x, y) for x, y in zip(a, b)
+        ])
+
+    def combine(
+        self, batch: ColumnarBatch, n_buckets: int
+    ) -> Optional[Tuple[ColumnarBatch, List[int]]]:
+        """Map-side combine of ``(key, value)`` records, columns to columns.
+
+        One combiner per distinct key, as a batch laid out the way
+        ``shuffle.bucket_map_output`` lays its buckets out under a plain
+        ``HashPartitioner`` — bucket after bucket (``hash % n_buckets``),
+        hash-ordered within a bucket, first occurrence breaking hash ties —
+        plus each bucket's size.  None when it cannot promise the row
+        loop's values: non-``i8`` keys, list leaves (``+`` concatenates), an
+        empty batch, a ``-0.0`` leaf or an ``i8`` sum that could leave int64.
+        """
+        schema = batch.schema
+        if (
+            batch.length == 0
+            or schema[0] != "tuple"
+            or len(schema[1]) != 2
+            or schema[1][0] != "i8"
+        ):
+            return None
+        keys, values = batch.data
+        low = int(keys.min())
+        span = int(keys.max()) - low + 1
+        if span <= min(8 * batch.length, 2**31):
+            # Dense ids (vertex ids, centroid indices): a key's segment is
+            # its offset in a table over the key range, so the records are
+            # counted, not sorted — about 3x cheaper with the table at this
+            # bound, and it stays a small multiple of the batch in memory
+            # (the sort draws level near 64x).  Keys less than 2**31 apart
+            # never share a hash, so nothing can tie.
+            segments = keys - low
+            filled = np.flatnonzero(np.bincount(segments, minlength=span))
+            distinct = filled + low
+            ties: Tuple[np.ndarray, ...] = ()
+        else:
+            distinct, first, segments = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            span = len(distinct)
+            filled = np.arange(span)
+            ties = (first,)
+        hashed, bucket = hash_int_keys(distinct, n_buckets)
+        order = np.lexsort(ties + (hashed, bucket))
+        try:
+            sums = _segment_sums(schema[1][1], values, segments, span, filled[order])
+        except _Refuse:
+            return None
+        sizes = np.bincount(bucket, minlength=n_buckets).tolist()
+        return ColumnarBatch(schema, (distinct[order], sums), len(order)), sizes
+
+    def buckets(
+        self, batch: ColumnarBatch, n_buckets: int
+    ) -> Optional[Tuple[List[List[Any]], int]]:
+        """:meth:`combine` in the shuffle's row form: exactly the ``(buckets,
+        records_written)`` that ``bucket_map_output`` returns for
+        ``batch.to_records()``, or None where ``combine`` refuses."""
+        combined = self.combine(batch, n_buckets)
+        if combined is None:
+            return None
+        merged, sizes = combined
+        rows = _emit(merged.schema, merged.data, merged.length)
+        out: List[List[Any]] = []
+        start = 0
+        for size in sizes:
+            out.append(rows[start : start + size])
+            start += size
+        return out, merged.length
+
+
+def _segment_sums(
+    schema: Any, column: Any, segments: np.ndarray, n: int, pick: np.ndarray
+) -> Any:
+    """Sums of one value tree over ``n`` segments, as the row fold computes
+    them; segments ``pick``, in that order, are returned.
+
+    ``np.bincount(weights=)`` and ``np.add.at`` both add in stream order
+    into a zero — the row loop's left fold bit for bit, except where the
+    zero seed shows: ``0.0 + -0.0`` is ``+0.0``, and int64 wraps where
+    Python ints grow.  Both cases, and list leaves, raise :class:`_Refuse`.
+    """
+    if schema == "f8":
+        if (np.signbit(column) & (column == 0.0)).any():
+            raise _Refuse
+        return np.bincount(segments, weights=column, minlength=n)[pick]
+    if schema == "i8":
+        bound = max(abs(int(column.min())), abs(int(column.max())))
+        if bound * len(column) >= 2**63:
+            raise _Refuse
+        sums = np.zeros(n, dtype=np.int64)
+        np.add.at(sums, segments, column)
+        return sums[pick]
+    if schema[0] == "tuple":
+        return tuple(
+            _segment_sums(child, col, segments, n, pick)
+            for child, col in zip(schema[1], column)
+        )
+    raise _Refuse

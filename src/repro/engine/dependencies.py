@@ -11,12 +11,18 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from repro.engine.columnar import Sum
 from repro.engine.partitioner import HashPartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.rdd import RDD
 
 _shuffle_ids = itertools.count()
+
+
+def identity(value):
+    """``reduce_by_key``'s create_combiner: the first value is the combiner."""
+    return value
 
 
 class Dependency:
@@ -70,6 +76,12 @@ class ShuffleDependency(Dependency):
         aggregator: (create_combiner, merge_value, merge_combiners) triple, or
             None for a raw repartition (partitionBy/groupByKey handles
             grouping reduce-side).
+        declared_sum: the :class:`~repro.engine.columnar.Sum` when this is
+            ``reduce_by_key(Sum())`` combining map-side under a plain
+            ``HashPartitioner`` — the one shape whose map-side combine can
+            run from a lowered batch (``Sum.buckets``) — else None.  A
+            subclass of ``Sum`` is not declared: its own ``__call__`` and
+            the kernel could disagree.
     """
 
     def __init__(
@@ -83,6 +95,11 @@ class ShuffleDependency(Dependency):
         self.partitioner = partitioner
         self.aggregator = aggregator
         self.map_side_combine = map_side_combine and aggregator is not None
+        self.declared_sum: Optional[Sum] = None
+        if self.map_side_combine and type(partitioner) is HashPartitioner:
+            create, merge, merge_combiners = aggregator
+            if create is identity and merge_combiners is merge and type(merge) is Sum:
+                self.declared_sum = merge
         self.shuffle_id = next(_shuffle_ids)
 
     @property

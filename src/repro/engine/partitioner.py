@@ -7,7 +7,7 @@ Python's salted ``hash`` for strings and use a small stable hash instead.
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from typing import Any, Tuple
 
 
 def stable_hash(key: Any) -> int:
@@ -35,6 +35,14 @@ def stable_hash(key: Any) -> int:
     if key is None:
         return 0
     return zlib.crc32(repr(key).encode("utf-8"))
+
+
+def hash_int_keys(keys: Any, num_partitions: int) -> Tuple[Any, Any]:
+    """``stable_hash`` and ``HashPartitioner.partition_for`` of every key of
+    an int64 NumPy column at once — for kernels that lay shuffle buckets out
+    from a key array (``columnar.Sum``) instead of record by record."""
+    hashed = keys & 0x7FFFFFFF
+    return hashed, hashed % num_partitions
 
 
 class HashPartitioner:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.dependencies import (
     Dependency,
+    identity,
 )
 from repro.engine.partitioner import HashPartitioner
 
@@ -340,11 +341,11 @@ class RDD:
         )
 
     def reduce_by_key(self, fn: Callable[[Any, Any], Any], num_partitions: Optional[int] = None) -> "RDD":
-        """Merge values per key with an associative function."""
-        return self.combine_by_key(lambda v: v, fn, fn, num_partitions)
+        """Merge values per key with an associative function (or ``Sum()``)."""
+        return self.combine_by_key(identity, fn, fn, num_partitions)
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
-        """Group values per key into lists (no map-side combine, as in Spark)."""
+        """Group values per key into lists (combined map-side, unlike Spark)."""
         return self.combine_by_key(
             lambda v: [v],
             lambda acc, v: acc + [v],

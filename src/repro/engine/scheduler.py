@@ -93,6 +93,8 @@ class SchedulerStats:
     columnar_chains: int = 0
     columnar_stages: int = 0
     columnar_fallbacks: int = 0
+    #: Map tasks whose declared ``Sum`` combine ran from the lowered batch.
+    columnar_combines: int = 0
 
     def task_counts(self) -> Dict[str, int]:
         """The counters that must agree across data planes."""
@@ -391,10 +393,12 @@ class TaskScheduler(ClusterListener):
                 continue
             worker = self._pick_worker(spec)
             if worker is None:
-                # Only the per-worker checkpoint-stream cap is
-                # exhausted; compute slots may still be free for
-                # job tasks.
-                continue
+                # No worker can take a checkpoint write, whichever spec
+                # asks (the answer depends on the slot table alone), so
+                # stop probing.  Only the per-worker checkpoint-stream
+                # cap is exhausted: compute slots may still be free for
+                # the job tasks below.
+                break
             self._dispatch(spec, worker)
         for job, spec in allocation_order(self.scheduling_policy, job_specs, self.pools):
             if spec.key in self.running:

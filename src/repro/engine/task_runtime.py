@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.engine.block_manager import block_id_for
-from repro.engine.columnar import ColumnarUnsupported, from_records
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, from_records
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.lineage import fusion_edge
 from repro.engine.shuffle import bucket_map_output
@@ -18,6 +18,7 @@ from repro.engine.task import ComputedPartition, PendingPut, TaskKind, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.worker import Worker
+    from repro.engine.block_manager import BlockManager
     from repro.engine.context import FlintContext
     from repro.engine.rdd import RDD
 
@@ -46,6 +47,9 @@ class TaskRuntime:
         self.pending_puts: List[PendingPut] = []
         self.computed: List[ComputedPartition] = []
         self._memo: Dict[Tuple[int, int], List[Any]] = {}
+        #: Stores whose memory tier served a block to this task: the owners
+        #: of those blocks' columnar sidecars.
+        self._resident: Dict[Tuple[int, int], "BlockManager"] = {}
         self._columnar = context.columnar_enabled
 
     def charge(self, seconds: float) -> None:
@@ -54,8 +58,15 @@ class TaskRuntime:
             raise ValueError("cannot charge negative time")
         self.time_charged += seconds
 
-    def iterator(self, rdd: "RDD", partition: int) -> List[Any]:
-        """Records of ``(rdd, partition)`` via cache, checkpoint, or recompute."""
+    def iterator(self, rdd: "RDD", partition: int, as_batch: bool = False) -> Any:
+        """Records of ``(rdd, partition)`` via cache, checkpoint, or recompute.
+
+        ``as_batch`` is the map task's declared combine saying it can reduce
+        a :class:`ColumnarBatch` directly: when the partition is computed
+        here and its chain lowers, the batch is returned in place of the
+        rows, which are then built only for whoever observes them (a
+        persisted or materialisation-point head) — otherwise never.
+        """
         key = (rdd.rdd_id, partition)
         memoised = self._memo.get(key)
         if memoised is not None:
@@ -69,6 +80,8 @@ class TaskRuntime:
                     self.charge(self.cost.local_read_time(nbytes))
             else:
                 self.charge(self.cost.network_time(nbytes))
+            if tier == "memory":
+                self._resident[key] = holder.block_manager
             self._memo[key] = data
             return data
 
@@ -81,24 +94,31 @@ class TaskRuntime:
             return data
 
         if rdd.supports_fusion:
-            data = self._compute_fused(rdd, partition)
+            data = self._compute_fused(rdd, partition, as_batch)
         else:
             data = rdd.compute(partition, self)
+        # A batch's length is its row list's ``len()``: same charges.
         nbytes = rdd.partition_bytes(len(data))
         self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
+        observed = self._is_materialisation_point(rdd)
+        rows = data
+        if type(data) is ColumnarBatch:
+            if not observed:
+                return data
+            rows = data.to_records()
         if rdd.persisted:
             self.pending_puts.append(
                 PendingPut(
-                    block_id_for(rdd.rdd_id, partition), data, nbytes, rdd.disk_persist,
+                    block_id_for(rdd.rdd_id, partition), rows, nbytes, rdd.disk_persist,
                     rdd=rdd,
                 )
             )
-        if self._is_materialisation_point(rdd):
-            self.computed.append(ComputedPartition(rdd, partition, data, nbytes))
-        self._memo[key] = data
+        if observed:
+            self.computed.append(ComputedPartition(rdd, partition, rows, nbytes))
+        self._memo[key] = rows
         return data
 
-    def _compute_fused(self, rdd: "RDD", partition: int) -> List[Any]:
+    def _compute_fused(self, rdd: "RDD", partition: int, as_batch: bool) -> Any:
         """Materialise ``(rdd, partition)`` by streaming its narrow chain.
 
         Walks up the lineage collecting operator stages until a pipeline
@@ -138,9 +158,9 @@ class TaskRuntime:
             stages.append((node, split))
             node, split = edge
         if self._columnar:
-            data = self._compute_columnar(stages, node, split)
-            if data is not None:
-                return data
+            batch = self._compute_columnar(stages, node, split)
+            if batch is not None:
+                return batch if as_batch else batch.to_records()
         stream: List[Any] = self.iterator(node, split)
         if len(stages) > 1:
             cost = self.cost
@@ -158,7 +178,7 @@ class TaskRuntime:
 
     def _compute_columnar(
         self, stages: List[Tuple["RDD", int]], node: "RDD", split: int
-    ) -> Optional[List[Any]]:
+    ) -> Optional[ColumnarBatch]:
         """Lower a walked chain to batch kernels; None means "use rows".
 
         Lowering applies only when every stage carries a batch kernel and
@@ -174,7 +194,11 @@ class TaskRuntime:
         contract), and they are charged in the same deepest-first order
         *after* all kernels ran — pure accumulation onto ``time_charged``,
         so applying them post hoc changes nothing.  The head stage is
-        charged by the caller from the returned records, as always.
+        charged by the caller from the returned batch's length, as always.
+
+        A boundary served from a store's memory tier is columnarised once
+        per block, not once per task: the store keeps the batch beside the
+        rows (``BlockManager.columnar``).
         """
         kernels = []
         for stage, stage_split in stages:
@@ -184,7 +208,11 @@ class TaskRuntime:
             kernels.append(kernel)
         stream = self.iterator(node, split)
         stats = self.context.scheduler.stats
-        batch = from_records(stream)
+        store = self._resident.get((node.rdd_id, split))
+        if store is None:
+            batch = from_records(stream)
+        else:
+            batch = store.columnar(block_id_for(node.rdd_id, split), stream)
         if batch is None:
             # Empty boundaries are trivially row-plane (nothing to
             # vectorise); only real refusals count as fallbacks.
@@ -212,7 +240,7 @@ class TaskRuntime:
         if last >= 1:
             stats.fused_chains += 1
             stats.fused_stages += len(stages)
-        return batch.to_records()
+        return batch
 
     def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
         """Gather one reduce bucket from all map outputs, charging transfer time."""
@@ -232,7 +260,18 @@ class TaskRuntime:
             return result, None
         if spec.kind == TaskKind.SHUFFLE_MAP:
             dep = spec.dep
-            buckets, written = bucket_map_output(dep, self.iterator(dep.rdd, spec.partition))
+            reducer = dep.declared_sum
+            head = self.iterator(dep.rdd, spec.partition, reducer is not None)
+            out = None
+            if type(head) is ColumnarBatch:
+                # The declared combine, straight from the lowered batch; a
+                # refusal runs the row loop on the rows it never needed.
+                out = reducer.buckets(head, dep.num_reduce_partitions)
+                if out is None:
+                    head = head.to_records()
+                else:
+                    self.context.scheduler.stats.columnar_combines += 1
+            buckets, written = out or bucket_map_output(dep, head)
             self.charge(self.cost.shuffle_write_time(written * dep.rdd.record_size))
             return None, buckets
         # CHECKPOINT: the payload was captured at compute time; only the write costs.

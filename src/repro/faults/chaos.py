@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.engine.columnar import Sum
 from repro.engine.context import FlintContext
 from repro.faults.harness import run_reference, run_with_plan
 from repro.obs.export import write_chrome_trace, write_jsonl
@@ -148,7 +149,7 @@ class _StreamingChaosWorkload:
         )
         events.persist()
         windowed = events.reduce_by_key_and_window(
-            _add, window=3, slide=2, num_partitions=PARTITIONS
+            Sum(), window=3, slide=2, num_partitions=PARTITIONS
         )
         windowed.foreach_rdd(_sorted_collect, "window")
         self.ssc.enable_state_checkpointing(MTTF, initial_delta=10.0, max_tau=60.0)

@@ -5,16 +5,17 @@ simulator cares about — cluster capacity, per-market capacity, $/hour spend
 rate, cumulative committed dollars — as a :class:`PiecewiseConstantFunction`:
 a right-continuous step function mutated by *deltas* at breakpoints.  The
 idiom follows Yelp's clusterman simulator: events append deltas in O(1),
-queries compile the delta log once into sorted NumPy arrays with cached
+queries compile the delta log into sorted NumPy arrays with cached
 cumulative integrals, and from then on every evaluation or window integral is
 one ``searchsorted`` — O(log breakpoints) instead of a walk over instances ×
 billed hours.
 
-Mutation never pays the sort: ``add_delta`` appends to a raw log and marks
-the compiled arrays dirty.  The first query after a burst of mutations
-rebuilds (O(n log n) once), which matches the simulator's access pattern —
-long stretches of acquire/revoke/terminate events, then a batch of cost/
-capacity queries when a figure or gate wants numbers.
+Mutation never pays the sort: ``add_delta`` appends to a raw log.  The first
+query after a burst of mutations sorts only the deltas logged since the last
+compile and merges them into the compiled arrays — O(new log new +
+breakpoints), never O(history) — so both access patterns are cheap: long
+stretches of acquire/revoke/terminate events and then a batch of queries, and
+a ledger that is queried after every event.
 """
 
 from __future__ import annotations
@@ -50,17 +51,20 @@ class PiecewiseConstantFunction:
     Multiple deltas at the same time accumulate.
     """
 
-    __slots__ = ("initial_value", "_log_times", "_log_deltas", "_xs", "_values",
-                 "_cumint", "_dirty")
+    __slots__ = ("initial_value", "_log_times", "_log_deltas", "_xs", "_deltas",
+                 "_values", "_cumint")
 
     def __init__(self, initial_value: float = 0.0):
         self.initial_value = float(initial_value)
+        #: Deltas logged since the last compile (empty = compiled is current).
         self._log_times: list = []
         self._log_deltas: list = []
+        #: Compiled form: sorted distinct breakpoints, the coalesced delta at
+        #: each, the value in effect from each, and cumulative integrals.
         self._xs = np.empty(0)
+        self._deltas = np.empty(0)
         self._values = np.empty(0)
-        self._cumint = np.empty(1)
-        self._dirty = True
+        self._cumint = np.zeros(1)
 
     # -- mutation (O(1) amortised; defers sorting to the next query) --------
     def add_delta(self, t: float, delta: float) -> None:
@@ -68,7 +72,6 @@ class PiecewiseConstantFunction:
         if delta != 0.0:
             self._log_times.append(float(t))
             self._log_deltas.append(float(delta))
-            self._dirty = True
 
     def add_deltas(self, times: ArrayLike, deltas: ArrayLike) -> None:
         """Batch :meth:`add_delta` (one ended instance's whole hour grid)."""
@@ -79,7 +82,6 @@ class PiecewiseConstantFunction:
         if times.size:
             self._log_times.extend(times.tolist())
             self._log_deltas.extend(deltas.tolist())
-            self._dirty = True
 
     def set_value(self, t: float, value: float) -> None:
         """Make the function equal ``value`` at ``t``.
@@ -91,39 +93,40 @@ class PiecewiseConstantFunction:
 
     # -- compilation --------------------------------------------------------
     def _compile(self) -> None:
-        if not self._dirty:
+        if not self._log_times:
             return
-        if self._log_times:
-            times = np.asarray(self._log_times, dtype=float)
-            deltas = np.asarray(self._log_deltas, dtype=float)
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            deltas = deltas[order]
-            # Coalesce duplicate breakpoints so the compiled arrays stay
-            # minimal (month-long sweeps emit many same-instant deltas).
-            keep = np.empty(len(times), dtype=bool)
-            keep[:-1] = times[1:] != times[:-1]
-            keep[-1] = True
-            if not keep.all():
-                segment_ids = np.cumsum(np.concatenate([[0], keep[:-1]]))
-                summed = np.zeros(int(segment_ids[-1]) + 1)
-                np.add.at(summed, segment_ids, deltas)
-                times = times[keep]
-                deltas = summed
-            self._xs = times
-            self._values = self.initial_value + np.cumsum(deltas)
-        else:
-            self._xs = np.empty(0)
-            self._values = np.empty(0)
+        times = np.asarray(self._log_times, dtype=float)
+        deltas = np.asarray(self._log_deltas, dtype=float)
+        self._log_times.clear()
+        self._log_deltas.clear()
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        deltas = deltas[order]
+        if len(self._xs):
+            # Merge into the compiled arrays, old before new at equal times:
+            # a duplicate breakpoint's deltas then still sum in log order,
+            # so the result is bit for bit the whole log compiled at once.
+            at = np.searchsorted(self._xs, times, side="right")
+            times = np.insert(self._xs, at, times)
+            deltas = np.insert(self._deltas, at, deltas)
+        # Coalesce duplicate breakpoints so the compiled arrays stay
+        # minimal (month-long sweeps emit many same-instant deltas).
+        keep = np.empty(len(times), dtype=bool)
+        keep[:-1] = times[1:] != times[:-1]
+        keep[-1] = True
+        if not keep.all():
+            segment_ids = np.cumsum(np.concatenate([[0], keep[:-1]]))
+            summed = np.zeros(int(segment_ids[-1]) + 1)
+            np.add.at(summed, segment_ids, deltas)
+            times = times[keep]
+            deltas = summed
+        self._xs = times
+        self._deltas = deltas
+        self._values = self.initial_value + np.cumsum(deltas)
         # cumint[i] = integral of the function over [xs[0], xs[i]].
-        if len(self._xs) > 1:
-            widths = np.diff(self._xs)
-            self._cumint = np.concatenate(
-                [[0.0], np.cumsum(self._values[:-1] * widths)]
-            )
-        else:
-            self._cumint = np.zeros(max(len(self._xs), 1))
-        self._dirty = False
+        self._cumint = np.concatenate(
+            [[0.0], np.cumsum(self._values[:-1] * np.diff(times))]
+        )
 
     # -- queries ------------------------------------------------------------
     @property

@@ -209,9 +209,9 @@ class TextSource(StreamSource):
         def generate(p: int) -> List[str]:
             rng = SeededRNG(seed, f"{label}-{batch}-{p}")
             picks = rng.integers(0, len(vocab), size=per_part * wpl)
+            words = [vocab[w] for w in picks.tolist()]
             return [
-                " ".join(vocab[int(w)] for w in picks[i * wpl:(i + 1) * wpl])
-                for i in range(per_part)
+                " ".join(words[i:i + wpl]) for i in range(0, per_part * wpl, wpl)
             ]
 
         return generate

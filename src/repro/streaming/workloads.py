@@ -20,6 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
     from repro.engine.rdd import RDD
 
+from repro.engine.columnar import Sum
 from repro.streaming.context import StreamingContext
 
 #: Fixed wordcount vocabulary — part of the workload's seed contract.
@@ -204,7 +205,7 @@ class StreamingWindowWorkload:
             source.persist()
         self.source = source
         windowed = source.reduce_by_key_and_window(
-            _add, window, self.slide, partitions
+            Sum(), window, self.slide, partitions
         )
         windowed.foreach_rdd(_sorted_collect, "window")
 

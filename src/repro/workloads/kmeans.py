@@ -9,12 +9,11 @@ batch workloads and the lowest checkpointing tax (Figure 6a).
 
 from __future__ import annotations
 
-import operator
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch
+from repro.engine.columnar import ColumnarBatch, Sum
 from repro.engine.context import FlintContext
 from repro.engine.rdd import RDD
 from repro.workloads.datagen import generate_clustered_points, initial_centroids
@@ -41,10 +40,6 @@ def _closest(point: Tuple[float, ...], centroids: List[Tuple[float, ...]]) -> in
         if d < best_d:
             best, best_d = i, d
     return best
-
-
-def _add_vectors(a: Tuple[float, ...], b: Tuple[float, ...]) -> Tuple[float, ...]:
-    return tuple(map(operator.add, a, b))
 
 
 def _assign_batch(batch: ColumnarBatch, centroids: List[Tuple[float, ...]]) -> ColumnarBatch:
@@ -145,10 +140,7 @@ class KMeansWorkload:
                     compute_multiplier=self.distance_cost,
                     batch_fn=lambda batch, cs=frozen: _assign_batch(batch, cs),
                 )
-                .reduce_by_key(
-                    lambda a, b: (_add_vectors(a[0], b[0]), a[1] + b[1]),
-                    min(self.partitions, self.k),
-                )
+                .reduce_by_key(Sum(), min(self.partitions, self.k))
             )
             totals = stats.collect()
             new_centroids = list(centroids)

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, Sum
 from repro.engine.context import FlintContext
 from repro.engine.rdd import RDD
 from repro.workloads.datagen import generate_graph_partition
@@ -40,36 +40,6 @@ def _rank_update_batch(batch: ColumnarBatch) -> ColumnarBatch:
     """Columnar twin of ``map_values(lambda total: 0.15 + 0.85 * total)``."""
     vertex, total = batch.require(_RANKS_SCHEMA)
     return ColumnarBatch(_RANKS_SCHEMA, (vertex, 0.15 + 0.85 * total), len(batch))
-
-
-def _accumulate_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Vectorised twin of the reduce-side ``lambda a, b: a + b`` merge.
-
-    Matches the shuffle merge loop in ``ShuffledRDD.compute`` exactly:
-    per-key accumulation in stream order (``np.bincount`` adds
-    sequentially, matching repeated ``a + b`` merges that start from the
-    first value — ``0.0 + v`` is bit-identical to ``v`` for the positive
-    shares PageRank produces, and ``-0.0`` contributions are refused
-    because the implicit zero seed would flip their sign bit), and output
-    in ``sorted(merged.items(), key=hash_sort_key)`` order.  For
-    non-negative int keys below 2**31 the hash fast path ``k & 0x7FFFFFFF``
-    is the identity, so that order is simply ascending key; anything else
-    is refused.  The engine's shuffle merge itself stays on the row plane;
-    this kernel is the columnar plane's aggregate shape, exercised by the
-    perf-smoke columnar microbench.
-    """
-    vertex, contrib = batch.require(_RANKS_SCHEMA)
-    n = len(batch)
-    if n == 0:
-        return batch
-    if int(vertex.min()) < 0 or int(vertex.max()) >= 2**31:
-        raise ColumnarUnsupported("keys outside the int hash fast path")
-    if (np.signbit(contrib) & (contrib == 0.0)).any():
-        raise ColumnarUnsupported("-0.0 contribution would lose its sign")
-    occupancy = np.bincount(vertex)
-    sums = np.bincount(vertex, weights=contrib)
-    keys = np.flatnonzero(occupancy)
-    return ColumnarBatch(_RANKS_SCHEMA, (keys, sums[keys]), len(keys))
 
 
 def _contributions_batch(batch: ColumnarBatch) -> ColumnarBatch:
@@ -222,7 +192,7 @@ class PageRankWorkload:
                 .set_record_size(self.contrib_record_size)
             )
             new_ranks = (
-                contribs.reduce_by_key(lambda a, b: a + b, self.partitions)
+                contribs.reduce_by_key(Sum(), self.partitions)
                 .map_values(lambda total: 0.15 + 0.85 * total, batch_fn=_rank_update_batch)
                 .set_record_size(self.rank_record_size)
                 .persist()

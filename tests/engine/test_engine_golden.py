@@ -220,6 +220,8 @@ SCENARIOS = _scenarios()
 
 #: Scenarios whose every chain carries batch kernels: they must lower.
 _LOWERS = ("pagerank/", "kmeans/", "dstream/identity")
+#: Scenarios that reduce by a declared ``Sum`` over a lowered map head.
+_DECLARES_SUM = ("pagerank/", "kmeans/", "dstream/window")
 #: Scenarios with multi-operator narrow chains: fusion must engage.
 _FUSES = ("multitenant/", "chain/")
 
@@ -247,7 +249,10 @@ def test_golden_row(monkeypatch, name, columnar):
         assert stats.columnar_chains > 0
         assert stats.columnar_stages >= stats.columnar_chains
         assert stats.columnar_fallbacks == 0
+    if columnar == "on" and name.startswith(_DECLARES_SUM):
+        assert stats.columnar_combines > 0
     if columnar == "off" or name == "dstream/wordcount":
         # The row plane (and string records, which refuse columnarisation)
         # must not lower anything.
         assert stats.columnar_chains == 0
+        assert stats.columnar_combines == 0

@@ -170,6 +170,34 @@ def test_job_progresses_alongside_checkpoint_backlog():
     assert ctx.now - t0 < 60.0
 
 
+def test_checkpoint_backlog_is_probed_once_per_round():
+    """Whether a checkpoint write fits depends on the slot table, not on
+    the spec: after one ``None`` the rest of the queue is not re-offered."""
+    ctx = build_on_demand_context(2)
+    big = ctx.parallelize(list(range(80)), 8, record_size=50_000_000).persist()
+    big.count()
+    ctx.checkpoints.mark(big)
+    scheduler = ctx.scheduler
+    pick = scheduler._pick_worker
+    refused = {}  # scheduling round -> checkpoint probes answered None
+
+    def counting_pick(spec):
+        worker = pick(spec)
+        if worker is None and spec.kind == TaskKind.CHECKPOINT:
+            round_no = scheduler.stats.scheduling_rounds
+            refused[round_no] = refused.get(round_no, 0) + 1
+        return worker
+
+    scheduler._pick_worker = counting_pick
+    scheduler.enqueue_checkpoints_for(big)
+    # 8 writes, one stream per worker: 6 wait while a job runs past them.
+    assert ctx.parallelize(list(range(100)), 4).count() == 100
+    ctx.env.run_until(ctx.now + 3600)
+    assert ctx.checkpoints.is_fully_checkpointed(big)
+    assert refused, "the backlog never made a probe fail"
+    assert max(refused.values()) == 1
+
+
 def test_terminated_worker_leaves_no_slot_entry():
     """Deliberate shutdown with tasks in flight: the worker's slot entry goes
     with it, and the stragglers' completions do not bring it back."""

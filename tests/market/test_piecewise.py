@@ -115,6 +115,70 @@ def test_mutation_after_query_recompiles(first, second, t):
     )
 
 
+# Coarse grids for times *and* deltas, so duplicate breakpoints, deltas that
+# cancel exactly and sums whose last bit depends on association order
+# (0.1 + 0.2 + 0.3) all occur.
+_grid_time = st.integers(0, 12).map(lambda k: k * 7.3)
+_grid_delta = st.sampled_from([0.1, 0.2, 0.3, -0.1, -0.3, 1.5, -1.5, 1e16, -1e16, 0.0])
+_pairs = st.lists(st.tuples(_grid_time, _grid_delta), min_size=1, max_size=6)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("delta"), _grid_time, _grid_delta),
+        st.tuples(st.just("deltas"), _pairs),
+        st.tuples(st.just("set"), _grid_time, st.sampled_from([0.0, 0.7, -2.5])),
+        st.tuples(st.just("query"), st.floats(-10.0, 100.0), st.floats(0.0, 60.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _compiled_once(initial, log):
+    """The whole log handed over in one piece and compiled by one query."""
+    g = PiecewiseConstantFunction(initial_value=initial)
+    g.add_deltas([t for t, _ in log], [d for _, d in log])
+    return g
+
+
+def _observe(f, t, width):
+    xs, values = f.breakpoints
+    scalars = (f.call(t), f.call_before(t), f.integral(t, t + width))
+    return (
+        [x.hex() for x in xs.tolist()],
+        [v.hex() for v in values.tolist()],
+        [v.hex() for v in scalars],
+    )
+
+
+@given(_operations, st.sampled_from([0.0, 2.0, -0.5]))
+@settings(max_examples=300, deadline=None)
+def test_incremental_compile_equals_the_whole_log_compiled_once(operations, initial):
+    """Compiling only what was logged since the last query, and merging it
+    in, gives bit for bit what compiling the full log gives — whatever the
+    interleaving of mutations and queries."""
+    f = PiecewiseConstantFunction(initial_value=initial)
+    log = []
+    for op in operations:
+        if op[0] == "delta":
+            _, t, d = op
+            f.add_delta(t, d)
+            if d != 0.0:  # add_delta drops zero deltas; add_deltas does not
+                log.append((t, d))
+        elif op[0] == "deltas":
+            f.add_deltas([t for t, _ in op[1]], [d for _, d in op[1]])
+            log.extend(op[1])
+        elif op[0] == "set":
+            _, t, value = op
+            d = value - _compiled_once(initial, log).call(t)
+            f.set_value(t, value)
+            if d != 0.0:
+                log.append((t, d))
+        else:
+            _, t, width = op
+            assert _observe(f, t, width) == _observe(_compiled_once(initial, log), t, width)
+    assert _observe(f, 50.0, 10.0) == _observe(_compiled_once(initial, log), 50.0, 10.0)
+
+
 @given(delta_lists, query_times, st.floats(-10.0, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_set_value_pins_the_value_at_t(deltas, t, target):

@@ -77,6 +77,23 @@ def test_text_source_lines():
     assert src.reference_records(0) != src.reference_records(1)
 
 
+def test_text_source_lines_equal_the_per_word_reference():
+    """The generator indexes the vocabulary once per partition; the lines
+    are exactly those of the per-word loop it replaced."""
+    from repro.simulation.rng import SeededRNG
+
+    src = TextSource(40, 4, VOCAB, seed=7, words_per_line=5, label="t")
+    for batch in (0, 3):
+        generate = src.generator_for(batch)
+        for p in range(4):
+            picks = SeededRNG(7, f"t-{batch}-{p}").integers(0, len(VOCAB), size=10 * 5)
+            reference = [
+                " ".join(VOCAB[int(w)] for w in picks[i * 5:(i + 1) * 5])
+                for i in range(10)
+            ]
+            assert generate(p) == reference
+
+
 def test_source_validation():
     with pytest.raises(ValueError):
         StreamSource("s", 0, 4)

@@ -1,7 +1,8 @@
 """KMeans workload: clustering quality and caching behaviour."""
 
 
-from repro.workloads.kmeans import KMeansWorkload, _add_vectors, _closest
+from repro.engine import Sum
+from repro.workloads.kmeans import KMeansWorkload, _closest
 from tests.conftest import build_on_demand_context
 
 
@@ -14,7 +15,7 @@ def small_kmeans(ctx, iterations=3):
 
 def test_helpers():
     assert _closest((0.0, 0.0), [(5.0, 5.0), (0.1, 0.1)]) == 1
-    assert _add_vectors((1.0, 2.0), (3.0, 4.0)) == (4.0, 6.0)
+    assert Sum()(((1.0, 2.0), 1), ((3.0, 4.0), 2)) == ((4.0, 6.0), 3)
 
 
 def test_load_caches_points():
