@@ -5,15 +5,16 @@ narrow chain to *vectorised batch kernels* operating on arrays-of-columns
 instead of streaming records one at a time through Python closures.
 
 - **Plane boundary rules.** Everything observable — block-manager puts,
-  checkpoint payloads, shuffle buckets, memoised partitions, action results
-  — is always *row* form (plain Python lists of records); the block manager
+  checkpoint payloads, shuffle map outputs (a row list plus an offset
+  index), memoised partitions, action results — is always *row* form
+  (plain Python lists of records); the block manager
   refuses ColumnarBatch payloads.  Columns exist in three derived places
   only: inside one fused-chain execution (rows → columns on entry, batch
   kernels, columns → rows on exit); as a *sidecar* of a memory-resident
   cached block (``BlockManager.columnar``: the block's rows converted once,
   owned by the block entry and gone with it, so an iterative job does not
   re-columnarise the same cached partition on every pass); and at a map
-  head that feeds a declared combine (:class:`Sum`), whose buckets are
+  head that feeds a declared combine (:class:`Sum`), whose map output is
   reduced straight from the batch — such a head is never turned back into
   rows unless something observes it (it is persisted or a materialisation
   point).
@@ -24,7 +25,8 @@ instead of streaming records one at a time through Python closures.
   ragged tuples, mixed-type columns, bools, ints outside int64, and any
   non-numeric leaf.  Refusal is never an error — the chain silently falls
   back to the row plane.  :meth:`Sum.combine` holds the same line: its
-  buckets equal the row combine loop's exactly, or it refuses.
+  combiners equal the row combine loop's exactly, in the same bucket
+  order, or it refuses.
 
 A batch is a schema tree plus a column tree mirroring it:
 
@@ -49,11 +51,14 @@ from __future__ import annotations
 
 import os
 from itertools import chain as _chain
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.partitioner import hash_int_keys
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.shuffle import MapOutput
 
 __all__ = [
     "ColumnarBatch",
@@ -254,7 +259,7 @@ class Sum:
     derive both forms of the one definition: calling the instance is the
     row merge, and :meth:`combine` is the same left fold as a segmented
     NumPy reduction over a lowered map head (:meth:`buckets`: its result
-    as the shuffle's row-form buckets).
+    as the shuffle's row-form map output).
     """
 
     __slots__ = ()
@@ -274,7 +279,7 @@ class Sum:
         """Map-side combine of ``(key, value)`` records, columns to columns.
 
         One combiner per distinct key, as a batch laid out the way
-        ``shuffle.bucket_map_output`` lays its buckets out under a plain
+        ``shuffle.bucket_map_output`` lays out its rows under a plain
         ``HashPartitioner`` — bucket after bucket (``hash % n_buckets``),
         hash-ordered within a bucket, first occurrence breaking hash ties —
         plus each bucket's size.  None when it cannot promise the row
@@ -321,21 +326,21 @@ class Sum:
 
     def buckets(
         self, batch: ColumnarBatch, n_buckets: int
-    ) -> Optional[Tuple[List[List[Any]], int]]:
-        """:meth:`combine` in the shuffle's row form: exactly the ``(buckets,
-        records_written)`` that ``bucket_map_output`` returns for
-        ``batch.to_records()``, or None where ``combine`` refuses."""
+    ) -> Optional[Tuple[MapOutput, int]]:
+        """:meth:`combine` as the shuffle's row-form map output: exactly the
+        ``(output, records_written)`` that ``bucket_map_output`` returns for
+        ``batch.to_records()``, or None where ``combine`` refuses.  The
+        combined rows already leave in bucket order, so they are the
+        output's rows as they are."""
+        # shuffle -> dependencies -> columnar: imported here, not at the top.
+        from repro.engine.shuffle import map_output
+
         combined = self.combine(batch, n_buckets)
         if combined is None:
             return None
         merged, sizes = combined
         rows = _emit(merged.schema, merged.data, merged.length)
-        out: List[List[Any]] = []
-        start = 0
-        for size in sizes:
-            out.append(rows[start : start + size])
-            start += size
-        return out, merged.length
+        return map_output(rows, sizes), merged.length
 
 
 def _segment_sums(

@@ -15,6 +15,7 @@ memoised frontier is decided here and nowhere else.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.block_index import parse_block_id
@@ -266,10 +267,20 @@ class Readiness:
             return
         # Loss events: the frontiers are not a pure function of the cached
         # answers (the walk also consulted map availability), so an
-        # unchanged-answer repair cannot prove them valid.  Losses are rare
-        # (evictions, revocations) — drop the frontiers unconditionally.
-        for key in list(self._shuffle_dependents.get(shuffle_id, ())):
-            self._invalidate_node(key)
+        # unchanged-answer repair cannot prove them valid, and they are
+        # dropped unconditionally.  The shuffle's cached dependants and
+        # everything built on them are dropped too, not repaired: a
+        # revocation loses many maps of one shuffle at once, and only the
+        # first loss finds anything cached — the rest cost one dict probe
+        # per dependant, and the next walk re-resolves lazily.
+        cache = self._resolve_cache
+        queue = deque(self._shuffle_dependents.get(shuffle_id, ()))
+        while queue:
+            k = queue.popleft()
+            if cache.pop(k, None) is None:
+                continue
+            self.stats.readiness_invalidations += 1
+            queue.extend(self._dependents.get(k, ()))
         self.lost()
 
     def _on_checkpoint_event(self, rdd_id: int, partition: Optional[int], available: bool) -> None:

@@ -160,6 +160,7 @@ class TaskScheduler(ClusterListener):
         obs = self.context.obs
         for rt in doomed:
             self.env.events.cancel(rt.completion_event)
+            rt.completion_event = None  # the event's payload is rt: break the cycle
             del self.running[rt.spec.key]
             self._note_task_left(rt)
             self.stats.tasks_lost += 1
@@ -448,7 +449,7 @@ class TaskScheduler(ClusterListener):
         target_id = job.rdd.rdd_id if job is not None else None
         runtime = TaskRuntime(self.context, worker, target_id)
         try:
-            result, buckets = runtime.run(spec)
+            result, map_output = runtime.run(spec)
         except ShuffleFetchFailure:
             # A map output this task depends on vanished between the
             # readiness decision and the fetch (an injected revocation of
@@ -471,7 +472,7 @@ class TaskScheduler(ClusterListener):
             duration=duration,
             result=result,
             pending_puts=runtime.pending_puts,
-            map_buckets=buckets,
+            map_output=map_output,
             computed=runtime.computed,
             job=job,
         )
@@ -500,6 +501,9 @@ class TaskScheduler(ClusterListener):
 
     def _on_task_done(self, event) -> None:
         running: RunningTask = event.payload
+        # The event's payload is this task: without the back-reference the
+        # pair is freed by reference counting, not by the cyclic collector.
+        running.completion_event = None
         spec = running.spec
         self.running.pop(spec.key, None)
         self._note_task_left(running)
@@ -545,7 +549,7 @@ class TaskScheduler(ClusterListener):
             self.stats.map_tasks += 1
             try:
                 self.context.shuffle_manager.register_map_output(
-                    spec.dep, spec.partition, worker, running.map_buckets, spec.dep.rdd.record_size
+                    spec.dep, spec.partition, worker, running.map_output, spec.dep.rdd.record_size
                 )
             except DiskFullError as exc:
                 raise EngineError(

@@ -1,21 +1,27 @@
 """Hash shuffle machinery.
 
-Map tasks bucket their output by the shuffle's partitioner and write the
-buckets to their worker's *local* disk — which means a revocation destroys
-those map outputs and forces the map tasks to re-run, the behaviour behind
-the paper's shuffle-sensitive results (PageRank in Figures 7/8).  The
-``ShuffleManager`` is the driver-side MapOutputTracker: it knows which map
-outputs exist and where.
+Map tasks bucket their output by the shuffle's partitioner and write it to
+their worker's *local* disk — which means a revocation destroys those map
+outputs and forces the map tasks to re-run, the behaviour behind the paper's
+shuffle-sensitive results (PageRank in Figures 7/8).  The ``ShuffleManager``
+is the driver-side MapOutputTracker: it knows which map outputs exist and
+where.
 
-The bucket layout — which reducer a key goes to, in what order records leave
-a bucket — is defined once, below the manager: :func:`bucket_map_output`
-writes it and :func:`merge_reduce_buckets` reads it.
+A map output is one flat file plus an offset index, the layout of Spark's
+sort-based shuffle: a :class:`MapOutput` holds the task's rows in bucket
+order and R + 1 offsets, bucket ``r`` being ``rows[offsets[r]:offsets[r +
+1]]``.  :func:`map_output` is the one constructor.  The bucket layout —
+which reducer a key goes to, in what order records leave a bucket — is
+defined once, below the manager: :func:`bucket_map_output` writes it, a
+fetch slices the non-empty buckets out, and :func:`merge_reduce_buckets`
+reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Set, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.partitioner import HashPartitioner, stable_hash
@@ -26,13 +32,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.worker import Worker
 
 
+class MapOutput(NamedTuple):
+    """One map task's shuffle file: rows in bucket order plus an offset index.
+
+    Two containers whatever the reducer count, so the cyclic collector
+    rescans two objects per retained map output instead of one list per
+    reducer.
+    """
+
+    rows: List[Any]
+    #: R + 1 ascending offsets: bucket r is ``rows[offsets[r]:offsets[r + 1]]``.
+    offsets: Tuple[int, ...]
+
+
+def map_output(rows: List[Any], sizes: Iterable[int]) -> MapOutput:
+    """The :class:`MapOutput` of ``rows`` already in bucket order, given
+    each bucket's size."""
+    return MapOutput(rows, tuple(accumulate(sizes, initial=0)))
+
+
 @dataclass
 class MapStatus:
     """Location and per-reduce-bucket sizes of one map task's output."""
 
     worker_id: str
     disk_key: str
-    bucket_bytes: List[int]
+    bucket_bytes: Tuple[int, ...]
 
     @property
     def total_bytes(self) -> int:
@@ -44,16 +69,15 @@ class FetchPlan:
     """Precomputed fetch layout for one complete shuffle.
 
     Built once per (shuffle, output-epoch) and reused by every reduce task:
-    ``bucket_lists[map_id]`` is the map output's on-disk bucket list, and the
-    byte totals are pre-aggregated so a fetch resolves its local/remote split
-    with two list reads instead of an O(maps) status walk.  Any output
-    mutation (register, eviction, worker loss) bumps the shuffle's epoch,
-    invalidating the plan.
+    ``outputs[map_id]`` is the map output on disk, and the byte totals are
+    pre-aggregated so a fetch resolves its local/remote split with two list
+    reads instead of an O(maps) status walk.  Any output mutation (register,
+    eviction, worker loss) bumps the shuffle's epoch, invalidating the plan.
     """
 
     epoch: int
-    # map_id -> that map output's full bucket list (one entry per reducer).
-    bucket_lists: List[List[List[Any]]]
+    # map_id -> that map task's output.
+    outputs: List[MapOutput]
     # reduce_id -> total bytes across all map outputs.
     reduce_bytes: List[int]
     # worker_id -> (reduce_id -> bytes served from that worker).
@@ -160,26 +184,29 @@ class ShuffleManager:
         dep: ShuffleDependency,
         map_id: int,
         worker: "Worker",
-        buckets: List[List[Any]],
+        output: MapOutput,
         record_size: int,
     ) -> MapStatus:
-        """Store a map task's buckets on ``worker`` and record their location."""
-        if len(buckets) != dep.num_reduce_partitions:
+        """Store a map task's output on ``worker`` and record its location."""
+        offsets = output.offsets
+        if len(offsets) != dep.num_reduce_partitions + 1:
             raise ValueError(
-                f"expected {dep.num_reduce_partitions} buckets, got {len(buckets)}"
+                f"expected {dep.num_reduce_partitions} buckets, got {len(offsets) - 1}"
             )
-        bucket_bytes = [len(b) * record_size for b in buckets]
+        bucket_bytes = tuple([
+            (end - start) * record_size for start, end in zip(offsets, offsets[1:])
+        ])
         key = self._disk_key(dep.shuffle_id, map_id)
-        total = sum(bucket_bytes)
+        total = offsets[-1] * record_size
         missing = self._ensure_tracked(dep)
         try:
-            worker.local_disk.put(key, buckets, total)
+            worker.local_disk.put(key, output, total)
         except DiskFullError:
             # Old shuffle files are always recoverable through lineage,
             # so a full disk evicts them oldest-first (Spark's
             # ContextCleaner plays the analogous role via RDD GC).
             self._evict_local_state(worker, needed=total, keep_key=key)
-            worker.local_disk.put(key, buckets, total)
+            worker.local_disk.put(key, output, total)
         status = MapStatus(worker.worker_id, key, bucket_bytes)
         sid = dep.shuffle_id
         statuses = self._outputs.setdefault(sid, {})
@@ -259,7 +286,9 @@ class ShuffleManager:
         """Gather bucket ``reduce_id`` from every map output.
 
         Returns ``(buckets, local_bytes, remote_bytes)`` so the caller can
-        charge network time for the remote portion.
+        charge network time for the remote portion.  ``buckets`` holds the
+        non-empty buckets only, in map order: the merge loops iterate
+        buckets, so an empty one contributes nothing but a slice.
 
         Raises:
             ShuffleFetchFailure: when any map output has been lost.
@@ -275,7 +304,12 @@ class ShuffleManager:
         if missing:
             raise ShuffleFetchFailure(dep.shuffle_id, sorted(missing))
         plan = self._fetch_plan(dep)
-        buckets = [all_buckets[reduce_id] for all_buckets in plan.bucket_lists]
+        end = reduce_id + 1
+        buckets = [
+            rows[off[reduce_id]:off[end]]
+            for rows, off in plan.outputs
+            if off[reduce_id] != off[end]
+        ]
         total = plan.reduce_bytes[reduce_id]
         served = plan.worker_bytes.get(to_worker.worker_id)
         local_bytes = served[reduce_id] if served is not None else 0
@@ -316,13 +350,13 @@ class ShuffleManager:
         self.plans_built += 1
         statuses = self._outputs[sid]
         n_reduce = dep.num_reduce_partitions
-        bucket_lists: List[List[List[Any]]] = []
+        outputs: List[MapOutput] = []
         reduce_bytes = [0] * n_reduce
         worker_bytes: Dict[str, List[int]] = {}
         for map_id in range(dep.num_map_partitions):
             status = statuses[map_id]
             worker = self._workers[status.worker_id]
-            bucket_lists.append(worker.local_disk.get(status.disk_key))
+            outputs.append(worker.local_disk.get(status.disk_key))
             served = worker_bytes.get(status.worker_id)
             if served is None:
                 served = worker_bytes[status.worker_id] = [0] * n_reduce
@@ -331,7 +365,7 @@ class ShuffleManager:
                 nbytes = bb[r]
                 reduce_bytes[r] += nbytes
                 served[r] += nbytes
-        plan = FetchPlan(epoch, bucket_lists, reduce_bytes, worker_bytes)
+        plan = FetchPlan(epoch, outputs, reduce_bytes, worker_bytes)
         self._plans[sid] = plan
         return plan
 
@@ -447,20 +481,17 @@ def hash_sort_key(kv):
     return stable_hash(k)
 
 
-def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[List[List[Any]], int]:
-    """Split one map partition into per-reducer buckets.
+def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOutput, int]:
+    """Lay one map partition out as its :class:`MapOutput`.
 
-    Returns ``(buckets, records_written)``; with map-side combine the
-    buckets hold one combiner per distinct key, in hash order.
+    Returns ``(output, records_written)``.  Records keep their order within
+    a bucket; with map-side combine a bucket holds one combiner per
+    distinct key, in hash order.
     """
     n_buckets = dep.num_reduce_partitions
     partitioner = dep.partitioner
-    # ``num_reduce_partitions`` is the partitioner's own partition
-    # count, so a plain HashPartitioner's bucket choice can be inlined
-    # into the per-record loops (no function call per record).
-    hashed = type(partitioner) is HashPartitioner
-    pf = partitioner.partition_for
-    if dep.map_side_combine:
+    combine = dep.map_side_combine
+    if combine:
         create, merge_value, _merge_combiners = dep.aggregator
         # Combine into one table, then distribute: the partitioner runs
         # once per distinct key instead of once per record, and tiny
@@ -475,24 +506,12 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[List[
             combined[key] = (
                 create(value) if prev is _ABSENT else merge_value(prev, value)
             )
-        tables: List[List[Any]] = [[] for _ in range(n_buckets)]
-        if hashed:
-            for item in combined.items():
-                key = item[0]
-                if type(key) is int:
-                    tables[(key & 0x7FFFFFFF) % n_buckets].append(item)
-                else:
-                    tables[stable_hash(key) % n_buckets].append(item)
-        else:
-            for item in combined.items():
-                tables[pf(item[0])].append(item)
-        buckets = [
-            sorted(t, key=hash_sort_key) if len(t) > 1 else t
-            for t in tables
-        ]
-        return buckets, len(combined)
-    buckets = [[] for _ in range(n_buckets)]
-    if hashed:
+        records = combined.items()
+    buckets: List[List[Any]] = [[] for _ in range(n_buckets)]
+    # ``num_reduce_partitions`` is the partitioner's own partition count,
+    # so a plain HashPartitioner's bucket choice can be inlined into the
+    # per-record loop (no function call per record).
+    if type(partitioner) is HashPartitioner:
         for record in records:
             key = record[0]
             if type(key) is int:
@@ -500,13 +519,21 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[List[
             else:
                 buckets[stable_hash(key) % n_buckets].append(record)
     else:
+        pf = partitioner.partition_for
         for record in records:
             buckets[pf(record[0])].append(record)
-    return buckets, len(records)
+    rows: List[Any] = []
+    extend = rows.extend
+    for bucket in buckets:
+        if combine and len(bucket) > 1:
+            bucket.sort(key=hash_sort_key)
+        extend(bucket)
+    return map_output(rows, map(len, buckets)), len(rows)
 
 
 def merge_reduce_buckets(dep: ShuffleDependency, buckets: List[List[Any]]) -> List[Any]:
-    """One reducer's records from its fetched buckets (one per map output).
+    """One reducer's records from its fetched buckets (the non-empty ones,
+    in map order).
 
     With an aggregator the values merge per key and leave in hash order;
     without one the buckets concatenate untouched.

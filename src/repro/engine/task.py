@@ -17,6 +17,7 @@ from repro.obs import SpanEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.dependencies import ShuffleDependency
     from repro.engine.rdd import RDD
+    from repro.engine.shuffle import MapOutput
 
 
 class TaskKind(enum.Enum):
@@ -104,7 +105,7 @@ class RunningTask:
     # Deferred side effects captured by the data-plane execution:
     result: Any = None
     pending_puts: List[PendingPut] = field(default_factory=list)
-    map_buckets: Optional[List[List[Any]]] = None
+    map_output: Optional["MapOutput"] = None
     computed: List[ComputedPartition] = field(default_factory=list)
     completion_event: Any = None
     # The job whose frontier this task was dispatched from (None for

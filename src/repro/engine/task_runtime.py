@@ -13,7 +13,7 @@ from repro.engine.block_manager import block_id_for
 from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, from_records
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.lineage import fusion_edge
-from repro.engine.shuffle import bucket_map_output
+from repro.engine.shuffle import MapOutput, bucket_map_output
 from repro.engine.task import ComputedPartition, PendingPut, TaskKind, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -243,15 +243,16 @@ class TaskRuntime:
         return batch
 
     def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
-        """Gather one reduce bucket from all map outputs, charging transfer time."""
+        """Gather one reducer's non-empty buckets, in map order, charging
+        transfer time."""
         buckets, local_bytes, remote_bytes = self.context.shuffle_manager.fetch(
             dep, reduce_id, self.worker
         )
         self.charge(self.cost.network_time(remote_bytes) + self.cost.local_read_time(local_bytes))
         return buckets
 
-    def run(self, spec: TaskSpec) -> Tuple[Any, Optional[List[List[Any]]]]:
-        """Execute one task body; returns ``(result, map_buckets)``."""
+    def run(self, spec: TaskSpec) -> Tuple[Any, Optional[MapOutput]]:
+        """Execute one task body; returns ``(result, map_output)``."""
         if spec.kind == TaskKind.RESULT:
             data = self.iterator(spec.rdd, spec.partition)
             result = spec.func(data)
@@ -271,9 +272,9 @@ class TaskRuntime:
                     head = head.to_records()
                 else:
                     self.context.scheduler.stats.columnar_combines += 1
-            buckets, written = out or bucket_map_output(dep, head)
+            output, written = out or bucket_map_output(dep, head)
             self.charge(self.cost.shuffle_write_time(written * dep.rdd.record_size))
-            return None, buckets
+            return None, output
         # CHECKPOINT: the payload was captured at compute time; only the write costs.
         self.charge(self.context.env.dfs.write_duration(spec.nbytes))
         return None, None

@@ -7,11 +7,17 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.environment import Environment
 from repro.engine.context import FlintContext
+from repro.engine.shuffle import MapOutput, map_output
 from repro.market.market import OnDemandMarket, SpotMarket
 from repro.market.provider import CloudProvider
 from repro.simulation.clock import HOUR
 from repro.simulation.rng import SeededRNG
 from repro.traces.generators import peaky_trace
+
+
+def flat_output(buckets) -> MapOutput:
+    """The map output whose bucket ``r`` is ``buckets[r]``."""
+    return map_output([r for bucket in buckets for r in bucket], map(len, buckets))
 
 
 def build_on_demand_context(num_workers: int = 4, seed: int = 0):

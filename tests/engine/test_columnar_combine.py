@@ -2,9 +2,10 @@
 
 Three contracts (see :mod:`repro.engine.columnar`):
 
-- ``Sum.buckets`` builds, straight from a batch, exactly the buckets
-  ``shuffle.bucket_map_output`` builds from the same rows — same lists,
-  same Python types, float leaves equal by ``float.hex`` — or refuses, and
+- ``Sum.buckets`` builds, straight from a batch, exactly the map output
+  ``shuffle.bucket_map_output`` builds from the same rows — same rows and
+  offsets, same Python types, float leaves equal by ``float.hex`` — or
+  refuses, and
   a refusal runs the row loop with the same results;
 - a map head that feeds the declared combine is not turned back into rows
   unless something observes it, and a persisted partition is columnarised
@@ -110,8 +111,11 @@ def test_hash_ties_keep_first_occurrence_order():
     k = 12345
     records = [(k + 2**31, 1.0), (k, 2.0), (k - 2**31, 3.0), (k, 4.0), (k + 2**31, 5.0)]
     assert_matches_row_loop(records, 4)
-    (bucket,) = [b for b in SUM.buckets(from_records(records), 4)[0] if b]
-    assert [key for key, _ in bucket] == [k + 2**31, k, k - 2**31]
+    output, written = SUM.buckets(from_records(records), 4)
+    # The three keys share one hash, so one bucket holds all of them.
+    assert written == 3
+    assert sorted(b - a for a, b in zip(output.offsets, output.offsets[1:])) == [0, 0, 0, 3]
+    assert [key for key, _ in output.rows] == [k + 2**31, k, k - 2**31]
 
 
 def test_both_sides_of_the_density_threshold():

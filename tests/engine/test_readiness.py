@@ -16,7 +16,7 @@ from repro.engine.dependencies import ShuffleDependency
 from repro.engine.readiness import Readiness
 from repro.engine.scheduler import SchedulerStats
 from repro.engine.task import TaskKind
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, flat_output
 
 MAP, RESULT = TaskKind.SHUFFLE_MAP.value, TaskKind.RESULT.value
 
@@ -106,7 +106,7 @@ def _lineage(rdd):
 
 def _register(ctx, dep, map_id, worker):
     buckets = [[(map_id, r)] for r in range(dep.num_reduce_partitions)]
-    ctx.shuffle_manager.register_map_output(dep, map_id, worker, buckets, 100)
+    ctx.shuffle_manager.register_map_output(dep, map_id, worker, flat_output(buckets), 100)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -186,7 +186,14 @@ def test_frontier_matches_reference_after_every_event(seed):
             del running[rng.choice(sorted(running))]
             readiness.lost()
 
-    events = [block_put, block_evict, map_register, map_evict, worker_loss,
+    def shuffle_loss():
+        # Every map output of the first shuffle goes, one loss event per map;
+        # its reduce side feeds ``mid`` and then ``mid``'s maps: two narrow
+        # levels of cached dependants above the shuffle's own.
+        for worker_id in sm.serving_workers(deps[0].shuffle_id):
+            sm.remove_outputs_on(worker_id)
+
+    events = [block_put, block_evict, map_register, map_evict, worker_loss, shuffle_loss,
               checkpoint_write, checkpoint_discard, checkpoint_gc, straggler,
               deliver_undispatched, dispatch, dispatch, dispatch, complete, complete, complete]
     # Some outputs exist before the first resolve, so the first missing-map
@@ -253,3 +260,24 @@ def test_an_uncached_node_stops_the_invalidation_walk():
     assert readiness.stats.readiness_invalidations == before + 1
     assert readiness._resolve_cache[(shuffled.rdd_id, 0)] == (True, [])
     assert readiness._resolve_cache[(top.rdd_id, 0)] is stale
+
+
+@pytest.mark.parametrize("lost", ["one", "all"])
+def test_losing_maps_of_one_shuffle_drops_its_dependants_once(lost):
+    ctx, _running, readiness = _harness(2)
+    shuffled, dep = _incomplete_shuffle(ctx)
+    top = shuffled.map(lambda kv: kv).map(lambda kv: kv)
+    doomed, spare = ctx.cluster.live_workers()
+    for m in range(dep.num_map_partitions):
+        _register(ctx, dep, m, doomed if lost == "all" or m == 0 else spare)
+    for p in range(top.num_partitions):
+        assert readiness._resolve(top, p)[0] is True
+    before = readiness.stats.readiness_invalidations
+    ctx.shuffle_manager.remove_outputs_on(doomed.worker_id)
+    assert len(ctx.shuffle_manager.missing_maps(dep)) == (4 if lost == "all" else 1)
+    # Three levels (shuffled, its map, top) per reduce partition, however
+    # many map outputs went: the first loss drops them, the rest find
+    # nothing cached.
+    assert readiness.stats.readiness_invalidations - before == 3 * top.num_partitions
+    assert not any(key[0] == top.rdd_id for key in readiness._resolve_cache)
+    assert readiness._resolve(top, 0)[0] is False

@@ -6,7 +6,7 @@ from repro.engine.dependencies import ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import ShuffleManager
 from repro.market.instance import Instance
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, flat_output
 
 
 def test_old_shuffle_files_evicted_when_disk_fills():
@@ -19,7 +19,7 @@ def test_old_shuffle_files_evicted_when_disk_fills():
     deps = [ShuffleDependency(rdd, HashPartitioner(1)) for _ in range(4)]
     # Each output is 1000B; the third registration must evict the first.
     for dep in deps[:3]:
-        manager.register_map_output(dep, 0, worker, [[(1, 1)] * 10], 100)
+        manager.register_map_output(dep, 0, worker, flat_output([[(1, 1)] * 10]), 100)
     assert not manager.has_map_output(deps[0].shuffle_id, 0)
     assert manager.has_map_output(deps[1].shuffle_id, 0)
     assert manager.has_map_output(deps[2].shuffle_id, 0)

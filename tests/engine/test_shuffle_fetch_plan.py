@@ -14,7 +14,7 @@ from repro.engine.dependencies import ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import ShuffleManager
 from repro.market.instance import Instance
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, flat_output
 
 
 def make_setup(num_maps=3, num_reduces=2, num_workers=2):
@@ -31,9 +31,9 @@ def make_setup(num_maps=3, num_reduces=2, num_workers=2):
 
 
 def _register_all(manager, dep, workers):
-    manager.register_map_output(dep, 0, workers[0], [[(1, 1)], [(2, 2), (3, 3)]], 100)
-    manager.register_map_output(dep, 1, workers[1], [[(4, 4)], []], 100)
-    manager.register_map_output(dep, 2, workers[1], [[], [(5, 5)]], 100)
+    manager.register_map_output(dep, 0, workers[0], flat_output([[(1, 1)], [(2, 2), (3, 3)]]), 100)
+    manager.register_map_output(dep, 1, workers[1], flat_output([[(4, 4)], []]), 100)
+    manager.register_map_output(dep, 2, workers[1], flat_output([[], [(5, 5)]]), 100)
 
 
 def test_plan_is_built_once_and_hit_afterwards():
@@ -53,7 +53,8 @@ def test_planned_fetch_matches_locality_accounting():
     manager, dep, workers = make_setup()
     _register_all(manager, dep, workers)
     buckets, local, remote = manager.fetch(dep, 1, workers[1])
-    assert buckets == [[(2, 2), (3, 3)], [], [(5, 5)]]
+    # Map 1's bucket for reducer 1 is empty, so it is not fetched at all.
+    assert buckets == [[(2, 2), (3, 3)], [(5, 5)]]
     # Map 0 (200 bytes of reduce 1) lives on w-0; maps 1-2 on the fetcher.
     assert local == 100
     assert remote == 200
@@ -69,7 +70,7 @@ def test_reregistration_invalidates_plan():
     epoch = manager.output_epoch(dep.shuffle_id)
     # Speculative re-run lands map 1's output on the other worker: the
     # cached plan's byte split is stale and must be rebuilt.
-    manager.register_map_output(dep, 1, workers[0], [[(4, 4)], []], 100)
+    manager.register_map_output(dep, 1, workers[0], flat_output([[(4, 4)], []]), 100)
     assert manager.output_epoch(dep.shuffle_id) > epoch
     _, local, remote = manager.fetch(dep, 0, workers[0])
     assert manager.plans_built == 2
@@ -86,10 +87,10 @@ def test_worker_loss_invalidates_plan_and_counters():
     assert manager.output_bytes(dep) == manager.output_bytes_by_scan(dep) == 300
     assert manager.missing_maps(dep) == [1, 2]
     # Re-register and fetch again: fresh plan, fresh accounting.
-    manager.register_map_output(dep, 1, workers[0], [[(4, 4)], []], 100)
-    manager.register_map_output(dep, 2, workers[0], [[], [(5, 5)]], 100)
+    manager.register_map_output(dep, 1, workers[0], flat_output([[(4, 4)], []]), 100)
+    manager.register_map_output(dep, 2, workers[0], flat_output([[], [(5, 5)]]), 100)
     buckets, local, remote = manager.fetch(dep, 0, workers[0])
-    assert buckets == [[(1, 1)], [(4, 4)], []]
+    assert buckets == [[(1, 1)], [(4, 4)]]
     assert (local, remote) == (200, 0)
 
 
@@ -100,7 +101,7 @@ def test_output_bytes_counter_matches_scan_throughout():
     assert manager.output_bytes(dep) == manager.output_bytes_by_scan(dep) == 500
     # Replacing an output swaps its contribution instead of double counting.
     manager.register_map_output(
-        dep, 0, workers[0], [[(1, 1)], [(2, 2), (3, 3), (9, 9)]], 100
+        dep, 0, workers[0], flat_output([[(1, 1)], [(2, 2), (3, 3), (9, 9)]]), 100
     )
     assert manager.output_bytes(dep) == manager.output_bytes_by_scan(dep) == 600
     manager.remove_outputs_on("w-1")
