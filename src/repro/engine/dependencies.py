@@ -25,6 +25,29 @@ def identity(value):
     return value
 
 
+def group_create(value):
+    """``group_by_key``'s create_combiner: a key's values, in order, as a list."""
+    return [value]
+
+
+def group_append(group, value):
+    """``group_by_key``'s merge_value."""
+    group.append(value)
+    return group
+
+
+def group_extend(group, more):
+    """``group_by_key``'s merge_combiners."""
+    group.extend(more)
+    return group
+
+
+#: ``group_by_key``'s aggregator.  Combined map-side it is declared (see
+#: :attr:`ShuffleDependency.declared_group`): the shuffle runs these same
+#: three steps, but stores each group as a tuple nobody else sees.
+GROUP = (group_create, group_append, group_extend)
+
+
 class Dependency:
     """Base class; holds the parent RDD."""
 
@@ -82,6 +105,12 @@ class ShuffleDependency(Dependency):
             run from a lowered batch (``Sum.buckets``) — else None.  A
             subclass of ``Sum`` is not declared: its own ``__call__`` and
             the kernel could disagree.
+        declared_group: True when this is ``group_by_key`` (the
+            :data:`GROUP` aggregator) combining map-side.  The map side
+            appends to a list only its task sees and stores ``(key,
+            tuple(values))``; the reducer builds one fresh list per key.
+            Stored groups never alias a reducer's output, and groups of
+            atomic values are invisible to the cyclic collector.
     """
 
     def __init__(
@@ -96,9 +125,20 @@ class ShuffleDependency(Dependency):
         self.aggregator = aggregator
         self.map_side_combine = map_side_combine and aggregator is not None
         self.declared_sum: Optional[Sum] = None
-        if self.map_side_combine and type(partitioner) is HashPartitioner:
+        self.declared_group = False
+        if self.map_side_combine:
             create, merge, merge_combiners = aggregator
-            if create is identity and merge_combiners is merge and type(merge) is Sum:
+            self.declared_group = (
+                create is group_create
+                and merge is group_append
+                and merge_combiners is group_extend
+            )
+            if (
+                type(partitioner) is HashPartitioner
+                and create is identity
+                and merge_combiners is merge
+                and type(merge) is Sum
+            ):
                 self.declared_sum = merge
         self.shuffle_id = next(_shuffle_ids)
 

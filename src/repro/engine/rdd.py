@@ -15,10 +15,7 @@ import functools
 import operator
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.dependencies import (
-    Dependency,
-    identity,
-)
+from repro.engine.dependencies import GROUP, Dependency, identity
 from repro.engine.partitioner import HashPartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -332,7 +329,12 @@ class RDD:
         merge_combiners: Callable[[Any, Any], Any],
         num_partitions: Optional[int] = None,
     ) -> "RDD":
-        """The general keyed aggregation primitive (with map-side combine)."""
+        """The general keyed aggregation primitive (with map-side combine).
+
+        Treat combiners as immutable, as in Spark: a shuffle file keeps
+        the map side's combiners, and a key held by one map output reaches
+        the reducer's output as that very object.
+        """
         from repro.engine import transformations as t
 
         partitioner = HashPartitioner(self._default_partitions(num_partitions))
@@ -345,13 +347,9 @@ class RDD:
         return self.combine_by_key(identity, fn, fn, num_partitions)
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
-        """Group values per key into lists (combined map-side, unlike Spark)."""
-        return self.combine_by_key(
-            lambda v: [v],
-            lambda acc, v: acc + [v],
-            lambda a, b: a + b,
-            num_partitions,
-        )
+        """Group values per key into a fresh list each, in map order (combined
+        map-side, unlike Spark; see ``ShuffleDependency.declared_group``)."""
+        return self.combine_by_key(*GROUP, num_partitions)
 
     def partition_by(self, partitioner: HashPartitioner) -> "RDD":
         """Repartition pair records by key without aggregation."""

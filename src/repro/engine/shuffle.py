@@ -9,18 +9,23 @@ where.
 
 A map output is one flat file plus an offset index, the layout of Spark's
 sort-based shuffle: a :class:`MapOutput` holds the task's rows in bucket
-order and R + 1 offsets, bucket ``r`` being ``rows[offsets[r]:offsets[r +
-1]]``.  :func:`map_output` is the one constructor.  The bucket layout —
-which reducer a key goes to, in what order records leave a bucket — is
-defined once, below the manager: :func:`bucket_map_output` writes it, a
-fetch slices the non-empty buckets out, and :func:`merge_reduce_buckets`
-reads them.
+order, as an immutable tuple, and R + 1 offsets, bucket ``r`` being
+``rows[offsets[r]:offsets[r + 1]]``.  :func:`map_output` is the one
+constructor.  The bucket layout — which reducer a key goes to, in what
+order records leave a bucket — is defined once, below the manager:
+:func:`bucket_map_output` writes it, a fetch slices the non-empty buckets
+out (tuples too), and :func:`merge_reduce_buckets` reads them.
+
+Stored shuffle state is kept out of the cyclic collector's way: CPython
+untracks a tuple whose items are all untracked, so a retained file of
+atomic-valued records — and ``group_by_key``'s ``(key, tuple(values))``
+combiners — costs a full collection nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.engine.dependencies import ShuffleDependency
@@ -35,20 +40,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MapOutput(NamedTuple):
     """One map task's shuffle file: rows in bucket order plus an offset index.
 
-    Two containers whatever the reducer count, so the cyclic collector
-    rescans two objects per retained map output instead of one list per
-    reducer.
+    Two tuples whatever the reducer count.  Neither can change once
+    written, and when every record is made of atomic values the collector
+    untracks them both, so a retained map output costs a full collection
+    nothing.
     """
 
-    rows: List[Any]
+    rows: Tuple[Any, ...]
     #: R + 1 ascending offsets: bucket r is ``rows[offsets[r]:offsets[r + 1]]``.
     offsets: Tuple[int, ...]
 
 
-def map_output(rows: List[Any], sizes: Iterable[int]) -> MapOutput:
+def map_output(rows: Iterable[Any], sizes: Iterable[int]) -> MapOutput:
     """The :class:`MapOutput` of ``rows`` already in bucket order, given
     each bucket's size."""
-    return MapOutput(rows, tuple(accumulate(sizes, initial=0)))
+    return MapOutput(tuple(rows), tuple(accumulate(sizes, initial=0)))
 
 
 @dataclass
@@ -282,13 +288,14 @@ class ShuffleManager:
 
     def fetch(
         self, dep: ShuffleDependency, reduce_id: int, to_worker: "Worker"
-    ) -> Tuple[List[List[Any]], int, int]:
+    ) -> Tuple[List[Tuple[Any, ...]], int, int]:
         """Gather bucket ``reduce_id`` from every map output.
 
         Returns ``(buckets, local_bytes, remote_bytes)`` so the caller can
         charge network time for the remote portion.  ``buckets`` holds the
-        non-empty buckets only, in map order: the merge loops iterate
-        buckets, so an empty one contributes nothing but a slice.
+        non-empty buckets only, in map order, each an immutable tuple
+        slice: the merge loops iterate buckets, so an empty one contributes
+        nothing but a slice.
 
         Raises:
             ShuffleFetchFailure: when any map output has been lost.
@@ -486,7 +493,8 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOu
 
     Returns ``(output, records_written)``.  Records keep their order within
     a bucket; with map-side combine a bucket holds one combiner per
-    distinct key, in hash order.
+    distinct key, in hash order — a declared group's as ``(key,
+    tuple(values))``.
     """
     n_buckets = dep.num_reduce_partitions
     partitioner = dep.partitioner
@@ -506,7 +514,11 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOu
             combined[key] = (
                 create(value) if prev is _ABSENT else merge_value(prev, value)
             )
-        records = combined.items()
+        if dep.declared_group:
+            # The lists were this task's alone; the file keeps them frozen.
+            records = zip(combined, map(tuple, combined.values()))
+        else:
+            records = combined.items()
     buckets: List[List[Any]] = [[] for _ in range(n_buckets)]
     # ``num_reduce_partitions`` is the partitioner's own partition count,
     # so a plain HashPartitioner's bucket choice can be inlined into the
@@ -522,21 +534,22 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOu
         pf = partitioner.partition_for
         for record in records:
             buckets[pf(record[0])].append(record)
-    rows: List[Any] = []
-    extend = rows.extend
-    for bucket in buckets:
-        if combine and len(bucket) > 1:
-            bucket.sort(key=hash_sort_key)
-        extend(bucket)
-    return map_output(rows, map(len, buckets)), len(rows)
+    if combine:
+        for bucket in buckets:
+            if len(bucket) > 1:
+                bucket.sort(key=hash_sort_key)
+    output = map_output(chain.from_iterable(buckets), map(len, buckets))
+    return output, len(output.rows)
 
 
-def merge_reduce_buckets(dep: ShuffleDependency, buckets: List[List[Any]]) -> List[Any]:
+def merge_reduce_buckets(dep: ShuffleDependency, buckets: List[Tuple[Any, ...]]) -> List[Any]:
     """One reducer's records from its fetched buckets (the non-empty ones,
     in map order).
 
     With an aggregator the values merge per key and leave in hash order;
-    without one the buckets concatenate untouched.
+    without one the buckets concatenate untouched.  A declared group's
+    stored tuples are never handed on: each key's first one is copied into
+    a fresh list, which the rest extend.
     """
     if dep.aggregator is None:
         out: List[Any] = []
@@ -546,7 +559,14 @@ def merge_reduce_buckets(dep: ShuffleDependency, buckets: List[List[Any]]) -> Li
     create, merge_value, merge_combiners = dep.aggregator
     merged: Dict[Any, Any] = {}
     get = merged.get
-    if dep.map_side_combine:
+    if dep.declared_group:
+        for bucket in buckets:
+            for key, values in bucket:
+                prev = get(key, _ABSENT)
+                merged[key] = (
+                    list(values) if prev is _ABSENT else merge_combiners(prev, values)
+                )
+    elif dep.map_side_combine:
         # Map side already produced combiners.
         for bucket in buckets:
             for key, value in bucket:

@@ -242,9 +242,9 @@ class TaskRuntime:
             stats.fused_stages += len(stages)
         return batch
 
-    def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
-        """Gather one reducer's non-empty buckets, in map order, charging
-        transfer time."""
+    def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[Tuple[Any, ...]]:
+        """Gather one reducer's non-empty buckets, in map order, as
+        immutable tuple slices of the stored files, charging transfer time."""
         buckets, local_bytes, remote_bytes = self.context.shuffle_manager.fetch(
             dep, reduce_id, self.worker
         )

@@ -10,7 +10,8 @@ while misses run normally and fill the cache.
 The key is a *structural* fingerprint of the query's RDD plan:
 :func:`lineage_fingerprint` walks the lineage DAG in deterministic BFS
 order and hashes, per node, the operator type, partitioning, cost hints,
-edge structure, and a best-effort description of every closure (bytecode,
+edge structure (a shuffle edge with its aggregator and map-side combine
+flag), and a best-effort description of every closure (bytecode,
 constants, defaults, captured cells) and source dataset.  Two plans built
 independently — by different sessions, in different submission orders — that
 describe the same computation hash identically; plans differing in any
@@ -30,6 +31,7 @@ import hashlib
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
+from repro.engine.dependencies import ShuffleDependency
 from repro.engine.lineage import ancestors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,6 +166,11 @@ def lineage_fingerprint(
         _feed(hasher, f"size:{node._record_size!r}")
         for dep in node.dependencies:
             _feed(hasher, f"edge:{type(dep).__name__}:{position[dep.rdd.rdd_id]}")
+            if isinstance(dep, ShuffleDependency):
+                # The aggregator lives on the edge, not the node: without
+                # it reduce_by_key(add) and reduce_by_key(max) hash alike.
+                _feed(hasher, f"combine:{dep.map_side_combine}")
+                _describe_value(hasher, dep.aggregator)
         for key in sorted(vars(node)):
             if key in _SKIP_ATTRS or key == "name":
                 continue

@@ -2,11 +2,13 @@
 
 Two contracts (see :mod:`repro.engine.shuffle`):
 
-- a registered map output costs the cyclic collector two containers,
-  whatever the number of reducers;
+- a registered map output costs the cyclic collector at most two
+  containers, whatever the number of reducers (none once its records are
+  atomic, see ``test_group_combine.py``);
 - a fetch returns, for its reducer, exactly the buckets a per-reducer
   bucketing of every map's records gives — the seed's list-of-lists layout,
-  kept below as the reference — with the empty ones left out, in map order.
+  kept below as the reference — as tuples, with the empty ones left out,
+  in map order.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ def test_fetch_equals_the_list_of_lists_reference(combine, keys, partitioner, se
         manager.register_map_output(dep, map_id, rng.choice(workers), output, 100)
     for reduce_id in range(n_reduce):
         buckets, local, remote = manager.fetch(dep, reduce_id, rng.choice(workers))
-        expected = [m[reduce_id] for m in want if m[reduce_id]]
+        expected = [tuple(m[reduce_id]) for m in want if m[reduce_id]]
         assert buckets == expected
+        assert all(type(bucket) is tuple for bucket in buckets)
         assert local + remote == 100 * sum(map(len, expected))

@@ -43,7 +43,7 @@ def test_fetch_concatenates_buckets_and_accounts_locality():
     manager.register_map_output(dep, 0, workers[0], flat_output([[(1, 1)], [(2, 2)]]), 100)
     manager.register_map_output(dep, 1, workers[1], flat_output([[(3, 3)], [(4, 4)]]), 100)
     buckets, local, remote = manager.fetch(dep, 0, workers[0])
-    assert buckets == [[(1, 1)], [(3, 3)]]
+    assert buckets == [((1, 1),), ((3, 3),)]
     assert local == 100  # map 0 lives on the fetching worker
     assert remote == 100
 

@@ -54,7 +54,7 @@ def test_planned_fetch_matches_locality_accounting():
     _register_all(manager, dep, workers)
     buckets, local, remote = manager.fetch(dep, 1, workers[1])
     # Map 1's bucket for reducer 1 is empty, so it is not fetched at all.
-    assert buckets == [[(2, 2), (3, 3)], [(5, 5)]]
+    assert buckets == [((2, 2), (3, 3)), ((5, 5),)]
     # Map 0 (200 bytes of reduce 1) lives on w-0; maps 1-2 on the fetcher.
     assert local == 100
     assert remote == 200
@@ -90,7 +90,7 @@ def test_worker_loss_invalidates_plan_and_counters():
     manager.register_map_output(dep, 1, workers[0], flat_output([[(4, 4)], []]), 100)
     manager.register_map_output(dep, 2, workers[0], flat_output([[], [(5, 5)]]), 100)
     buckets, local, remote = manager.fetch(dep, 0, workers[0])
-    assert buckets == [[(1, 1)], [(4, 4)]]
+    assert buckets == [((1, 1),), ((4, 4),)]
     assert (local, remote) == (200, 0)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import build_engine_context
+from repro.engine.partitioner import HashPartitioner
 from repro.server import (
     CacheInvariantError,
     JobServer,
@@ -49,6 +50,23 @@ def test_fingerprint_distinguishes_plans(ctx):
     assert lineage_fingerprint(different_op) != base
     assert lineage_fingerprint(_plan(ctx), action="count") != base
     assert lineage_fingerprint(_plan(ctx), params=("x",)) != base
+
+
+def test_fingerprint_distinguishes_shuffle_aggregators(ctx):
+    # The aggregator lives on the shuffle edge, not on any node: a sum, a
+    # max and a group over the same input are three different queries.
+    pairs = ctx.parallelize([(x % 5, x) for x in range(40)], 4)
+    plans = [
+        pairs.reduce_by_key(lambda a, b: a + b, 2),
+        pairs.reduce_by_key(max, 2),
+        pairs.group_by_key(2),
+        pairs.partition_by(HashPartitioner(2)),
+    ]
+    keys = {lineage_fingerprint(plan) for plan in plans}
+    assert len(keys) == len(plans)
+    # ...and the description stays structural, session to session.
+    again = ctx.parallelize([(x % 5, x) for x in range(40)], 4).reduce_by_key(max, 2)
+    assert lineage_fingerprint(again) == lineage_fingerprint(plans[1])
 
 
 def test_fingerprint_ignores_names_and_persistence(ctx):
