@@ -441,9 +441,9 @@ def portfolio_selector(market_ids: Sequence[str]) -> Selector:
 class LongHorizonConfig:
     """Scale knobs for a portfolio sweep over weeks of simulated time.
 
-    The defaults are the perf-gate scenario: a 1000-node cluster diversified
-    over a 4-market portfolio, running back-to-back canonical jobs across two
-    weeks of trace.  ``repro longrun --nodes 10000 --weeks 4`` reaches the
+    The defaults are a 1000-node cluster diversified over a 4-market
+    portfolio, running back-to-back canonical jobs across two weeks of
+    trace.  ``repro longrun --nodes 10000 --weeks 4`` reaches the
     paper-scale month-long, 10k-node question interactively because every
     billing segment is an O(log breakpoints) curve query.
     """

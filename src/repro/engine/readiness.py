@@ -7,9 +7,9 @@ when a block, shuffle output, or checkpoint actually appears or disappears
 checkpoint registry).  A round with no state change copies a memoised
 frontier instead of re-walking the lineage DAG.
 
-The scheduler calls five verbs — ``frontier``, ``dispatched``,
-``result_delivered``, ``lost``, ``retire`` — so which events invalidate a
-memoised frontier is decided here and nowhere else.
+The scheduler calls four verbs — ``frontier``, ``dispatched``, ``lost``,
+``retire`` — so which events invalidate a memoised frontier is decided here
+and nowhere else.
 ``tests/engine/test_readiness.py`` holds every frontier to a cache-free walk.
 """
 
@@ -41,9 +41,9 @@ class Readiness:
         self.stats = stats
         #: job id -> memoised ready frontier, keyed by spec key in walk
         #: order (absent = must rebuild next round).  Specs leave the dict
-        #: the moment they stop being dispatch candidates — dispatched,
-        #: result delivered, or map output registered — so a round reads the
-        #: frontier as a plain ``values()`` copy with no per-spec checks.
+        #: the moment they stop being dispatch candidates — dispatched or
+        #: map output registered — so a round reads the frontier as a plain
+        #: ``values()`` copy with no per-spec checks.
         self._frontiers: Dict[int, Dict[Tuple, TaskSpec]] = {}
         #: job id -> RESULT specs in partition order, built once — the
         #: frontier rebuild filters these instead of re-allocating specs.
@@ -72,15 +72,15 @@ class Readiness:
     def frontier(self, job: "JobHandle") -> List[TaskSpec]:
         """``job``'s dispatch candidates, in the frozen walk order.
 
-        Between rebuilds only three things change a spec's candidacy: it
-        gets dispatched (now in ``running``; a fresh walk would skip it
-        without expanding anything, since ready specs contribute no
-        children), its result arrives (the walk would not push its root),
-        or its map output registers (the walk never visits available
-        maps).  Each of those transitions pops the spec from the frontier
-        dict at the event itself — :meth:`dispatched`,
-        :meth:`result_delivered`, and ``_on_shuffle_event`` — so the
-        surviving dict *is* the walk's answer and a round just copies it.
+        Between rebuilds only two things change a spec's candidacy: it gets
+        dispatched (now in ``running``; a fresh walk would skip it without
+        expanding anything, since ready specs contribute no children), or
+        its map output registers (the walk never visits available maps).
+        Each pops the spec from the frontier dict at the event itself —
+        :meth:`dispatched` and ``_on_shuffle_event`` — so the surviving dict
+        *is* the walk's answer and a round just copies it.  A result needs
+        no pop of its own: its spec left every frontier when it was
+        dispatched, and a rebuild while it runs skips it as running.
 
         The pops are sound because every transition is monotone while the
         frontier is valid: results never unset, availability only flips off
@@ -103,12 +103,6 @@ class Readiness:
         keys embed the job id and only ever hit their owner's dict.
         """
         for ready in self._frontiers.values():
-            ready.pop(key, None)
-
-    def result_delivered(self, job: "JobHandle", key: Tuple) -> None:
-        """``job`` received the result of its spec ``key``."""
-        ready = self._frontiers.get(job.job_id)
-        if ready is not None:
             ready.pop(key, None)
 
     def lost(self) -> None:

@@ -559,7 +559,6 @@ class TaskScheduler(ClusterListener):
             self.stats.result_tasks += 1
             if job is not None and not job.done:
                 job.set_result(spec.partition, running.result)
-                self.readiness.result_delivered(job, spec.key)
         elif spec.kind == TaskKind.CHECKPOINT:
             self.stats.checkpoint_tasks += 1
             self.stats.checkpoint_time_total += running.duration

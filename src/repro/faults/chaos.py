@@ -559,7 +559,7 @@ def _trace_failure(
             raise_on_violation=False,
             trace=True,
         )
-    except Exception as exc:
+    except Exception as exc:  # the plan may have failed by crashing; it is already recorded
         print(f"  trace rerun failed: {type(exc).__name__}: {exc}")
         return
     trace_path = os.path.join(trace_dir, f"{stem}.trace.json")

@@ -52,7 +52,6 @@ class LoadPoint:
     queued_peak: int = 0
     sim_makespan: float = 0.0
     scheduler_stats: Dict[str, object] = field(default_factory=dict)
-    sizing: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -166,10 +165,6 @@ def run_load_point(
         queued_peak=stats.queued_peak,
         sim_makespan=round(makespan, 6),
         scheduler_stats=dataclasses.asdict(ctx.scheduler.stats),
-        sizing={
-            "record_size_memo_hits": ctx.record_size_memo_hits,
-            "record_size_memo_misses": ctx.record_size_memo_misses,
-        },
     )
 
 

@@ -138,10 +138,6 @@ def run_multitenant(
     report["revocations"] = len(ctx.cluster.revocation_log)
     report["session"] = shared.describe()
     report["scheduler_stats"] = dataclasses.asdict(ctx.scheduler.stats)
-    report["sizing"] = {
-        "record_size_memo_hits": ctx.record_size_memo_hits,
-        "record_size_memo_misses": ctx.record_size_memo_misses,
-    }
     report["client_retries"] = sum(a.retries for a in analysts)
     server.close()
     return report

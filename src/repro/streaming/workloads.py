@@ -268,8 +268,8 @@ def run_recovery_benchmark(
     batch latency and the task count the recovery batch needed — the
     quantities checkpointing shrinks.
 
-    Everything reported is simulated (deterministic for a fixed seed), so
-    the numbers double as perf-gate anchors.
+    Everything reported is simulated (deterministic for a fixed seed);
+    ``tests/streaming/test_state.py`` pins both runs' numbers exactly.
     """
     if not 0 <= revoke_after_batch < num_batches - 1:
         raise ValueError("revoke_after_batch must leave at least one batch after it")

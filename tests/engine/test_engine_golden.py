@@ -3,7 +3,9 @@
 ``golden_engine.json`` was captured once, at the last commit that still
 carried the legacy scheduler, the unfused row plane and the process/async
 executors, and every one of those 24 configurations reproduced it.  Those
-forks are gone; the fixture is what they agreed on.  Each row pins a
+forks are gone; the fixture is what they agreed on.  The two
+``*/lineage_rev1`` rows came later, captured under both surviving planes
+from the code just before they were added.  Each row pins a
 scenario's simulated runtime and accrued billing (``float.hex``, so the
 comparison is bit-for-bit), the scheduler's task books, and a digest of the
 action results.
@@ -59,6 +61,9 @@ BATCH = {
     ),
 }
 REVOCATIONS = (0, 1, 2, 5)
+#: Workloads also pinned under a revocation with lineage recovery only (no
+#: checkpointing); PageRank's is ``bench`` ``recovery`` ``ckpt0_fail1``.
+LINEAGE_ONLY = ("kmeans", "als")
 
 DSTREAMS = {
     "identity": lambda ctx: StreamingIdentityWorkload(
@@ -115,15 +120,19 @@ def _revoke(ctx, count, at):
     ctx.env.schedule_in(at, "inject-failures", callback=inject)
 
 
-def run_batch(name, revocations):
-    """A checkpointed batch workload with concurrent mid-run revocations.
+def run_batch(name, revocations, checkpointing=True):
+    """A batch workload with concurrent mid-run revocations.
 
-    The kill lands at half the failure-free runtime, read off the
-    workload's own zero-revocation row so every row replays on its own.
+    The kill lands at half the checkpointed failure-free runtime, read off
+    the workload's own ``rev0`` row so every row replays on its own.
+    Without ``checkpointing`` no fault-tolerance manager runs and the lost
+    partitions are recomputed from lineage alone.
     """
     ctx = build_engine_context(num_workers=6, seed=0)
-    manager = FaultToleranceManager(ctx, lambda: 1 * HOUR, min_tau=30.0)
-    manager.start()
+    manager = None
+    if checkpointing:
+        manager = FaultToleranceManager(ctx, lambda: 1 * HOUR, min_tau=30.0)
+        manager.start()
     workload = BATCH[name](ctx)
     workload.load()
     if revocations:
@@ -132,7 +141,8 @@ def run_batch(name, revocations):
     t0 = ctx.now
     result = workload.run()
     runtime = ctx.now - t0
-    manager.stop()
+    if manager is not None:
+        manager.stop()
     return _row(ctx, runtime, result), ctx.scheduler.stats
 
 
@@ -167,7 +177,6 @@ def run_tenants(policy):
     (ctx,) = captured
     # Plane-local diagnostics; everything else in the report is contract.
     report.pop("scheduler_stats")
-    report.pop("sizing")
     return _row(ctx, ctx.now, report), ctx.scheduler.stats
 
 
@@ -201,6 +210,8 @@ def _scenarios():
     for name in BATCH:
         for revocations in REVOCATIONS:
             table[f"{name}/rev{revocations}"] = functools.partial(run_batch, name, revocations)
+    for name in LINEAGE_ONLY:
+        table[f"{name}/lineage_rev1"] = functools.partial(run_batch, name, 1, checkpointing=False)
     for revocations in (0, 1):
         table[f"state_stream/rev{revocations}"] = functools.partial(run_state_stream, revocations)
     for name in DSTREAMS:

@@ -168,18 +168,9 @@ def test_frontier_matches_reference_after_every_event(seed):
             return
         spec = running.pop(rng.choice(sorted(running)))
         if spec.kind == TaskKind.RESULT:
-            job = jobs[spec.job_id]
-            job.delivered.add(spec.partition)
-            readiness.result_delivered(job, spec.key)
+            jobs[spec.job_id].delivered.add(spec.partition)
         else:
             _register(ctx, spec.dep, spec.partition, rng.choice(workers))
-
-    def deliver_undispatched():
-        ready = [s for job in jobs for s in frontiers[job.job_id] if s.kind == TaskKind.RESULT]
-        if ready:
-            spec = rng.choice(ready)
-            jobs[spec.job_id].delivered.add(spec.partition)
-            readiness.result_delivered(jobs[spec.job_id], spec.key)
 
     def straggler():
         if running:
@@ -195,7 +186,7 @@ def test_frontier_matches_reference_after_every_event(seed):
 
     events = [block_put, block_evict, map_register, map_evict, worker_loss, shuffle_loss,
               checkpoint_write, checkpoint_discard, checkpoint_gc, straggler,
-              deliver_undispatched, dispatch, dispatch, dispatch, complete, complete, complete]
+              dispatch, dispatch, dispatch, complete, complete, complete]
     # Some outputs exist before the first resolve, so the first missing-map
     # lists are not the full sets and must be rebuilt when an output is lost.
     for dep in deps:

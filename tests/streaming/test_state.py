@@ -37,6 +37,11 @@ def _expiring_update(new_values, old_state):
     return None if total >= 3 else total
 
 
+def _hex_floats(report):
+    """``report`` with every float as ``float.hex``, for bit-exact equality."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+
 def test_update_state_running_totals(ctx):
     workload = StreamingWordCountWorkload(
         ctx, lines_per_batch=400, partitions=8, num_batches=4, seed=23,
@@ -160,6 +165,25 @@ def test_recovery_recomputes_from_last_checkpoint_not_batch_zero():
     assert on["steady_batch_latency"] == pytest.approx(
         off["steady_batch_latency"], rel=0.25
     )
+    # Every reported number is simulated, so both runs are pinned exactly.
+    assert _hex_floats(on) == {
+        "steady_batch_latency": "0x1.08c6a7ef9db28p+3",
+        "recovery_batch_latency": "0x1.3d4f41f212d70p+4",
+        "recovery_overhead": "0x1.71d7dbf487fb8p+3",
+        "recovery_tasks": 40,
+        "records_per_second": "0x1.c6142ec3683b2p+5",
+        "state_checkpoint_marks": "0x1.0000000000000p+3",
+        "final_state_keys": "0x1.e000000000000p+4",
+    }
+    assert _hex_floats(off) == {
+        "steady_batch_latency": "0x1.08b851eb851ecp+3",
+        "recovery_batch_latency": "0x1.ee8538ef34d88p+5",
+        "recovery_overhead": "0x1.ac5724745390dp+5",
+        "recovery_tasks": 168,
+        "records_per_second": "0x1.b8ee050f635ddp+5",
+        "state_checkpoint_marks": "0x0.0p+0",
+        "final_state_keys": "0x1.e000000000000p+4",
+    }
 
 
 def test_recovery_benchmark_validates_revocation_point():
