@@ -155,7 +155,7 @@ class SystemCheckpointManager:
                 # Snapshots rewrite everything: drop the stale copy so the
                 # scheduler's has-partition dedupe doesn't skip the write.
                 # Deleting via the registry keeps its change listeners (and
-                # the scheduler's cached readiness state) in sync.
+                # the scheduler's memoised frontiers) in sync.
                 registry.discard_partition(rdd, partition)
                 inflated = int(nbytes * self.system_overhead_factor)
                 spec = TaskSpec(

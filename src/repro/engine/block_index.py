@@ -8,9 +8,9 @@ mapping on the driver, maintained synchronously by the per-worker block
 managers on every put / evict / drop / revocation, so existence checks are
 one dict lookup and location queries are O(#holders) (almost always 1).
 
-Listeners (the incremental scheduler) are notified on every add/remove so
-cached readiness decisions can be invalidated exactly when a block appears
-or disappears, instead of being recomputed every scheduling round.
+Listeners (the scheduler's readiness) are notified on every add/remove, so
+a memoised frontier is re-walked only when a block its walk read as stored
+disappears or one it read as blocked appears.
 """
 
 from __future__ import annotations

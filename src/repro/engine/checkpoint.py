@@ -44,7 +44,7 @@ class CheckpointRegistry:
         self.gc_deleted = 0
         #: Callbacks ``(rdd_id, partition | None, available: bool)`` fired
         #: when a checkpoint lands or is deleted (partition None = whole
-        #: RDD).  The incremental scheduler hooks readiness invalidation in.
+        #: RDD), so readiness can drop frontiers whose walks read it.
         self._listeners: List[Callable[[int, Optional[int], bool], None]] = []
         #: Fault-injection point: consulted at the top of ``record_write``;
         #: returning True makes the write raise :class:`CheckpointWriteError`
@@ -121,7 +121,7 @@ class CheckpointRegistry:
         """Delete one partition's checkpoint (system-snapshot epoch resets).
 
         Routing deletes through the registry keeps change listeners (and so
-        the scheduler's cached readiness decisions) consistent with the DFS.
+        the scheduler's memoised frontiers) consistent with the DFS.
         """
         deleted = self.dfs.delete(self.path_for(rdd.rdd_id, partition))
         if deleted:

@@ -133,8 +133,8 @@ class ShuffleManager:
         self.bytes_fetched_local = 0
         self.missing_queries = 0
         #: Callbacks ``(shuffle_id, map_id, available: bool)`` fired whenever
-        #: a map output appears or is lost (the incremental scheduler's
-        #: readiness-invalidation hook).
+        #: a map output appears or is lost, so readiness can pop a
+        #: registered map spec and drop frontiers that read a lost output.
         self._listeners: List[Callable[[int, int, bool], None]] = []
         #: Fault-injection point: when set, ``on_shuffle_fetch`` fires at the
         #: top of every :meth:`fetch`, before the missing-map check — so an
@@ -174,15 +174,6 @@ class ShuffleManager:
     def _invalidate_plan(self, shuffle_id: int) -> None:
         """Bump the shuffle's output epoch, retiring any cached fetch plan."""
         self._plan_epochs[shuffle_id] = self._plan_epochs.get(shuffle_id, 0) + 1
-
-    def output_epoch(self, shuffle_id: int) -> int:
-        """Monotone version of the shuffle's output set.
-
-        Bumped on every register, eviction, and loss — so any derived
-        structure (fetch plans, the scheduler's missing-spec lists) is
-        valid exactly while the epoch it was built at still matches.
-        """
-        return self._plan_epochs.get(shuffle_id, 0)
 
     # ------------------------------------------------------------------
     def register_map_output(

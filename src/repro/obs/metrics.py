@@ -6,13 +6,36 @@ any per-entity label folded into the last segment (``market.spend.us-east-1a``,
 machinery.  Like the event bus, a disabled registry costs one attribute
 check per call site.
 
-Histogram percentiles use the same deterministic nearest-rank rule as the
-job server's SLO report, so numbers line up across reports.
+:func:`percentile` is the one nearest-rank rule: histograms and the job
+server's SLO report both use it, so numbers line up across reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import math
+from fractions import Fraction
+from typing import Any, Dict, List, Optional, Sequence
+
+
+def percentile(values: Sequence[float], q: float) -> Optional[float]:
+    """Nearest-rank percentile (deterministic, no interpolation).
+
+    The rank is ``ceil(q * n)`` computed *exactly*: ``q`` is snapped to the
+    nearest rational with denominator <= 1000 (so the binary float closest
+    to 0.29 means 29/100, not 0.29000000000000003...), and the ceiling is
+    taken in rational arithmetic.  Naive ``int(q * 1000)`` truncation picks
+    a rank one too low for exactly those q values whose float repr rounds
+    down — e.g. q=0.29, n=1000 gave rank 289 instead of 290.
+    """
+    if not values:
+        return None
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    ordered = sorted(values)
+    n = len(ordered)
+    rank = int(math.ceil(Fraction(q).limit_denominator(1000) * n))
+    rank = max(1, min(rank, n))
+    return ordered[rank - 1]
 
 
 class Histogram:
@@ -35,14 +58,8 @@ class Histogram:
         return sum(self.values)
 
     def percentile(self, q: float) -> Optional[float]:
-        """Nearest-rank percentile, ``q`` in (0, 1]; None when empty."""
-        if not self.values:
-            return None
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        ordered = sorted(self.values)
-        rank = max(1, -(-int(q * 1000) * len(ordered) // 1000))
-        return ordered[min(rank, len(ordered)) - 1]
+        """Nearest-rank :func:`percentile`, ``q`` in (0, 1]; None when empty."""
+        return percentile(self.values, q)
 
     def summary(self) -> Dict[str, Optional[float]]:
         """Count/sum/extremes plus the p50/p95/p99 ladder."""

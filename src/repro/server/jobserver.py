@@ -37,15 +37,14 @@ until a queued query finishes.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.pools import DEFAULT_POOL
 from repro.engine.scheduler import EngineError
 from repro.obs import SpanEvent
+from repro.obs.metrics import percentile
 from repro.server.journal import JobJournal
 from repro.server.result_cache import ResultCache
 from repro.server.session import Session
@@ -148,27 +147,6 @@ class ServerStats:
     queued_peak: int = 0
     rejected_by_pool: Dict[str, int] = field(default_factory=dict)
     rejected_by_reason: Dict[str, int] = field(default_factory=dict)
-
-
-def percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (deterministic, no interpolation).
-
-    The rank is ``ceil(q * n)`` computed *exactly*: ``q`` is snapped to the
-    nearest rational with denominator <= 1000 (so the binary float closest
-    to 0.29 means 29/100, not 0.29000000000000003...), and the ceiling is
-    taken in rational arithmetic.  Naive ``int(q * 1000)`` truncation picks
-    a rank one too low for exactly those q values whose float repr rounds
-    down — e.g. q=0.29, n=1000 gave rank 289 instead of 290.
-    """
-    if not values:
-        return None
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    ordered = sorted(values)
-    n = len(ordered)
-    rank = int(math.ceil(Fraction(q).limit_denominator(1000) * n))
-    rank = max(1, min(rank, n))
-    return ordered[rank - 1]
 
 
 class JobServer:

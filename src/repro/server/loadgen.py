@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from repro.obs.metrics import percentile
 from repro.server.clients import OpenLoopClient
-from repro.server.jobserver import JobServer, PoolConfig, ServerConfig, percentile
+from repro.server.jobserver import JobServer, PoolConfig, ServerConfig
 from repro.server.tenancy import TenancyConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -83,7 +83,7 @@ def test_gc_notifies_listeners_even_when_dfs_already_empty():
     deleted externally), ``delete_prefix`` finds nothing — but listeners
     still need the ``(rdd_id, None, False)`` notification and the registry
     must drop its stale ``_written`` record, or the scheduler keeps serving
-    cached readiness decisions backed by checkpoints that no longer exist.
+    a memoised frontier that read checkpoints that no longer exist.
     """
     ctx = build_on_demand_context(2)
     a = ctx.parallelize(list(range(8)), 2)

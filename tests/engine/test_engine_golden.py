@@ -13,7 +13,7 @@ action results.
 Both surviving data planes run every row: the columnar plane and the fused
 row plane it falls back to (``FLINT_COLUMNAR=0``).  The rows are only worth
 something if the optimisations under test actually ran, so each scenario
-also asserts that the incremental resolver, chain fusion and (where the
+also asserts that the memoised frontiers, chain fusion and (where the
 workload carries batch kernels) columnar lowering were engaged.
 """
 
@@ -250,9 +250,9 @@ def test_golden_row(monkeypatch, name, columnar):
     if stats is None:
         return
     # The optimisations must be engaged, not silently bypassed.
-    if stats.map_tasks:  # a shuffle-free job resolves each node exactly once
-        assert stats.resolve_cache_hits > 0
     assert stats.readiness_rebuilds <= stats.scheduling_rounds
+    if stats.map_tasks:  # multi-stage jobs read their memoised frontier most rounds
+        assert stats.readiness_rebuilds < stats.scheduling_rounds / 2
     if name.startswith(_FUSES):
         assert stats.fused_chains > 0
         assert stats.fused_stages >= stats.fused_chains

@@ -1,21 +1,27 @@
-"""``Readiness`` against a cache-free reference, event by event.
+"""``Readiness`` against a memo-free reference, event by event.
 
-The incremental resolver keeps eight structures consistent across change
-events; the reference below keeps none — it re-walks the lineage from the
-live block index, shuffle manager and checkpoint registry every time.  After
-every event of a seeded random sequence the two must name the same frontier
-in the same order.
+``Readiness`` memoises each job's frontier and drops it only on an event
+that touches what the walk read; the reference below remembers nothing — it
+re-walks the lineage from the live block index, shuffle manager and
+checkpoint registry every time.  After every event of a seeded random
+sequence the two must name the same frontier in the same order.  Directed
+tests pin each read-set rule, and that nothing is retained once no job is
+in flight.
 """
 
+import functools
 import random
 
 import pytest
 
+from repro.analysis.experiments import build_engine_context
 from repro.engine.block_manager import block_id_for
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.readiness import Readiness
 from repro.engine.scheduler import SchedulerStats
 from repro.engine.task import TaskKind
+from repro.server.scenario import run_multitenant
+from repro.streaming import StreamingWordCountWorkload
 from tests.conftest import build_on_demand_context, flat_output
 
 MAP, RESULT = TaskKind.SHUFFLE_MAP.value, TaskKind.RESULT.value
@@ -179,16 +185,15 @@ def test_frontier_matches_reference_after_every_event(seed):
 
     def shuffle_loss():
         # Every map output of the first shuffle goes, one loss event per map;
-        # its reduce side feeds ``mid`` and then ``mid``'s maps: two narrow
-        # levels of cached dependants above the shuffle's own.
+        # its reduce side feeds ``mid`` and then ``mid``'s maps.
         for worker_id in sm.serving_workers(deps[0].shuffle_id):
             sm.remove_outputs_on(worker_id)
 
     events = [block_put, block_evict, map_register, map_evict, worker_loss, shuffle_loss,
               checkpoint_write, checkpoint_discard, checkpoint_gc, straggler,
               dispatch, dispatch, dispatch, complete, complete, complete]
-    # Some outputs exist before the first resolve, so the first missing-map
-    # lists are not the full sets and must be rebuilt when an output is lost.
+    # Some outputs exist before the first walk, so its missing-map lists are
+    # not the full sets.
     for dep in deps:
         for m in rng.sample(range(dep.num_map_partitions), 2):
             _register(ctx, dep, m, rng.choice(workers))
@@ -202,6 +207,8 @@ def test_frontier_matches_reference_after_every_event(seed):
             want = reference_frontier(ctx, running, job)
             assert got == want, f"seed {seed} step {step} after {event.__name__}, job {job.job_id}"
     stats = readiness.stats
+    # ``mid`` is reached both through the union and through its shuffle's
+    # maps: the per-walk memo answers the second path.
     assert stats.resolve_cache_hits and stats.readiness_invalidations
     assert stats.readiness_rebuilds < 2 * 400  # most reads are served memoised
 
@@ -213,62 +220,115 @@ def _incomplete_shuffle(ctx):
     return shuffled, shuffled.dependencies[0]
 
 
-def test_needed_unchanged_same_length_is_pairwise_identity():
-    ctx, _running, readiness = _harness()
-    _shuffled, dep = _incomplete_shuffle(ctx)
-    s0, s1 = readiness._map_spec(dep, 0), readiness._map_spec(dep, 1)
-    assert readiness._needed_unchanged([s0, s1], [s0, s1])
-    assert not readiness._needed_unchanged([s1, s0], [s0, s1])
-    twin = type(s1)(TaskKind.SHUFFLE_MAP, dep.rdd, 1, dep=dep)  # equal key, not interned
-    assert twin.key == s1.key
-    assert not readiness._needed_unchanged([s0, twin], [s0, s1])
 
 
-def test_needed_unchanged_tolerates_only_gaps_that_became_available():
-    ctx, _running, readiness = _harness()
-    _shuffled, dep = _incomplete_shuffle(ctx)
-    s0, s1, s2, s3 = (readiness._map_spec(dep, m) for m in range(4))
-    assert not readiness._needed_unchanged([s0, s2], [s0, s1, s2])  # map 1 still missing
-    _register(ctx, dep, 1, ctx.cluster.live_workers()[0])
-    assert readiness._needed_unchanged([s0, s2], [s0, s1, s2])
-    assert readiness._needed_unchanged([], [s1])
-    assert not readiness._needed_unchanged([s0, s2, s3], [s0, s1, s2])  # growth
-    assert not readiness._needed_unchanged([s2, s0], [s0, s1, s2])  # reorder
+def _keys(readiness, job):
+    return [spec.key for spec in readiness.frontier(job)]
 
 
-def test_an_uncached_node_stops_the_invalidation_walk():
-    ctx, _running, readiness = _harness()
-    shuffled, _dep = _incomplete_shuffle(ctx)
-    middle = shuffled.map(lambda kv: kv)
-    top = middle.map(lambda kv: kv)
-    assert readiness._resolve(top, 0)[0] is False
-    stale = readiness._resolve_cache[(top.rdd_id, 0)]
-    del readiness._resolve_cache[(middle.rdd_id, 0)]
-    before = readiness.stats.readiness_invalidations
-    # The shuffled partition turns ready: its decision changes, so the walk
-    # cascades to its dependant — which is uncached, and ends the walk there.
-    ctx.cluster.live_workers()[0].block_manager.put(block_id_for(shuffled.rdd_id, 0), [], 100)
-    assert readiness.stats.readiness_invalidations == before + 1
-    assert readiness._resolve_cache[(shuffled.rdd_id, 0)] == (True, [])
-    assert readiness._resolve_cache[(top.rdd_id, 0)] is stale
+def _rebuilds_after(readiness, job, event):
+    """Rebuilds the next read of ``job``'s frontier pays for ``event``."""
+    readiness.frontier(job)
+    before = readiness.stats.readiness_rebuilds
+    event()
+    readiness.frontier(job)
+    return readiness.stats.readiness_rebuilds - before
 
 
-@pytest.mark.parametrize("lost", ["one", "all"])
-def test_losing_maps_of_one_shuffle_drops_its_dependants_once(lost):
-    ctx, _running, readiness = _harness(2)
+def test_an_add_rebuilds_only_on_a_node_read_as_blocked():
+    ctx, running, readiness = _harness()
     shuffled, dep = _incomplete_shuffle(ctx)
-    top = shuffled.map(lambda kv: kv).map(lambda kv: kv)
-    doomed, spare = ctx.cluster.live_workers()
+    job = _Job(0, shuffled.map(lambda kv: kv))
+    worker = ctx.cluster.live_workers()[0]
+
+    def put(rdd, p):
+        return lambda: worker.block_manager.put(block_id_for(rdd.rdd_id, p), [], 100)
+
+    unread = ctx.parallelize([1], 1, record_size=100)
+    assert _rebuilds_after(readiness, job, put(unread, 0)) == 0
+    # The map side's input was read, as ready: it stays ready.
+    assert _rebuilds_after(readiness, job, put(dep.rdd, 0)) == 0
+    # shuffled[0] was read as blocked on the shuffle: its result turns ready.
+    assert _rebuilds_after(readiness, job, put(shuffled, 0)) == 1
+    assert (RESULT, job.rdd.rdd_id, 0, 0) in _keys(readiness, job)
+    assert _keys(readiness, job) == reference_frontier(ctx, running, job)
+
+
+def test_removing_one_of_two_holders_of_a_stored_block_keeps_the_frontier():
+    ctx, running, readiness = _harness()
+    shuffled, _dep = _incomplete_shuffle(ctx)
+    job = _Job(0, shuffled.map(lambda kv: kv))
+    block = block_id_for(shuffled.rdd_id, 0)
+    first, second = ctx.cluster.live_workers()[:2]
+    for worker in (first, second):
+        worker.block_manager.put(block, [], 100)
+    assert (RESULT, job.rdd.rdd_id, 0, 0) in _keys(readiness, job)
+    assert _rebuilds_after(readiness, job, lambda: first.block_manager.remove(block)) == 0
+    assert _rebuilds_after(readiness, job, lambda: second.block_manager.remove(block)) == 1
+    assert (RESULT, job.rdd.rdd_id, 0, 0) not in _keys(readiness, job)
+    assert _keys(readiness, job) == reference_frontier(ctx, running, job)
+
+
+def test_checkpoint_gc_of_a_stored_ancestor_rewalks_to_its_lost_shuffle():
+    ctx, running, readiness = _harness(2)
+    shuffled, dep = _incomplete_shuffle(ctx)
+    registry, sm = ctx.checkpoints, ctx.shuffle_manager
+    mid = shuffled.map(lambda kv: kv)  # checkpointed but not persisted: collectable
+    job = _Job(0, mid.map(lambda kv: kv))
+    sibling = mid.map(lambda kv: kv)  # checkpointing it makes mid's checkpoint garbage
+    doomed, _spare = ctx.cluster.live_workers()
     for m in range(dep.num_map_partitions):
-        _register(ctx, dep, m, doomed if lost == "all" or m == 0 else spare)
-    for p in range(top.num_partitions):
-        assert readiness._resolve(top, p)[0] is True
-    before = readiness.stats.readiness_invalidations
-    ctx.shuffle_manager.remove_outputs_on(doomed.worker_id)
-    assert len(ctx.shuffle_manager.missing_maps(dep)) == (4 if lost == "all" else 1)
-    # Three levels (shuffled, its map, top) per reduce partition, however
-    # many map outputs went: the first loss drops them, the rest find
-    # nothing cached.
-    assert readiness.stats.readiness_invalidations - before == 3 * top.num_partitions
-    assert not any(key[0] == top.rdd_id for key in readiness._resolve_cache)
-    assert readiness._resolve(top, 0)[0] is False
+        _register(ctx, dep, m, doomed)
+    for p in range(mid.num_partitions):
+        registry.record_write(mid, p, [], 100, ctx.now)
+    results = [(RESULT, job.rdd.rdd_id, p, 0) for p in reversed(range(job.rdd.num_partitions))]
+    assert _keys(readiness, job) == results
+    sm.remove_outputs_on(doomed.worker_id)  # mid's checkpoint still covers the loss
+    assert _keys(readiness, job) == results
+    for p in range(sibling.num_partitions):
+        registry.record_write(sibling, p, [], 100, ctx.now)
+    assert _rebuilds_after(readiness, job, lambda: registry.gc_after_checkpoint(sibling)) == 1
+    maps = _keys(readiness, job)
+    assert sorted(maps) == [(MAP, dep.shuffle_id, m) for m in range(dep.num_map_partitions)]
+    assert maps == reference_frontier(ctx, running, job)
+
+
+def _retained(readiness):
+    """Entries in every ``Readiness`` structure but the scheduler's ``_running``."""
+    return {
+        name: len(value)
+        for name, value in vars(readiness).items()
+        if isinstance(value, (dict, set, list)) and name != "_running"
+    }
+
+
+def test_no_readiness_state_outlives_the_jobs():
+    ctx = build_engine_context(num_workers=4, seed=0)
+    StreamingWordCountWorkload(
+        ctx, lines_per_batch=40, partitions=4, num_batches=100, seed=23,
+        checkpointing=True, initial_delta=20.0, max_tau=60.0,
+    ).run()
+    assert ctx.scheduler.stats.jobs_completed >= 100
+    contexts = [ctx]
+    run_multitenant(policy="fair", num_workers=4, seed=1234, queries=2,
+                    context_hook=contexts.append)
+    for context in contexts:
+        assert not context.scheduler._jobs
+        retained = _retained(context.scheduler.readiness)
+        assert {"_frontiers", "_root_specs", "_stored", "_blocked", "_waiting"} <= set(retained)
+        assert not any(retained.values()), retained
+
+
+def test_only_the_registration_completing_a_waiting_shuffle_rebuilds():
+    ctx, running, readiness = _harness()
+    shuffled, dep = _incomplete_shuffle(ctx)
+    job = _Job(0, shuffled.map(lambda kv: kv))
+    worker = ctx.cluster.live_workers()[0]
+    *first, last = range(dep.num_map_partitions)
+    register = functools.partial(_register, ctx, dep)
+    for m in first:  # each registration only pops its own map spec
+        assert _rebuilds_after(readiness, job, functools.partial(register, m, worker)) == 0
+        assert (MAP, dep.shuffle_id, m) not in _keys(readiness, job)
+    assert _rebuilds_after(readiness, job, functools.partial(register, last, worker)) == 1
+    assert _keys(readiness, job) == reference_frontier(ctx, running, job)
+    assert all(key[0] == RESULT for key in _keys(readiness, job))

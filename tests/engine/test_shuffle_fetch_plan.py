@@ -67,11 +67,9 @@ def test_reregistration_invalidates_plan():
     manager, dep, workers = make_setup()
     _register_all(manager, dep, workers)
     manager.fetch(dep, 0, workers[0])
-    epoch = manager.output_epoch(dep.shuffle_id)
     # Speculative re-run lands map 1's output on the other worker: the
     # cached plan's byte split is stale and must be rebuilt.
     manager.register_map_output(dep, 1, workers[0], flat_output([[(4, 4)], []]), 100)
-    assert manager.output_epoch(dep.shuffle_id) > epoch
     _, local, remote = manager.fetch(dep, 0, workers[0])
     assert manager.plans_built == 2
     assert (local, remote) == (200, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs import Observability, tracing_enabled_by_env
 from repro.obs.events import EVENT_KINDS, EventBus, SpanEvent
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, percentile
 
 
 def span(kind="task", name="t", start=0.0, **kw):
@@ -103,6 +103,15 @@ def test_histogram_nearest_rank_percentiles():
     assert hist.percentile(1.0) == 100.0
     with pytest.raises(ValueError):
         hist.percentile(0.0)
+
+
+def test_histogram_percentile_is_the_exact_nearest_rank():
+    hist = Histogram()
+    values = [float(v) for v in range(1, 1871)]
+    for v in values:
+        hist.observe(v)
+    # ceil(0.3162 * 1870) = 592; truncating q to 316/1000 gave rank 591.
+    assert hist.percentile(0.3162) == 592.0 == percentile(values, 0.3162)
 
 
 def test_env_gating(monkeypatch):

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import build_engine_context
+from repro.obs.metrics import percentile
 from repro.server import (
     JobRejected,
     JobServer,
     PoolConfig,
     ServerConfig,
 )
-from repro.server.jobserver import percentile
 
 
 @pytest.fixture
