@@ -15,12 +15,12 @@ class JobHandle:
     """A submitted job: inspect it, wait on it, time it.
 
     The scheduler keeps its per-job books (results per partition, tasks in
-    flight) on this same object.  ``wait()`` pumps the simulation loop
-    exactly like the seed's blocking ``run_job`` did, so a lone job driven
-    through a handle is bit-identical to the synchronous path.  Waits may
-    nest: an interactive client's ``wait()`` can run from an arrival event
-    fired inside a batch job's own wait loop, and the multiplexed rounds
-    give both jobs slots.
+    flight) on this same object.  ``wait()`` drives the simulation through
+    the scheduler's one drive loop (``TaskScheduler.pump``) until the job
+    retires, so a lone job driven through a handle is bit-identical to the
+    synchronous path.  Waits may nest: an interactive client's ``wait()``
+    can run from an arrival event fired inside a batch job's own wait, and
+    the multiplexed rounds give both jobs slots.
     """
 
     _UNSET = object()
@@ -81,29 +81,17 @@ class JobHandle:
         from repro.engine.scheduler import EngineError  # scheduler imports this module
 
         scheduler = self._scheduler
-        env = scheduler.env
         try:
-            while not self.done:
-                if not env.events:
-                    raise EngineError(
-                        "scheduler deadlock: job incomplete but no pending events "
-                        f"(live workers: {scheduler.cluster.size})"
-                    )
-                env.step()
-                scheduler._schedule_round()
+            scheduler.pump(lambda: self.done, f"job {self.name!r}")
         except BaseException:
             # Mirror the seed's ``finally: self.job = None``: an exception
-            # unwinding through the wait loop abandons the job rather than
+            # unwinding through the wait abandons the job rather than
             # leaving it wedged in the in-flight set.
             scheduler._finish(self, failed=True)
             raise
         if self.failed:
             raise EngineError(f"job {self.name!r} was abandoned")
         return list(self.results)
-
-    def result(self) -> List[Any]:
-        """Alias for :meth:`wait`."""
-        return self.wait()
 
     def span(self, end: float, status: str, tasks: int) -> SpanEvent:
         return SpanEvent(

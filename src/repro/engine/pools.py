@@ -52,8 +52,6 @@ class Pool:
     priority: str = "batch"
     # Live accounting, maintained by the scheduler.
     running_tasks: int = field(default=0, compare=False)
-    jobs_submitted: int = field(default=0, compare=False)
-    jobs_finished: int = field(default=0, compare=False)
     tasks_completed: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -73,10 +71,6 @@ class Pool:
     def priority_rank(self) -> int:
         """Interactive pools sort strictly before batch pools."""
         return 0 if self.priority == "interactive" else 1
-
-    @property
-    def active_jobs(self) -> int:
-        return self.jobs_submitted - self.jobs_finished
 
 
 def allocation_order(

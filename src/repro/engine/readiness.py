@@ -5,7 +5,7 @@ The walk that builds it records what it read — *stored* nodes (in a block or
 checkpoint), *blocked* nodes (not ready), *waiting* shuffles (incomplete) —
 and the change listeners on the block index, shuffle manager and checkpoint
 registry drop the frontiers only on an event that can change one of those
-answers.  Resolve answers live for one walk, so once no job is in flight
+answers, and then tell the scheduler a round is due.  Resolve answers live for one walk, so once no job is in flight
 nothing is retained.  The scheduler calls four verbs — ``frontier``,
 ``dispatched``, ``lost``, ``retire``; ``tests/engine/test_readiness.py``
 holds every frontier to a memo-free walk.
@@ -13,7 +13,7 @@ holds every frontier to a memo-free walk.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.block_index import parse_block_id
 from repro.engine.dependencies import ShuffleDependency
@@ -29,11 +29,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Readiness:
     """Memoised per-job ready frontiers, watched through what their walks read."""
 
-    def __init__(self, context: "FlintContext", running: Dict[Tuple, Any], stats: "SchedulerStats"):
+    def __init__(
+        self,
+        context: "FlintContext",
+        running: Dict[Tuple, Any],
+        stats: "SchedulerStats",
+        on_change: Callable[[], None],
+    ):
         self.context = context
         #: The scheduler's in-flight table, read (never written) by the walk.
         self._running = running
         self.stats = stats
+        #: Called when a change event drops the frontiers: a round is due.
+        self._on_change = on_change
         #: job id -> memoised ready frontier, keyed by spec key in walk
         #: order (absent = must rebuild next round); see :meth:`frontier`.
         self._frontiers: Dict[int, Dict[Tuple, TaskSpec]] = {}
@@ -178,10 +186,12 @@ class Readiness:
     # Change events: drop the frontiers only when a read answer can change
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
-        """An event changed what a frontier read: count it, drop them all."""
+        """An event changed what a frontier read: count it, drop them all,
+        and ask the scheduler for a round."""
         if self._frontiers:
             self.stats.readiness_invalidations += 1
             self.lost()
+            self._on_change()
 
     def _on_node_event(self, key: Tuple[int, int], added: bool) -> None:
         if added:

@@ -66,9 +66,9 @@ class SchedulerStats:
     # (both only occur under injected faults or real mid-dispatch loss).
     fetch_failures: int = 0
     checkpoint_write_failures: int = 0
-    # Incremental-readiness observability: rounds run, how often a cached
-    # resolve answered, how many cached decisions events invalidated, how
-    # often the ready list had to be rebuilt, and the deepest ready queue.
+    # Readiness observability: rounds run, resolves the per-walk memo
+    # answered and computed, change events that dropped the memoised
+    # frontiers, frontier walks, and the deepest ready queue.
     scheduling_rounds: int = 0
     resolve_cache_hits: int = 0
     resolve_cache_misses: int = 0
@@ -141,21 +141,24 @@ class TaskScheduler(ClusterListener):
         # the outer round loops until no round is pending.
         self._in_round = False
         self._round_pending = False
-        self.readiness = Readiness(context, self.running, self.stats)
+        # Set by _request_round, cleared as a round starts (see pump).
+        self._round_due = False
+        self.readiness = Readiness(context, self.running, self.stats, self._request_round)
         self.ft_hooks = FaultToleranceHooks(self)
         self.cluster.add_listener(self)
         for worker in self.cluster.live_workers():
             self._register_worker(worker)
 
     # ------------------------------------------------------------------
-    # Cluster listener hooks
+    # Cluster listener hooks.  Revocation and termination are notified after
+    # ``Worker.kill``, whose death listeners already dropped the worker's
+    # blocks and map outputs and told Readiness.
     # ------------------------------------------------------------------
     def on_worker_joined(self, worker: "Worker", t: float) -> None:
         self._register_worker(worker)
         self._schedule_round()
 
     def on_worker_revoked(self, worker: "Worker", t: float) -> None:
-        self.context.shuffle_manager.remove_outputs_on(worker.worker_id)
         doomed = [rt for rt in self.running.values() if rt.worker_id == worker.worker_id]
         obs = self.context.obs
         for rt in doomed:
@@ -172,13 +175,9 @@ class TaskScheduler(ClusterListener):
         self._schedule_round()
 
     def on_worker_terminated(self, worker: "Worker", t: float) -> None:
-        # Deliberate shutdown loses local state exactly like a revocation;
-        # dropping the outputs keeps the shuffle missing-sets truthful
-        # (queries against a dead worker already answered "missing").  Tasks
-        # in flight there surface as stragglers when their events fire.
-        self.context.shuffle_manager.remove_outputs_on(worker.worker_id)
+        # Tasks in flight there surface as stragglers, which report
+        # ``lost()``, when their events fire.
         self.slots.forget_worker(worker.worker_id)
-        self.readiness.lost()
 
     def _register_worker(self, worker: "Worker") -> None:
         self.context.adopt_worker(worker)
@@ -225,11 +224,6 @@ class TaskScheduler(ClusterListener):
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
-    @property
-    def active_jobs(self) -> List[JobHandle]:
-        """Every job currently in flight, in submission order."""
-        return list(self._jobs.values())
-
     def submit_job(
         self,
         rdd: "RDD",
@@ -249,7 +243,7 @@ class TaskScheduler(ClusterListener):
         job = JobHandle(self, rdd, func, self._next_job_id, pool, name, on_done)
         self._next_job_id += 1
         self.stats.jobs_submitted += 1
-        self.get_pool(pool).jobs_submitted += 1
+        self.get_pool(pool)  # an unknown pool name creates the pool
         self._jobs[job.job_id] = job
         if len(self._jobs) > self.stats.concurrent_jobs_peak:
             self.stats.concurrent_jobs_peak = len(self._jobs)
@@ -286,7 +280,6 @@ class TaskScheduler(ClusterListener):
         job.finished_at = self.env.now
         self._jobs.pop(job.job_id, None)
         self.readiness.retire(job)
-        self.pools[job.pool].jobs_finished += 1
         if failed:
             self.stats.jobs_failed += 1
         else:
@@ -321,6 +314,7 @@ class TaskScheduler(ClusterListener):
         if self.context.checkpoints.has_partition(spec.rdd, spec.partition):
             return False
         self._checkpoint_queue[spec.key] = spec
+        self._request_round()
         return True
 
     def enqueue_checkpoints_for(self, rdd: "RDD") -> int:
@@ -354,17 +348,35 @@ class TaskScheduler(ClusterListener):
     # ------------------------------------------------------------------
     # Scheduling rounds
     # ------------------------------------------------------------------
-    def pump(self) -> None:
-        """Public pump: run scheduling rounds until the frontier is drained.
+    def pump(self, until: Optional[Callable[[], bool]] = None, what: str = "driver") -> None:
+        """The engine's one drive loop: step events until ``until()`` holds.
 
-        The supported surface for drivers that interleave event stepping
-        with scheduling (the job server's blocking ``run_query``, client
-        drive loops, system baselines, tests).  Safe to call at any time:
-        re-entrant calls coalesce into the innermost active round exactly
-        like internal ``_schedule_round`` callers, and a pump with nothing
-        ready is a cheap no-op round.
+        Every driver waiting in simulated time calls it once.  After a step
+        a round runs only if one is due (:meth:`_request_round`); every other
+        cause — completion, revocation, join, submit, fetch failure,
+        ``enqueue_checkpoints_for`` — runs its round where it happens.  With
+        no ``until``, settle: one round if one is due.  Raises
+        :class:`EngineError`, naming ``what``, if the events run out first.
         """
-        self._schedule_round()
+        if until is None:
+            if self._round_due:
+                self._schedule_round()
+            return
+        env = self.env
+        while not until():
+            if not env.events:
+                raise EngineError(
+                    f"scheduler deadlock: {what} incomplete but no pending events "
+                    f"(live workers: {self.cluster.size})"
+                )
+            env.step()
+            if self._round_due:
+                self._schedule_round()
+
+    def _request_round(self) -> None:
+        """A readiness listener dropped the frontiers, or a checkpoint write
+        was queued: the next :meth:`pump` step runs a round."""
+        self._round_due = True
 
     def _schedule_round(self) -> None:
         if self._in_round:
@@ -381,6 +393,7 @@ class TaskScheduler(ClusterListener):
             self._in_round = False
 
     def _run_one_round(self) -> None:
+        self._round_due = False
         self.stats.scheduling_rounds += 1
         ckpt_specs, job_specs = self._ready_specs()
         depth = len(ckpt_specs) + sum(len(s) for _j, s in job_specs)

@@ -246,12 +246,9 @@ class _TenancyChaosWorkload:
         ranks = self.server.run_query(
             self.pagerank.run, pool="batch", name="pagerank", tenant="batch"
         )
-        env = self.ctx.env
-        while not all(a.finished for a in analysts):
-            if not env.events:
-                raise RuntimeError("tenancy chaos workload stalled")
-            env.step()
-            self.ctx.scheduler.pump()
+        self.ctx.scheduler.pump(
+            lambda: all(a.finished for a in analysts), "tenancy chaos analysts"
+        )
         queries = tuple(
             (r.name, repr(r.result))
             for r in sorted(self.server.records, key=lambda r: r.name)

@@ -74,15 +74,15 @@ class ClosedLoopClient:
     def start(self, delay: float = 0.0) -> None:
         """Schedule the first arrival ``delay`` simulated seconds from now."""
         self.server.context.env.schedule_in(
-            delay, f"{self.name}-arrival", callback=lambda _ev: self._arrive()
+            delay, f"{self.name}-arrival", callback=self._arrive
         )
 
-    def _arrive(self) -> None:
+    def _arrive(self, _event: object = None) -> None:
         self.issued += 1
         self._attempt = 0
         self._submit()
 
-    def _submit(self) -> None:
+    def _submit(self, _event: object = None) -> None:
         suffix = f"-r{self._attempt}" if self._attempt else ""
         self.server.submit_query(
             self.query_fn,
@@ -107,7 +107,7 @@ class ClosedLoopClient:
                 delay = policy.backoff(self._attempt, self.rng)
                 self.server.context.env.schedule_in(
                     delay, f"{self.name}-retry",
-                    callback=lambda _ev: self._submit(),
+                    callback=self._submit,
                 )
                 return
             self.gave_up += 1
@@ -116,7 +116,7 @@ class ClosedLoopClient:
             return
         think = float(self.rng.exponential(self.think_time))
         self.server.context.env.schedule_in(
-            think, f"{self.name}-arrival", callback=lambda _ev: self._arrive()
+            think, f"{self.name}-arrival", callback=self._arrive
         )
 
 
@@ -155,17 +155,17 @@ class OpenLoopClient:
         if delay is None:
             delay = float(self.rng.exponential(1.0 / self.rate))
         self.server.context.env.schedule_in(
-            delay, f"{self.name}-arrival", callback=lambda _ev: self._arrive()
+            delay, f"{self.name}-arrival", callback=self._arrive
         )
 
-    def _arrive(self) -> None:
+    def _arrive(self, _event: object = None) -> None:
         self.issued += 1
         # Schedule the successor before running the query: open-loop arrivals
         # must not inherit the current query's latency.
         if self.issued < self.max_queries:
             gap = float(self.rng.exponential(1.0 / self.rate))
             self.server.context.env.schedule_in(
-                gap, f"{self.name}-arrival", callback=lambda _ev: self._arrive()
+                gap, f"{self.name}-arrival", callback=self._arrive
             )
         else:
             self.finished = True

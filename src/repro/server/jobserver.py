@@ -31,8 +31,8 @@ jobs are mid-flight — the scheduler multiplexes their tasks.  ``submit_query``
 therefore executes an admitted query *inline* (blocking in simulated time)
 and returns its finished record; a capped-out query is queued and later runs
 inside the completion frame that frees the slot.  ``run_query`` is the
-blocking surface for top-level drivers: it additionally pumps the event loop
-until a queued query finishes.
+blocking surface for top-level drivers: it additionally drives
+``TaskScheduler.pump`` until a queued query finishes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.pools import DEFAULT_POOL
-from repro.engine.scheduler import EngineError
 from repro.obs import SpanEvent
 from repro.obs.metrics import percentile
 from repro.server.journal import JobJournal
@@ -286,7 +285,7 @@ class JobServer:
         tenant: Optional[str] = None,
         cache_key: Optional[str] = None,
     ) -> Any:
-        """Blocking surface for top-level drivers: submit, pump, return.
+        """Blocking surface for top-level drivers: submit, drive, return.
 
         Raises:
             JobRejected: when admission control sheds the query.
@@ -298,14 +297,7 @@ class JobServer:
         )
         if record.rejected:
             raise JobRejected(pool, record.reject_reason or "admission rejected")
-        env = self.context.env
-        while not record.done:
-            if not env.events:
-                raise EngineError(
-                    "job server stalled: query queued but no pending events"
-                )
-            env.step()
-            self.scheduler.pump()
+        self.scheduler.pump(lambda: record.done, f"query {record.name!r}")
         if record.error is not None:
             raise record.error
         return record.result

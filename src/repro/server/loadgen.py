@@ -77,7 +77,7 @@ def _default_query(ctx: "FlintContext"):
     rdd = ctx.parallelize(list(range(64)), 1, record_size=100_000)
     rdd.persist()
     rdd.count()  # materialise once so every query reads the shared cache
-    return lambda: rdd.count()
+    return rdd.count
 
 
 def run_load_point(
@@ -126,20 +126,13 @@ def run_load_point(
     for client in clients:
         client.start()
     expected = num_clients * queries_per_client
-    env = ctx.env
 
     def settled() -> bool:
         stats = server.stats
         finished = stats.completed + stats.failed + stats.rejected
         return stats.submitted >= expected and finished >= stats.submitted
 
-    while not settled():
-        if not env.events:
-            raise RuntimeError(
-                "load generator stalled: arrivals pending but no events"
-            )
-        env.step()
-        ctx.scheduler.pump()
+    ctx.scheduler.pump(settled, "load generator")
 
     responses = [r.response for r in server.records
                  if r.response is not None and r.ok]

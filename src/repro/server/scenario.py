@@ -58,10 +58,10 @@ def run_multitenant(
 ) -> Dict[str, Any]:
     """Run the scenario under one policy; returns the server's SLO report.
 
-    The batch program runs via the server's blocking ``run_query`` (the
-    top-level pump); analyst queries arrive as events and execute inside
-    callbacks, multiplexed against the batch tasks.  After the batch job
-    finishes, the pump keeps stepping until the analyst is done too.
+    The batch program runs via the server's blocking ``run_query``;
+    analyst queries arrive as events and execute inside callbacks,
+    multiplexed against the batch tasks.  After the batch job finishes, the
+    scheduler's drive loop keeps stepping until the analysts are done too.
 
     ``context_hook`` (if given) receives the freshly built context before
     anything runs — the tracing CLI uses it to capture the context and
@@ -128,11 +128,7 @@ def run_multitenant(
 
     server.run_query(pagerank.run, pool="batch", name="pagerank",
                      tenant="batch" if tenancy is not None else None)
-    while not all(a.finished for a in analysts):
-        if not ctx.env.events:
-            raise RuntimeError("multi-tenant scenario stalled before analysts finished")
-        ctx.env.step()
-        ctx.scheduler.pump()
+    ctx.scheduler.pump(lambda: all(a.finished for a in analysts), "multi-tenant analysts")
 
     report = server.slo_report()
     report["revocations"] = len(ctx.cluster.revocation_log)

@@ -81,7 +81,7 @@ class _Job:
 def _harness(num_workers=3):
     ctx = build_on_demand_context(num_workers)
     running = {}
-    return ctx, running, Readiness(ctx, running, SchedulerStats())
+    return ctx, running, Readiness(ctx, running, SchedulerStats(), lambda: None)
 
 
 def _graph(ctx):

@@ -38,12 +38,16 @@ def test_task_overhead_charged():
 
 def test_stats_counters_accumulate():
     ctx = build_on_demand_context(2)
-    ctx.parallelize([(1, 1), (2, 2)], 2).reduce_by_key(lambda a, b: a).collect()
+    ctx.scheduler.pump()  # nothing due: settling runs no round
+    ctx.parallelize([(1, 1), (2, 2)], 2).reduce_by_key(lambda a, b: a).count()
     stats = ctx.scheduler.stats
     assert stats.result_tasks == 2
     assert stats.map_tasks == 2
     assert stats.tasks_completed == 4
     assert stats.task_time_total > 0
+    # One round per cause (two joins, the submit, four completions): a step
+    # runs none, and the completing map output's round is its completion's.
+    assert stats.scheduling_rounds == 2 + 1 + 4
 
 
 def test_concurrent_jobs_multiplex():
@@ -234,3 +238,32 @@ def test_slot_table_release_rules():
     table.forget_worker("w")
     table.release("w", checkpoint=False)  # its slots went with it: no-op
     assert "w" not in table.busy
+
+
+def test_loss_in_a_timer_event_dispatches_at_that_instant():
+    """Plain timers terminate an idle worker, then the holder of map 0's
+    output while map 1 runs elsewhere and a worker idles: no scheduler
+    callback fires, yet map 0 must rerun at once, not when map 1 ends."""
+    ctx = build_on_demand_context(4)
+    scheduler, shuffles = ctx.scheduler, ctx.shuffle_manager
+    sizes = (10, 5000)  # map 0 finishes long before map 1
+    source = ctx.generate(lambda p: list(range(sizes[p])), 2, record_size=100_000)
+    counts = source.map(lambda x: (x % 3, 1)).reduce_by_key(lambda a, b: a + b, 2)
+    shuffle_id = counts.dependencies[0].shuffle_id
+    handle = scheduler.submit_job(counts, len)
+    scheduler.pump(lambda: shuffles.map_output_available(shuffle_id, 0), "map 0")
+    (holder_id,) = shuffles.serving_workers(shuffle_id)
+    (sibling,) = scheduler.running.values()
+    workers = ctx.cluster.workers
+    idle = [w for w in workers.values() if w.worker_id not in (holder_id, sibling.worker_id)]
+    assert len(idle) == 2
+    gap = (sibling.started_at + sibling.duration - ctx.now) / 3
+    t_kill = ctx.now + 2 * gap
+    # The first kill changes nothing a frontier read, so it must leave the
+    # memoised frontiers in place for the second kill's listener to drop.
+    for t, victim in ((ctx.now + gap, idle[0]), (t_kill, workers[holder_id])):
+        terminate = lambda _event, w=victim: ctx.cluster.terminate_worker(w)
+        ctx.env.schedule_at(t, "kill", callback=terminate)
+    scheduler.pump(lambda: ctx.now >= t_kill, "the holder's termination")
+    assert (TaskKind.SHUFFLE_MAP.value, shuffle_id, 0) in scheduler.running
+    assert sum(handle.wait()) == 3

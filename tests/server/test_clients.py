@@ -15,12 +15,7 @@ from repro.server import (
 
 
 def _drive_to_completion(server, *clients):
-    ctx = server.context
-    while not all(c.finished for c in clients):
-        if not ctx.env.events:
-            raise AssertionError("clients stalled with no pending events")
-        ctx.env.step()
-        ctx.scheduler.pump()
+    server.scheduler.pump(lambda: all(c.finished for c in clients), "clients")
 
 
 def _make_server(seed=0, policy="fair", **config_kwargs):

@@ -243,20 +243,6 @@ def test_deep_queue_drains_without_stack_growth(ctx):
     assert frames["peak"] <= 2
 
 
-def test_scheduler_pump_is_public(ctx):
-    """Drivers use scheduler.pump(), not the private _schedule_round."""
-    scheduler = ctx.scheduler
-    scheduler.pump()  # nothing in flight: a cheap no-op
-    rdd = ctx.parallelize(list(range(40)), 4)
-    handle = ctx.submit_job(rdd, len, name="bg")
-    while not handle.done:
-        if ctx.env.events:
-            ctx.env.step()
-        scheduler.pump()
-    assert not handle.failed
-    assert handle.finished_at is not None
-
-
 def test_rejected_query_fires_on_complete_per_reason(ctx):
     """Every admission stage's rejection fires on_complete exactly once."""
     from repro.server import TenancyConfig, TenantPolicy
