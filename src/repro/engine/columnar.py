@@ -2,7 +2,11 @@
 
 ``FLINT_COLUMNAR`` (default on) lets the fused-chain compiler lower a
 narrow chain to *vectorised batch kernels* operating on arrays-of-columns
-instead of streaming records one at a time through Python closures.
+instead of streaming records one at a time through Python closures.  A
+chain lowers when every stage carries a kernel and its boundary holds at
+least ``task_runtime.MIN_LOWERED_ROWS`` (32) records; below that the fixed
+cost of converting exceeds what the kernels save, so the chain streams
+rows by choice — no conversion, no sidecar, no fallback counted.
 
 - **Plane boundary rules.** Everything observable — block-manager puts,
   checkpoint payloads, shuffle map outputs (a row list plus an offset

@@ -87,9 +87,10 @@ class SchedulerStats:
     #: Columnar plane: fused chains lowered to vectorised batch kernels
     #: (and the stages they covered), plus chains that *attempted* the
     #: lowering and fell back to rows (records refused columnarisation, or
-    #: a kernel raised ``ColumnarUnsupported`` on the runtime schema).
-    #: These describe *how* bodies ran, so they are excluded from
-    #: :meth:`task_counts`.
+    #: a kernel raised ``ColumnarUnsupported`` on the runtime schema).  A
+    #: chain whose boundary holds fewer than ``task_runtime.MIN_LOWERED_ROWS``
+    #: records never attempts, so it counts in neither.  These describe
+    #: *how* bodies ran, so they are excluded from :meth:`task_counts`.
     columnar_chains: int = 0
     columnar_stages: int = 0
     columnar_fallbacks: int = 0

@@ -22,6 +22,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
     from repro.engine.rdd import RDD
 
+#: Fewest boundary records for which a fused chain lowers to batch kernels.
+#: Lowering has a fixed cost per chain (one ``from_records``, a kernel call
+#: per stage, one ``to_records``) that pays only once the kernels have
+#: enough records to save on.  CPU time per run, both planes (EXPERIMENTS.md,
+#: "Columnar crossover"): at 16 records per partition the row plane wins
+#: KMeans 1.9x and PageRank 1.5x; KMeans is about even at 32 (0.8-1.05x),
+#: and its kernels win 1.5x at 64 and 2.9x at 128.  PageRank's rows stay
+#: ahead until the planes tie near 600, but a threshold that high would
+#: give up KMeans's gains; its cure is a cheaper cogroup conversion, not a
+#: larger constant.
+MIN_LOWERED_ROWS = 32
+
 
 class TaskRuntime:
     """Per-task data-plane context: resolves inputs and accounts time.
@@ -126,7 +138,9 @@ class TaskRuntime:
         hit, a shuffle or multi-parent dependency, a source, or a node with
         more than one dependant (memoised once per task and served to each).
         The boundary input resolves through the normal :meth:`iterator`
-        path, then records stream through each stage's ``compute_fused``
+        path; if it holds at least :data:`MIN_LOWERED_ROWS` records the
+        chain is offered to the columnar plane, and otherwise (or on a
+        refusal) records stream through each stage's ``compute_fused``
         without re-entering per-RDD resolution.
 
         Simulated time charges the input subtree first, then each interior
@@ -157,11 +171,11 @@ class TaskRuntime:
                 break
             stages.append((node, split))
             node, split = edge
-        if self._columnar:
-            batch = self._compute_columnar(stages, node, split)
+        stream: List[Any] = self.iterator(node, split)
+        if self._columnar and len(stream) >= MIN_LOWERED_ROWS:
+            batch = self._compute_columnar(stages, node, split, stream)
             if batch is not None:
                 return batch if as_batch else batch.to_records()
-        stream: List[Any] = self.iterator(node, split)
         if len(stages) > 1:
             cost = self.cost
             charge = self.charge
@@ -177,17 +191,18 @@ class TaskRuntime:
         return rdd.compute_fused(stream, partition)
 
     def _compute_columnar(
-        self, stages: List[Tuple["RDD", int]], node: "RDD", split: int
+        self, stages: List[Tuple["RDD", int]], node: "RDD", split: int, stream: List[Any]
     ) -> Optional[ColumnarBatch]:
         """Lower a walked chain to batch kernels; None means "use rows".
 
-        Lowering applies only when every stage carries a batch kernel and
-        the boundary records columnarise; a kernel may still refuse the
-        runtime schema (``ColumnarUnsupported``).  Either way the row plane
-        takes over with nothing double-charged: the boundary resolve below
-        went through the normal :meth:`iterator` (same charges, memo,
-        pending puts as the row path's own resolve), so the fallback's
-        re-resolve is a memo hit.
+        The caller has resolved the boundary ``stream`` through the normal
+        :meth:`iterator` and tries this only when it holds at least
+        :data:`MIN_LOWERED_ROWS` records — a smaller boundary is the row
+        plane's by choice, not a fallback.  Lowering then applies only when
+        every stage carries a batch kernel and the boundary records
+        columnarise; a kernel may still refuse the runtime schema
+        (``ColumnarUnsupported``).  Either way the row plane takes over on
+        the same ``stream`` with nothing double-charged.
 
         Charges are bit-identical to the row plane by construction: batch
         lengths equal the row plane's per-stage record counts (the kernel
@@ -206,7 +221,6 @@ class TaskRuntime:
             if kernel is None:
                 return None
             kernels.append(kernel)
-        stream = self.iterator(node, split)
         stats = self.context.scheduler.stats
         store = self._resident.get((node.rdd_id, split))
         if store is None:
@@ -214,10 +228,7 @@ class TaskRuntime:
         else:
             batch = store.columnar(block_id_for(node.rdd_id, split), stream)
         if batch is None:
-            # Empty boundaries are trivially row-plane (nothing to
-            # vectorise); only real refusals count as fallbacks.
-            if stream:
-                stats.columnar_fallbacks += 1
+            stats.columnar_fallbacks += 1
             return None
         counts: List[int] = []
         try:

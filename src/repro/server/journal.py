@@ -59,13 +59,16 @@ class JobJournal:
     Every record is a single JSON object on its own line with sorted keys,
     flushed on write — the durability contract is "whatever made it to the
     line boundary replays".  The file is opened in append mode so a
-    restarted server keeps extending the same history.
+    restarted server keeps extending the same history, after cutting any
+    torn last line (a write the crash interrupted) so the next record
+    starts on a line of its own.
     """
 
     def __init__(self, path: str):
         self.path = path
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
+        _cut_torn_tail(path)
         self._fh = open(path, "a", encoding="utf-8")
         self.entries_written = 0
 
@@ -90,16 +93,43 @@ class JobJournal:
         self.close()
 
 
+def _cut_torn_tail(path: str) -> None:
+    """Truncate ``path`` after its last line end, if anything follows it."""
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def load_events(path: str) -> List[Dict[str, Any]]:
-    """All journal events, in append order; [] for a missing file."""
+    """All journal events, in append order; [] for a missing file.
+
+    An unterminated last line is a write the crash cut short and is not
+    replayed; a terminated line that does not parse is damage, and raises
+    ``ValueError`` naming the file and line.
+    """
     if not os.path.exists(path):
         return []
     events: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {number} is not a journal record ({exc.msg})"
+                ) from exc
     return events
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import block_manager
 from repro.engine.columnar import (
     ColumnarBatch,
     ColumnarUnsupported,
@@ -20,6 +21,7 @@ from repro.engine.columnar import (
     from_records,
 )
 from repro.engine.sizeof import deep_sizeof, estimate_record_size
+from repro.engine.task_runtime import MIN_LOWERED_ROWS
 from tests.conftest import build_on_demand_context
 
 
@@ -228,6 +230,35 @@ def test_columnar_off_never_lowers(monkeypatch):
     assert ctx.scheduler.stats.columnar_stages == 0
 
 
+def test_a_boundary_under_min_lowered_rows_stays_on_the_row_plane(monkeypatch):
+    """The threshold chooses a plane; it is not a refusal.  A cached
+    boundary one record short of it lowers nothing, counts no fallback and
+    converts nothing (not even the block's sidecar); one at it lowers.
+    Both equal the row plane exactly."""
+    converted = []
+    original = block_manager.from_records
+
+    def counting(rows):
+        converted.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(block_manager, "from_records", counting)
+    for n, lowered in ((MIN_LOWERED_ROWS - 1, 0), (MIN_LOWERED_ROWS, 1)):
+        runs = {}
+        for knob in ("on", "off"):
+            ctx = _build_planes(monkeypatch, knob)
+            cached = ctx.parallelize(list(range(n)), 1, record_size=100).persist()
+            cached.count()
+            converted.clear()
+            out = cached.map(lambda x: x + 1, batch_fn=_inc_batch).collect()
+            runs[knob] = (out, ctx.now, ctx.scheduler.stats, list(converted))
+        assert runs["on"][:2] == runs["off"][:2], n
+        stats = runs["on"][2]
+        assert stats.columnar_chains == lowered, n
+        assert stats.columnar_fallbacks == 0, n
+        assert runs["on"][3] == [n] * lowered, n
+
+
 def test_kernel_refusal_falls_back_with_identical_results(monkeypatch):
     def picky(batch):
         raise ColumnarUnsupported("wrong shape for this kernel")
@@ -235,7 +266,7 @@ def test_kernel_refusal_falls_back_with_identical_results(monkeypatch):
     results = {}
     for knob in ("on", "off"):
         ctx = _build_planes(monkeypatch, knob)
-        base = ctx.parallelize(list(range(100)), 4, record_size=100)
+        base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
         rdd = base.map(lambda x: x * 3, batch_fn=picky).map(
             lambda x: x - 1, batch_fn=_inc_batch
         )
@@ -249,9 +280,10 @@ def test_kernel_refusal_falls_back_with_identical_results(monkeypatch):
 
 def test_conversion_refusal_falls_back(monkeypatch):
     ctx = _build_planes(monkeypatch, "on")
-    base = ctx.parallelize([str(i) for i in range(40)], 4, record_size=100)
+    n = 4 * MIN_LOWERED_ROWS
+    base = ctx.parallelize([str(i) for i in range(n)], 4, record_size=100)
     out = base.map(lambda s: s + "!", batch_fn=_inc_batch).collect()
-    assert out == [str(i) + "!" for i in range(40)]
+    assert out == [str(i) + "!" for i in range(n)]
     stats = ctx.scheduler.stats
     assert stats.columnar_fallbacks == 4
     assert stats.columnar_chains == 0
@@ -260,9 +292,10 @@ def test_conversion_refusal_falls_back(monkeypatch):
 def test_partial_chain_stays_on_row_plane(monkeypatch):
     """A chain with any kernel-less stage never converts (no fallback)."""
     ctx = _build_planes(monkeypatch, "on")
-    base = ctx.parallelize(list(range(80)), 4, record_size=100)
+    n = 4 * MIN_LOWERED_ROWS
+    base = ctx.parallelize(list(range(n)), 4, record_size=100)
     out = base.map(lambda x: x + 1, batch_fn=_inc_batch).map(lambda x: x * 2).collect()
-    assert out == [(x + 1) * 2 for x in range(80)]
+    assert out == [(x + 1) * 2 for x in range(n)]
     stats = ctx.scheduler.stats
     assert stats.columnar_chains == 0
     assert stats.columnar_fallbacks == 0
@@ -273,7 +306,7 @@ def test_builtin_kernels_match_row_plane(monkeypatch):
     outcomes = {}
     for knob in ("on", "off"):
         ctx = _build_planes(monkeypatch, knob)
-        base = ctx.parallelize(list(range(120)), 4, record_size=100)
+        base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
         mapped = base.map(lambda x: x + 1, batch_fn=_inc_batch)
         sampled = mapped.sample(0.5, seed=3).collect()
         indexed = mapped.zip_with_index().collect()

@@ -29,6 +29,7 @@ from repro.engine.columnar import ColumnarBatch, Sum, from_records
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import bucket_map_output
+from repro.engine.task_runtime import MIN_LOWERED_ROWS
 from repro.engine.transformations import ShuffledRDD
 from repro.streaming import StreamingWindowWorkload
 from repro.workloads import KMeansWorkload
@@ -232,7 +233,8 @@ REDUCIBLE["accepted"] = [(i % 5, ((float(i), 0.5), 1)) for i in range(40)]
 
 @pytest.mark.parametrize("name", sorted(REDUCIBLE))
 def test_engine_results_do_not_depend_on_the_plane(monkeypatch, name):
-    records = REDUCIBLE[name] * 4
+    # Every shape holds at least two records: >= MIN_LOWERED_ROWS per partition.
+    records = REDUCIBLE[name] * MIN_LOWERED_ROWS
     on, on_time, on_stats = _reduce(monkeypatch, "on", records)
     off, off_time, off_stats = _reduce(monkeypatch, "off", records)
     assert on == off
@@ -245,7 +247,7 @@ def test_engine_results_do_not_depend_on_the_plane(monkeypatch, name):
 
 
 def test_undeclared_shuffles_stay_on_the_row_loop(monkeypatch):
-    records = [(i % 5, float(i)) for i in range(40)]
+    records = [(i % 5, float(i)) for i in range(2 * MIN_LOWERED_ROWS)]
     builds = {
         "lambda": lambda head: head.reduce_by_key(lambda a, b: a + b, 3),
         "no map-side combine": lambda head: ShuffledRDD(
@@ -267,7 +269,7 @@ def test_an_observed_head_is_still_materialised(monkeypatch):
     """A persisted map head combines from the batch *and* caches its rows."""
     monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
-    records = [(i % 5, float(i)) for i in range(40)]
+    records = [(i % 5, float(i)) for i in range(2 * MIN_LOWERED_ROWS)]
     head = ctx.parallelize(records, 2, record_size=100).map(
         lambda r: r, batch_fn=_pass_through
     ).persist()
@@ -396,7 +398,8 @@ def _track_sidecars(monkeypatch):
 def test_unpersist_and_worker_revocation_release_sidecars(monkeypatch):
     monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
-    cached = ctx.parallelize(ROWS * 4, 4, record_size=100).persist()
+    rows = [(i, float(i)) for i in range(4 * MIN_LOWERED_ROWS)]
+    cached = ctx.parallelize(rows, 4, record_size=100).persist()
     cached.count()
     live = _track_sidecars(monkeypatch)
     lowered = cached.map(lambda r: r, batch_fn=_pass_through)
@@ -422,8 +425,8 @@ def test_streaming_sidecars_never_outnumber_cached_blocks(monkeypatch):
     ctx = build_on_demand_context(2)
     live = _track_sidecars(monkeypatch)
     workload = StreamingWindowWorkload(
-        ctx, records_per_batch=64, partitions=4, num_batches=100, window=3, slide=1,
-        num_keys=8, record_size=1000,
+        ctx, records_per_batch=4 * MIN_LOWERED_ROWS, partitions=4, num_batches=100, window=3,
+        slide=1, num_keys=8, record_size=1000,
     )
     peak_sidecars = peak_blocks = 0
     for _ in range(workload.num_batches):

@@ -89,6 +89,45 @@ def test_replay_last_submission_wins(tmp_path):
     assert pending_queries(path) == []
 
 
+def _tear(path, fragment='{"event":"submitted","name":"q2"'):
+    """The crash lands mid-write: a record with no line end."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(fragment)
+
+
+def test_a_torn_last_line_is_not_replayed(ctx, tmp_path):
+    path = str(tmp_path / "torn.jsonl")
+    with JobJournal(path) as journal:
+        journal.record("submitted", name="q0", pool="default", t=1.0)
+        journal.record("submitted", name="q1", pool="default", t=2.0)
+    _tear(path)
+    assert [e["name"] for e in load_events(path)] == ["q0", "q1"]
+    assert [e.name for e in pending_queries(path)] == ["q0", "q1"]
+    # The crash resume() exists for: it finishes what made it to a line end.
+    server = JobServer(ctx, ServerConfig(journal_path=path))
+    resumed = server.resume({"q0": _count_query(ctx), "q1": _count_query(ctx)})
+    server.close()
+    assert [(r.name, r.ok) for r in resumed] == [("q0", True), ("q1", True)]
+    assert pending_queries(path) == []
+
+
+def test_reopening_cuts_the_torn_tail_and_a_corrupt_line_is_loud(tmp_path):
+    path = str(tmp_path / "reopen.jsonl")
+    with JobJournal(path) as journal:
+        journal.record("submitted", name="q0", pool="p", t=1.0)
+    _tear(path)
+    with JobJournal(path) as journal:
+        journal.record("finished", name="q0", pool="p", t=2.0, ok=True)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == ""
+    assert [json.loads(line)["event"] for line in lines[:-1]] == ["submitted", "finished"]
+    # A complete line that does not parse is damage, not a torn write.
+    _tear(path, "not json\n")
+    with pytest.raises(ValueError, match=r"reopen\.jsonl.*line 3"):
+        load_events(path)
+
+
 def test_resume_requires_journal(ctx):
     server = JobServer(ctx)
     with pytest.raises(RuntimeError):
