@@ -44,7 +44,8 @@ class _Block:
     data: Any
     nbytes: int
     spill: bool = False
-    #: Columnar form of ``data``, set by :meth:`BlockManager.columnar`.  It
+    #: Columnar form of ``data``: seeded by ``put(batch=)`` for a source
+    #: drawn as columns, else set by :meth:`BlockManager.columnar`.  It
     #: lives on the entry so that every way the entry leaves memory (LRU
     #: drop or spill, remove, overwrite, revocation) takes it along.
     batch: Optional[ColumnarBatch] = None
@@ -91,12 +92,22 @@ class BlockManager:
         return list(self._memory)
 
     # ------------------------------------------------------------------
-    def put(self, block_id: str, data: Any, nbytes: int, spill: bool = False) -> bool:
+    def put(
+        self,
+        block_id: str,
+        data: Any,
+        nbytes: int,
+        spill: bool = False,
+        batch: Optional[ColumnarBatch] = None,
+    ) -> bool:
         """Insert a block, evicting LRU blocks as needed.
 
         ``spill`` selects the storage level: False is Spark's default
         MEMORY_ONLY (evicted blocks are *dropped* and must be recomputed);
         True is MEMORY_AND_DISK (evicted blocks spill to the local SSD).
+        ``batch`` is ``data``'s columnar form when the caller already holds
+        it (a source drawn as columns): the entry's sidecar from the start,
+        so :meth:`columnar` never converts this block.
 
         Returns True if the block ended up in memory.  A block larger than
         the whole store is rejected outright (Spark drops such blocks).
@@ -136,7 +147,7 @@ class BlockManager:
         self.worker.local_disk.delete(self._SPILL_PREFIX + block_id)
         while self._used + nbytes > self.capacity_bytes:
             self._evict_one()
-        self._memory[block_id] = _Block(data, nbytes, spill)
+        self._memory[block_id] = _Block(data, nbytes, spill, batch)
         self._used += nbytes
         if self.index is not None:
             self.index.add(block_id, self.worker)

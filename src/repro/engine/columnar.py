@@ -12,16 +12,21 @@ rows by choice — no conversion, no sidecar, no fallback counted.
   checkpoint payloads, shuffle map outputs (a row list plus an offset
   index), memoised partitions, action results — is always *row* form
   (plain Python lists of records); the block manager
-  refuses ColumnarBatch payloads.  Columns exist in three derived places
-  only: inside one fused-chain execution (rows → columns on entry, batch
-  kernels, columns → rows on exit); as a *sidecar* of a memory-resident
-  cached block (``BlockManager.columnar``: the block's rows converted once,
-  owned by the block entry and gone with it, so an iterative job does not
-  re-columnarise the same cached partition on every pass); and at a map
-  head that feeds a declared combine (:class:`Sum`), whose map output is
-  reduced straight from the batch — such a head is never turned back into
-  rows unless something observes it (it is persisted or a materialisation
-  point).
+  refuses ColumnarBatch payloads.  Columns exist in four derived places
+  only: a source partition drawn as columns (a generator returning
+  :func:`columns`), handed as it is to a lowered chain or a declared
+  combine and turned into rows only where something observes it or needs
+  rows; inside one fused-chain execution (rows → columns on entry unless
+  drawn as columns, batch kernels, columns → rows on exit); as a *sidecar*
+  of a memory-resident cached block (``BlockManager.columnar``: the
+  block's rows converted once — or, for a persisted source drawn as
+  columns, the drawn batch itself, seeded by ``BlockManager.put(batch=)``
+  — owned by the block entry and gone with it, so an iterative job does
+  not re-columnarise the same cached partition on every pass); and at a
+  map head that feeds a declared combine (:class:`Sum`), whose map output
+  is reduced straight from the batch — such a head is never turned back
+  into rows unless something observes it (it is persisted or a
+  materialisation point).
 - **Bit-identity rule.** ``to_records(from_records(rows))`` must equal
   ``rows`` exactly — same Python types (``int`` stays ``int``, ``float``
   stays ``float``), same values, same nesting.  ``from_records`` therefore
@@ -48,14 +53,16 @@ chain on the row plane, so a kernel only ever has to be *correct or
 refuse*, never general.  Columns are immutable: a kernel's input may be a
 cached block's sidecar, shared by every task that reads the block, so a
 kernel builds new arrays (passing inputs through untouched is fine) and
-never writes into the ones it was given.
+never writes into the ones it was given — :func:`columns` and
+:func:`from_records` hand out read-only arrays, so a kernel that tries
+raises.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import chain as _chain
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,8 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ColumnarBatch",
     "ColumnarUnsupported",
+    "Drawn",
     "Sum",
     "columnar_enabled_by_env",
+    "columns",
     "from_records",
 ]
 
@@ -107,6 +116,18 @@ _TUPLE_ONLY = frozenset((tuple,))
 _LIST_ONLY = frozenset((list,))
 
 
+#: The dtypes a column leaf may hold, by schema leaf.
+_LEAF_OF_DTYPE = {np.dtype(np.int64): "i8", np.dtype(np.float64): "f8"}
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a column handed out may become a cached
+    block's sidecar, so a kernel that writes into its input must raise
+    instead of corrupting every later reader of the block."""
+    array.flags.writeable = False
+    return array
+
+
 def _build(values: List[Any]) -> Tuple[Any, Any]:
     """Infer ``(schema, column)`` for one field across all records.
 
@@ -119,7 +140,7 @@ def _build(values: List[Any]) -> Tuple[Any, Any]:
         # A vacuous level (e.g. every list at this depth is empty): no
         # elements exist, so the leaf dtype is unobservable — any
         # placeholder round-trips exactly.
-        return "f8", np.empty(0, dtype=np.float64)
+        return "f8", _frozen(np.empty(0, dtype=np.float64))
     # All structural scans below run in C (``map`` feeding a set method):
     # the exact-type requirement — ``type(v) is int``, which excludes
     # ``bool`` and int subclasses — is what makes the ``np.array`` casts
@@ -129,13 +150,13 @@ def _build(values: List[Any]) -> Tuple[Any, Any]:
         if not _INT_ONLY.issuperset(map(type, values)):
             raise _Refuse
         try:
-            return "i8", np.array(values, dtype=np.int64)
+            return "i8", _frozen(np.array(values, dtype=np.int64))
         except OverflowError as exc:  # int outside int64
             raise _Refuse from exc
     if t0 is float:
         if not _FLOAT_ONLY.issuperset(map(type, values)):
             raise _Refuse
-        return "f8", np.array(values, dtype=np.float64)
+        return "f8", _frozen(np.array(values, dtype=np.float64))
     if t0 is tuple:
         arity = len(values[0])
         if not _TUPLE_ONLY.issuperset(map(type, values)):
@@ -150,7 +171,7 @@ def _build(values: List[Any]) -> Tuple[Any, Any]:
     if t0 is list:
         if not _LIST_ONLY.issuperset(map(type, values)):
             raise _Refuse
-        counts = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        counts = _frozen(np.fromiter(map(len, values), dtype=np.int64, count=len(values)))
         child_schema, child_column = _build(list(_chain.from_iterable(values)))
         return ("list", child_schema), (counts, child_column)
     raise _Refuse
@@ -252,6 +273,47 @@ def from_records(records: Sequence[Any]) -> Optional[ColumnarBatch]:
     except _Refuse:
         return None
     return ColumnarBatch(schema, data, len(records))
+
+
+#: A generated partition as :func:`columns` returns it: the batch, or
+#: ``[]`` when it holds no records.
+Drawn = Union[ColumnarBatch, List[Any]]
+
+
+def columns(*arrays: np.ndarray) -> Drawn:
+    """A generated partition drawn as columns: record ``j`` is element ``j``
+    of every array.
+
+    One array gives scalar records; several give fixed-arity tuple records,
+    one field per array, in order.  The arrays must be 1-d, equally long,
+    and int64 or float64 — the batch is then exactly the one
+    :func:`from_records` builds from its ``to_records()``, so a source
+    drawn as columns is the same partition as one drawn as rows.  An empty
+    partition is ``[]``: it stays on the row plane, as ``from_records``'s
+    refusal of an empty partition keeps it.  The arrays are made read-only.
+    """
+    if not arrays:
+        raise ValueError("columns() needs at least one array")
+    length = len(arrays[0])
+    leaves = []
+    for array in arrays:
+        leaf = _LEAF_OF_DTYPE.get(getattr(array, "dtype", None))
+        if leaf is None or array.ndim != 1:
+            raise TypeError(
+                "columns() takes 1-d int64 or float64 arrays, got "
+                f"{getattr(array, 'dtype', type(array).__name__)} "
+                f"{getattr(array, 'shape', '')}"
+            )
+        if len(array) != length:
+            raise ValueError(f"columns() arrays differ in length: {len(array)} != {length}")
+        leaves.append(leaf)
+    if length == 0:
+        return []
+    for array in arrays:
+        _frozen(array)
+    if len(arrays) == 1:
+        return ColumnarBatch(leaves[0], arrays[0], length)
+    return ColumnarBatch(("tuple", tuple(leaves)), arrays, length)
 
 
 class Sum:

@@ -108,7 +108,7 @@ class FlintContext:
 
     def generate(
         self,
-        generator: Callable[[int], List[Any]],
+        generator: Callable[[int], Any],
         num_partitions: int,
         record_size: Optional[int] = None,
         compute_multiplier: float = 2.0,
@@ -118,6 +118,10 @@ class FlintContext:
 
         Models loading input from stable storage (S3/HDFS): recomputing a
         source partition re-pays the generator's fetch/deserialise cost.
+        The generator returns the partition's records as a list, or — when
+        they are numbers it drew as NumPy arrays — as ``columns(*arrays)``
+        (:func:`repro.engine.columnar.columns`), which keeps them columnar
+        until something needs rows.
         """
         from repro.engine.transformations import GeneratedRDD
 

@@ -557,7 +557,9 @@ class TaskScheduler(ClusterListener):
                 # (a concurrent job's cache management); landing the block
                 # anyway would leak storage no owner can ever drop.
                 continue
-            worker.block_manager.put(put.block_id, put.data, put.nbytes, put.spill)
+            worker.block_manager.put(
+                put.block_id, put.data, put.nbytes, put.spill, batch=put.batch
+            )
 
         if spec.kind == TaskKind.SHUFFLE_MAP:
             self.stats.map_tasks += 1

@@ -71,6 +71,8 @@ class PendingPut:
     ``rdd`` lets the scheduler drop puts whose RDD was unpersisted while the
     task was in flight — with concurrent jobs, a sibling job's unpersist can
     land mid-task, and applying the put anyway would leak an unowned block.
+    ``batch`` is a source partition's columns as its generator drew them:
+    the block's columnar sidecar from the start.
     """
 
     block_id: str
@@ -78,6 +80,7 @@ class PendingPut:
     nbytes: int
     spill: bool = False
     rdd: Any = None
+    batch: Any = None
 
 
 @dataclass

@@ -58,7 +58,7 @@ class TaskRuntime:
         self.time_charged = 0.0
         self.pending_puts: List[PendingPut] = []
         self.computed: List[ComputedPartition] = []
-        self._memo: Dict[Tuple[int, int], List[Any]] = {}
+        self._memo: Dict[Tuple[int, int], Any] = {}
         #: Stores whose memory tier served a block to this task: the owners
         #: of those blocks' columnar sidecars.
         self._resident: Dict[Tuple[int, int], "BlockManager"] = {}
@@ -73,15 +73,19 @@ class TaskRuntime:
     def iterator(self, rdd: "RDD", partition: int, as_batch: bool = False) -> Any:
         """Records of ``(rdd, partition)`` via cache, checkpoint, or recompute.
 
-        ``as_batch`` is the map task's declared combine saying it can reduce
-        a :class:`ColumnarBatch` directly: when the partition is computed
-        here and its chain lowers, the batch is returned in place of the
-        rows, which are then built only for whoever observes them (a
-        persisted or materialisation-point head) — otherwise never.
+        ``as_batch`` says the caller can take a :class:`ColumnarBatch` in
+        place of rows: the fused-chain boundary with the columnar plane on,
+        and a map head whose declared combine reduces a batch directly.
+        When the partition is computed here as a batch — a lowered chain,
+        or a source drawn as columns — such a caller gets the batch, and
+        rows are built only for whoever observes the partition (a persisted
+        or materialisation-point partition) or a caller that needs rows.
         """
         key = (rdd.rdd_id, partition)
         memoised = self._memo.get(key)
         if memoised is not None:
+            if not as_batch and type(memoised) is ColumnarBatch:
+                memoised = self._memo[key] = memoised.to_records()
             return memoised
 
         found = self.context.find_block(rdd, partition, prefer=self.worker)
@@ -105,30 +109,36 @@ class TaskRuntime:
             self._memo[key] = data
             return data
 
+        drawn = None
         if rdd.supports_fusion:
             data = self._compute_fused(rdd, partition, as_batch)
         else:
             data = rdd.compute(partition, self)
+            if type(data) is ColumnarBatch:
+                # A source drawn as columns: exactly the batch its rows
+                # columnarise to, so it can seed the block's sidecar.
+                drawn = data
         # A batch's length is its row list's ``len()``: same charges.
         nbytes = rdd.partition_bytes(len(data))
         self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
         observed = self._is_materialisation_point(rdd)
         rows = data
         if type(data) is ColumnarBatch:
-            if not observed:
+            if as_batch and not observed:
+                self._memo[key] = data
                 return data
             rows = data.to_records()
         if rdd.persisted:
             self.pending_puts.append(
                 PendingPut(
                     block_id_for(rdd.rdd_id, partition), rows, nbytes, rdd.disk_persist,
-                    rdd=rdd,
+                    rdd=rdd, batch=drawn,
                 )
             )
         if observed:
             self.computed.append(ComputedPartition(rdd, partition, rows, nbytes))
         self._memo[key] = rows
-        return data
+        return data if as_batch else rows
 
     def _compute_fused(self, rdd: "RDD", partition: int, as_batch: bool) -> Any:
         """Materialise ``(rdd, partition)`` by streaming its narrow chain.
@@ -171,11 +181,13 @@ class TaskRuntime:
                 break
             stages.append((node, split))
             node, split = edge
-        stream: List[Any] = self.iterator(node, split)
+        stream = self.iterator(node, split, self._columnar)
         if self._columnar and len(stream) >= MIN_LOWERED_ROWS:
             batch = self._compute_columnar(stages, node, split, stream)
             if batch is not None:
                 return batch if as_batch else batch.to_records()
+        if type(stream) is ColumnarBatch:
+            stream = stream.to_records()
         if len(stages) > 1:
             cost = self.cost
             charge = self.charge
@@ -191,7 +203,7 @@ class TaskRuntime:
         return rdd.compute_fused(stream, partition)
 
     def _compute_columnar(
-        self, stages: List[Tuple["RDD", int]], node: "RDD", split: int, stream: List[Any]
+        self, stages: List[Tuple["RDD", int]], node: "RDD", split: int, stream: Any
     ) -> Optional[ColumnarBatch]:
         """Lower a walked chain to batch kernels; None means "use rows".
 
@@ -211,9 +223,11 @@ class TaskRuntime:
         so applying them post hoc changes nothing.  The head stage is
         charged by the caller from the returned batch's length, as always.
 
-        A boundary served from a store's memory tier is columnarised once
-        per block, not once per task: the store keeps the batch beside the
-        rows (``BlockManager.columnar``).
+        A boundary computed here as a batch (a source drawn as columns) is
+        used as it is.  A boundary served from a store's memory tier is
+        columnarised once per block, not once per task: the store keeps the
+        batch beside the rows (``BlockManager.columnar``), and a source
+        block's batch is the one its generator drew.
         """
         kernels = []
         for stage, stage_split in stages:
@@ -223,7 +237,9 @@ class TaskRuntime:
             kernels.append(kernel)
         stats = self.context.scheduler.stats
         store = self._resident.get((node.rdd_id, split))
-        if store is None:
+        if type(stream) is ColumnarBatch:
+            batch = stream
+        elif store is None:
             batch = from_records(stream)
         else:
             batch = store.columnar(block_id_for(node.rdd_id, split), stream)
@@ -273,7 +289,9 @@ class TaskRuntime:
         if spec.kind == TaskKind.SHUFFLE_MAP:
             dep = spec.dep
             reducer = dep.declared_sum
-            head = self.iterator(dep.rdd, spec.partition, reducer is not None)
+            head = self.iterator(
+                dep.rdd, spec.partition, reducer is not None and self._columnar
+            )
             out = None
             if type(head) is ColumnarBatch:
                 # The declared combine, straight from the lowered batch; a

@@ -63,13 +63,16 @@ class GeneratedRDD(RDD):
     Models reading input from stable storage (S3/HDFS): the generator stands
     in for the stored bytes, and ``compute_multiplier`` captures the fetch +
     deserialise + repartition cost the paper observes when interactive state
-    must be rebuilt from source (§5.4).
+    must be rebuilt from source (§5.4).  A generator returns its records as
+    rows or as a :class:`ColumnarBatch` (``columnar.columns``); a batch is
+    passed through as it is, for the task runtime to turn into rows only
+    where they are needed.
     """
 
     def __init__(
         self,
         context: "FlintContext",
-        generator: Callable[[int], List[Any]],
+        generator: Callable[[int], Any],
         num_partitions: int,
         record_size: Optional[int] = None,
         compute_multiplier: float = 2.0,
@@ -80,8 +83,9 @@ class GeneratedRDD(RDD):
         )
         self._generator = generator
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        return list(self._generator(split))
+    def compute(self, split: int, runtime: "TaskRuntime") -> Any:
+        data = self._generator(split)
+        return data if type(data) is ColumnarBatch else list(data)
 
 
 class MappedRDD(RDD):

@@ -133,6 +133,11 @@ def _describe_callable(hasher: "hashlib._Hash", fn: Any, depth: int) -> None:
     _feed(hasher, code.co_code.hex())
     _describe_value(hasher, code.co_consts, depth + 1)
     _describe_value(hasher, getattr(fn, "__defaults__", None), depth + 1)
+    kwdefaults = getattr(fn, "__kwdefaults__", None)
+    if kwdefaults:
+        # Keyword-only defaults bind values as surely as closure cells do.
+        _feed(hasher, "kwdefaults")
+        _describe_value(hasher, kwdefaults, depth + 1)
     cells = getattr(fn, "__closure__", None)
     if cells:
         _feed(hasher, f"cells[{len(cells)}]")

@@ -22,12 +22,21 @@ The per-partition generators returned by :meth:`StreamSource.generator_for`
 capture only plain data (ints, strings, tuples); they must never close over
 the source object, an RDD, or the context, so a batch's lineage pins no
 driver state.
+
+A generator returns its partition as rows (a list of records) or, when the
+records are numbers, as the NumPy columns it drew
+(:func:`~repro.engine.columnar.columns`): the numeric sources are born
+columnar and become rows (``batch.to_records()``) only where something
+needs them.  :class:`TextSource` stays rows — strings cannot lower.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.engine.columnar import ColumnarBatch, Drawn, columns
 from repro.simulation.rng import SeededRNG
 
 GB = 10**9
@@ -74,8 +83,9 @@ class StreamSource:
         """How many records batch ``batch`` carries (throughput accounting)."""
         return self.per_partition * self.num_partitions
 
-    def generator_for(self, batch: int) -> Callable[[int], List[Any]]:
-        """A pure ``partition -> records`` function for one batch."""
+    def generator_for(self, batch: int) -> Callable[[int], Drawn]:
+        """A pure ``partition -> records`` function for one batch (its
+        records as rows, or as a :class:`ColumnarBatch`)."""
         raise NotImplementedError
 
     def reference_records(self, batch: int) -> List[Any]:
@@ -83,7 +93,8 @@ class StreamSource:
         gen = self.generator_for(batch)
         out: List[Any] = []
         for p in range(self.num_partitions):
-            out.extend(gen(p))
+            part = gen(p)
+            out.extend(part.to_records() if type(part) is ColumnarBatch else part)
         return out
 
 
@@ -106,13 +117,13 @@ class RateSource(StreamSource):
         super().__init__(name, records_per_batch, num_partitions, record_size)
         self.start = int(start)
 
-    def generator_for(self, batch: int) -> Callable[[int], List[int]]:
+    def generator_for(self, batch: int) -> Callable[[int], Drawn]:
         per_part = self.per_partition
         base = self.start + batch * per_part * self.num_partitions
 
-        def generate(p: int) -> List[int]:
+        def generate(p: int) -> Drawn:
             lo = base + p * per_part
-            return list(range(lo, lo + per_part))
+            return columns(np.arange(lo, lo + per_part, dtype=np.int64))
 
         return generate
 
@@ -147,23 +158,21 @@ class EventSource(StreamSource):
         self.value_range = value_range
         self.label = label
 
-    def generator_for(self, batch: int) -> Callable[[int], List[Tuple[int, int]]]:
+    def generator_for(self, batch: int) -> Callable[[int], Drawn]:
         per_part = self.per_partition
         seed = self.seed
         keys = self.num_keys
         label = self.label
         value_range = self.value_range
 
-        def generate(p: int) -> List[Tuple[int, int]]:
+        def generate(p: int) -> Drawn:
             rng = SeededRNG(seed, f"{label}-{batch}-{p}")
-            if value_range is None:
-                return [
-                    (int(k), 1)
-                    for k in rng.integers(0, keys, size=per_part)
-                ]
             drawn = rng.integers(0, keys, size=per_part)
-            values = rng.integers(value_range[0], value_range[1], size=per_part)
-            return [(int(k), int(v)) for k, v in zip(drawn, values)]
+            if value_range is None:
+                values = np.ones(per_part, dtype=np.int64)
+            else:
+                values = rng.integers(value_range[0], value_range[1], size=per_part)
+            return columns(drawn, values)
 
         return generate
 
@@ -209,9 +218,9 @@ class TextSource(StreamSource):
         def generate(p: int) -> List[str]:
             rng = SeededRNG(seed, f"{label}-{batch}-{p}")
             picks = rng.integers(0, len(vocab), size=per_part * wpl)
-            words = [vocab[w] for w in picks.tolist()]
-            return [
-                " ".join(words[i:i + wpl]) for i in range(0, per_part * wpl, wpl)
-            ]
+            words = iter([vocab[w] for w in picks.tolist()])
+            # ``wpl`` references to one iterator: zip deals the words out
+            # ``wpl`` at a time, one tuple per line.
+            return list(map(" ".join, zip(*[words] * wpl)))
 
         return generate

@@ -5,6 +5,12 @@ Each generator produces one *partition* of data as a pure function of
 for stable storage: recomputing a lost source partition regenerates exactly
 the same records.
 
+The partition generators draw NumPy arrays and return them as they are,
+through :func:`~repro.engine.columnar.columns`: a partition is born
+columnar, feeds lowered chains without a conversion, and becomes Python
+records (``batch.to_records()``) only where something needs rows.  Each
+has one definition, with no per-record twin.
+
 The graph generator approximates the LiveJournal social graph's skew
 (power-law out-degrees); the point generator produces well-separated
 Gaussian clusters for KMeans; the ratings generator produces a sparse
@@ -17,6 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.engine.columnar import Drawn, columns
 from repro.simulation.rng import SeededRNG
 
 
@@ -26,7 +33,7 @@ def generate_graph_partition(
     edges_per_partition: int,
     num_vertices: int,
     skew: float = 1.1,
-) -> List[Tuple[int, int]]:
+) -> Drawn:
     """Edges ``(src, dst)`` with Zipf-skewed endpoints (LiveJournal-like).
 
     Sources are uniform; destinations follow a bounded Zipf so a few hub
@@ -45,12 +52,8 @@ def generate_graph_partition(
         cdf_max = (num_vertices ** (1.0 - skew) - 1.0) / (1.0 - skew)
         ranks = np.power(u * cdf_max * (1.0 - skew) + 1.0, 1.0 / (1.0 - skew))
     dsts = np.clip(ranks.astype(np.int64) - 1, 0, num_vertices - 1)
-    edges = []
-    for s, d in zip(srcs, dsts):
-        if s == d:
-            d = (d + 1) % num_vertices
-        edges.append((int(s), int(d)))
-    return edges
+    # No self loops: such an edge points at the next vertex instead.
+    return columns(srcs, np.where(srcs == dsts, (dsts + 1) % num_vertices, dsts))
 
 
 def generate_clustered_points(
@@ -60,15 +63,24 @@ def generate_clustered_points(
     num_clusters: int,
     dim: int = 8,
     spread: float = 0.5,
-) -> List[Tuple[float, ...]]:
-    """Points drawn from ``num_clusters`` well-separated Gaussians."""
+) -> Drawn:
+    """Points drawn from ``num_clusters`` well-separated Gaussians.
+
+    A point is a ``dim``-tuple of floats, one column per coordinate; a
+    single column would be a partition of bare floats, so ``dim`` is at
+    least 2.
+    """
+    if dim < 2:
+        raise ValueError("points need at least two dimensions")
     rng = SeededRNG(seed, f"points-{partition}")
     centers_rng = SeededRNG(seed, "cluster-centers")
     centers = centers_rng.uniform(-10.0, 10.0, size=(num_clusters, dim))
     assignments = rng.integers(0, num_clusters, size=points_per_partition)
     noise = rng.normal(0.0, spread, size=(points_per_partition, dim))
     points = centers[assignments] + noise
-    return [tuple(float(x) for x in row) for row in points]
+    # One contiguous array per coordinate: the kernels then stream each
+    # column instead of striding across the rows.
+    return columns(*np.ascontiguousarray(points.T))
 
 
 def generate_ratings_partition(
@@ -77,7 +89,7 @@ def generate_ratings_partition(
     ratings_per_partition: int,
     num_users: int,
     num_items: int,
-) -> List[Tuple[int, int, float]]:
+) -> Drawn:
     """Sparse ``(user, item, rating)`` triples with item-popularity skew."""
     rng = SeededRNG(seed, f"ratings-{partition}")
     users = rng.integers(0, num_users, size=ratings_per_partition)
@@ -85,7 +97,7 @@ def generate_ratings_partition(
     items = (rng.random(ratings_per_partition) ** 2 * num_items).astype(np.int64)
     items = np.clip(items, 0, num_items - 1)
     ratings = np.clip(rng.normal(3.5, 1.0, size=ratings_per_partition), 0.5, 5.0)
-    return [(int(u), int(i), float(r)) for u, i, r in zip(users, items, ratings)]
+    return columns(users, items, ratings)
 
 
 def initial_centroids(seed: int, num_clusters: int, dim: int = 8) -> List[Tuple[float, ...]]:

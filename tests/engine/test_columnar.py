@@ -18,6 +18,7 @@ from repro.engine.columnar import (
     ColumnarBatch,
     ColumnarUnsupported,
     columnar_enabled_by_env,
+    columns,
     from_records,
 )
 from repro.engine.sizeof import deep_sizeof, estimate_record_size
@@ -140,6 +141,86 @@ def test_env_switch_rejects_unrecognised_values(monkeypatch, raw):
         columnar_enabled_by_env()
     with pytest.raises(ValueError, match="FLINT_COLUMNAR"):
         build_on_demand_context(1)
+
+
+# ----------------------------------------------------------------------
+# columns(): a partition drawn as arrays
+# ----------------------------------------------------------------------
+def _arrays(column):
+    """Every array of a column tree, ragged counts included."""
+    if isinstance(column, np.ndarray):
+        return [column]
+    return [array for child in column for array in _arrays(child)]
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        (np.arange(5, dtype=np.int64),),
+        (np.array([0.5, -0.0, np.inf, np.nan]),),
+        (np.arange(4, dtype=np.int64), np.linspace(-1.0, 1.0, 4)),
+        tuple(np.arange(3, dtype=np.int64) + i for i in range(3)),
+        # A strided view: a column of a row-major point matrix.
+        tuple(np.arange(12.0).reshape(4, 3).T),
+    ],
+)
+def test_columns_is_the_batch_its_rows_columnarise_to(arrays):
+    batch = columns(*arrays)
+    again = from_records(batch.to_records())
+    assert (again.schema, again.length) == (batch.schema, batch.length)
+    mine, theirs = _arrays(batch.data), _arrays(again.data)
+    assert len(mine) == len(theirs) == len(arrays)
+    for a, b in zip(mine, theirs):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == np.ascontiguousarray(b).tobytes()  # -0.0, nan too
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        (np.arange(3, dtype=np.int32),),
+        (np.arange(3, dtype=np.float32),),
+        (np.array([True, False]),),
+        (np.array(["a", "b"]),),
+        (np.zeros((2, 2)),),
+        (np.int64(3),),
+        ([1, 2, 3],),
+        (np.arange(3, dtype=np.int64), np.arange(3, dtype=np.uint64)),
+    ],
+)
+def test_columns_refuses_other_dtypes_and_shapes(arrays):
+    with pytest.raises(TypeError):
+        columns(*arrays)
+
+
+def test_columns_refuses_unequal_lengths_and_no_arrays():
+    with pytest.raises(ValueError):
+        columns(np.arange(3, dtype=np.int64), np.arange(4.0))
+    with pytest.raises(ValueError):
+        columns()
+
+
+def test_an_empty_drawn_partition_is_rows():
+    # The empty-partition refusal holds: from_records keeps [] on the row
+    # plane, and a partition drawn empty never becomes a batch either.
+    assert columns(np.empty(0, dtype=np.int64)) == []
+    assert columns(np.empty(0, dtype=np.int64), np.empty(0)) == []
+    assert from_records([]) is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: columns(np.arange(8, dtype=np.int64), np.ones(8)),
+        lambda: from_records([(i, [float(i)] * i) for i in range(8)]),
+        lambda: from_records([1.0, 2.0]),
+    ],
+)
+def test_handed_out_columns_are_read_only(make):
+    for array in _arrays(make().data):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.engine.task_runtime import MIN_LOWERED_ROWS
 from repro.engine.transformations import ShuffledRDD
 from repro.streaming import StreamingWindowWorkload
 from repro.workloads import KMeansWorkload
+from repro.workloads import kmeans as kmeans_module
+from repro.workloads.datagen import generate_clustered_points
 from tests.conftest import build_on_demand_context
 from tests.engine.test_block_manager import make_bm
 
@@ -309,6 +311,14 @@ class ConversionCounter:
 
 def test_kmeans_columnarises_each_cached_partition_once(monkeypatch):
     monkeypatch.setenv("FLINT_COLUMNAR", "on")
+    drawn = {}
+
+    def drawing(seed, partition, *args):
+        batch = generate_clustered_points(seed, partition, *args)
+        drawn.setdefault(partition, []).append(batch)
+        return batch
+
+    monkeypatch.setattr(kmeans_module, "generate_clustered_points", drawing)
     ctx = build_on_demand_context(2)
     kmeans = KMeansWorkload(
         ctx, data_gb=0.2, num_points=800, k=4, dim=4, partitions=4, iterations=3, seed=11
@@ -319,12 +329,26 @@ def test_kmeans_columnarises_each_cached_partition_once(monkeypatch):
     stats = ctx.scheduler.stats
     assert stats.columnar_chains == 12 and stats.columnar_fallbacks == 0
     assert stats.columnar_combines == 12
-    # 3 iterations x 4 tasks read the 4 cached ``points`` blocks: 4
-    # conversions, not 12 — and each of a different block's rows.
-    assert len(counter.from_rows) == 4
-    assert len({id(rows) for rows in counter.from_rows}) == 4
+    # 3 iterations x 4 tasks read the 4 cached ``points`` blocks without a
+    # single conversion: the points were drawn as columns, and each block's
+    # sidecar is the batch its generator drew.
+    assert counter.from_rows == []
     # Nobody observes the assignment map's output: it is never rows.
     assert counter.to_rows == 0
+    assert sorted(drawn) == [0, 1, 2, 3]
+    assert all(len(batches) == 1 for batches in drawn.values())
+    prefix = f"rdd_{kmeans.points.rdd_id}_"
+    seen = []
+    for worker in ctx.cluster.live_workers():
+        store = worker.block_manager
+        for block in store.memory_block_ids():
+            if block.startswith(prefix):
+                partition = int(block[len(prefix):])
+                rows = store.get(block)[0]
+                assert store.columnar(block, rows) is drawn[partition][0]
+                seen.append(partition)
+    assert sorted(seen) == [0, 1, 2, 3]
+    assert counter.from_rows == []
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +405,11 @@ def test_no_batch_outlives_its_block_entry(loss):
 
 
 def _track_sidecars(monkeypatch):
-    """Weak set of every batch a block manager converts from now on."""
+    """Weak set of every sidecar a block manager takes from now on: the
+    batches it converts, and those a put seeds (a source drawn as columns)."""
     live = weakref.WeakSet()
     original = block_manager.from_records
+    original_put = block_manager.BlockManager.put
 
     def tracking(records):
         batch = original(records)
@@ -391,7 +417,13 @@ def _track_sidecars(monkeypatch):
             live.add(batch)
         return batch
 
+    def seeding(self, block_id, data, nbytes, spill=False, batch=None):
+        if batch is not None:
+            live.add(batch)
+        return original_put(self, block_id, data, nbytes, spill, batch)
+
     monkeypatch.setattr(block_manager, "from_records", tracking)
+    monkeypatch.setattr(block_manager.BlockManager, "put", seeding)
     return live
 
 

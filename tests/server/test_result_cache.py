@@ -69,6 +69,23 @@ def test_fingerprint_distinguishes_shuffle_aggregators(ctx):
     assert lineage_fingerprint(again) == lineage_fingerprint(plans[1])
 
 
+def test_fingerprint_distinguishes_keyword_only_defaults(ctx):
+    # A factory binding its parameter as a keyword-only default leaves no
+    # closure cell and no positional default: the value lives only in
+    # ``__kwdefaults__``, and two different queries must not share a key.
+    def scaled(k):
+        def f(x, *, scale=k):
+            return x * scale
+
+        return f
+
+    base = ctx.parallelize([0, 1, 2], 1)
+    one, two = base.map(scaled(1)), base.map(scaled(2))
+    assert one.collect() == [0, 1, 2] and two.collect() == [0, 2, 4]
+    assert lineage_fingerprint(one) != lineage_fingerprint(two)
+    assert lineage_fingerprint(one) == lineage_fingerprint(base.map(scaled(1)))
+
+
 def test_fingerprint_ignores_names_and_persistence(ctx):
     plain = _plan(ctx)
     decorated = _plan(ctx)

@@ -23,7 +23,7 @@ def test_rate_source_is_consecutive_integers():
 def test_rate_source_partition_generators_are_disjoint():
     src = RateSource(40, 4)
     gen = src.generator_for(2)
-    parts = [gen(p) for p in range(4)]
+    parts = [gen(p).to_records() for p in range(4)]
     seen = [r for part in parts for r in part]
     assert len(seen) == len(set(seen)) == 40
 
@@ -54,7 +54,7 @@ def test_event_source_without_value_range_matches_legacy_draws():
     for p in range(4):
         rng = SeededRNG(9, f"batch-2-{p}")
         expected = [(int(k), 1) for k in rng.integers(0, 10, size=20)]
-        assert src.generator_for(2)(p) == expected
+        assert src.generator_for(2)(p).to_records() == expected
 
 
 def test_event_source_value_range():
@@ -92,6 +92,53 @@ def test_text_source_lines_equal_the_per_word_reference():
                 for i in range(10)
             ]
             assert generate(p) == reference
+
+
+# The oracles below are the generators as they were written before they
+# returned columns: the same draws, turned into records one NumPy scalar at
+# a time.  ``to_records()`` must equal them exactly, Python types included.
+def _exact(records):
+    return [
+        tuple((type(x), x) for x in r) if type(r) is tuple else (type(r), r)
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_rate_columns_equal_the_range_loop(start):
+    src = RateSource(103, 4, start=start)
+    per_part = src.per_partition
+    for batch in (0, 5):
+        generate = src.generator_for(batch)
+        for p in range(4):
+            lo = start + batch * per_part * 4 + p * per_part
+            assert _exact(generate(p).to_records()) == _exact(list(range(lo, lo + per_part)))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 1234])
+@pytest.mark.parametrize("value_range", [None, (1, 10), (-5, 1000)])
+def test_event_columns_equal_the_pair_loop(seed, value_range):
+    src = EventSource(120, 4, 16, seed=seed, value_range=value_range, label="ev")
+    for batch in (0, 3):
+        generate = src.generator_for(batch)
+        for p in range(4):
+            rng = SeededRNG(seed, f"ev-{batch}-{p}")
+            if value_range is None:
+                expected = [(int(k), 1) for k in rng.integers(0, 16, size=30)]
+            else:
+                drawn = rng.integers(0, 16, size=30)
+                values = rng.integers(value_range[0], value_range[1], size=30)
+                expected = [(int(k), int(v)) for k, v in zip(drawn, values)]
+            assert _exact(generate(p).to_records()) == _exact(expected)
+
+
+def test_a_partition_of_no_records_is_rows():
+    # Fewer records than partitions: per_partition is 0.
+    assert RateSource(3, 4).generator_for(0)(1) == []
+    assert EventSource(3, 4, 8, seed=1).generator_for(0)(2) == []
+    assert EventSource(3, 4, 8, seed=1, value_range=(1, 5)).generator_for(0)(0) == []
+    assert TextSource(3, 4, VOCAB, seed=1).generator_for(0)(3) == []
+    assert RateSource(3, 4).reference_records(0) == []
 
 
 def test_source_validation():

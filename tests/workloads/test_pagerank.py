@@ -48,7 +48,7 @@ def test_matches_reference_implementation():
 
     edges = []
     for p in range(4):
-        edges.extend(generate_graph_partition(5, p, 2000 // 4, 400))
+        edges.extend(generate_graph_partition(5, p, 2000 // 4, 400).to_records())
     links = {}
     for s, d in edges:
         links.setdefault(s, []).append(d)
