@@ -39,16 +39,22 @@ class BlockStats:
     drops: int = 0
 
 
+#: ``_Block.batch`` once ``from_records`` has refused the block's rows, so
+#: that a block which cannot columnarise is scanned once, not per read.
+_REFUSED = object()
+
+
 @dataclass
 class _Block:
     data: Any
     nbytes: int
     spill: bool = False
     #: Columnar form of ``data``: seeded by ``put(batch=)`` for a source
-    #: drawn as columns, else set by :meth:`BlockManager.columnar`.  It
-    #: lives on the entry so that every way the entry leaves memory (LRU
-    #: drop or spill, remove, overwrite, revocation) takes it along.
-    batch: Optional[ColumnarBatch] = None
+    #: drawn as columns, else set by :meth:`BlockManager.columnar` (to
+    #: :data:`_REFUSED` when the rows cannot columnarise).  It lives on the
+    #: entry so that every way the entry leaves memory (LRU drop or spill,
+    #: remove, overwrite, revocation) takes it along.
+    batch: Any = None
 
 
 class BlockManager:
@@ -195,13 +201,15 @@ class BlockManager:
 
     def columnar(self, block_id: str, rows: Any) -> Optional[ColumnarBatch]:
         """``from_records(rows)``, converted once while ``rows`` is this
-        memory-resident block's payload (the block's derived sidecar)."""
+        memory-resident block's payload (the block's derived sidecar) — a
+        refusal too is remembered for the block."""
         block = self._memory.get(block_id)
         if block is None or block.data is not rows:
             return from_records(rows)
         if block.batch is None:
-            block.batch = from_records(rows)
-        return block.batch
+            batch = from_records(rows)
+            block.batch = _REFUSED if batch is None else batch
+        return None if block.batch is _REFUSED else block.batch
 
     def has(self, block_id: str) -> bool:
         return block_id in self._memory or self.worker.local_disk.has(self._SPILL_PREFIX + block_id)

@@ -4,16 +4,17 @@
 narrow chain to *vectorised batch kernels* operating on arrays-of-columns
 instead of streaming records one at a time through Python closures.  A
 chain lowers when every stage carries a kernel and its boundary holds at
-least ``task_runtime.MIN_LOWERED_ROWS`` (32) records; below that the fixed
-cost of converting exceeds what the kernels save, so the chain streams
-rows by choice — no conversion, no sidecar, no fallback counted.
+least :data:`MIN_LOWERED_ROWS` (32) records; below that the fixed cost of
+converting exceeds what the kernels save, so the chain streams rows by
+choice — no conversion, no sidecar, no fallback counted.
 
 - **Plane boundary rules.** Everything observable — block-manager puts,
-  checkpoint payloads, shuffle map outputs (a row list plus an offset
-  index), memoised partitions, action results — is always *row* form
-  (plain Python lists of records); the block manager
-  refuses ColumnarBatch payloads.  Columns exist in four derived places
-  only: a source partition drawn as columns (a generator returning
+  checkpoint payloads, memoised partitions, action results — is always
+  *row* form (plain Python lists of records); the block manager refuses
+  ColumnarBatch payloads.  A shuffle map output is a row tuple plus an
+  offset index, except one: a declared :class:`Sum`'s, whose combined
+  batch is stored as it is.  Columns exist in five derived places only:
+  a source partition drawn as columns (a generator returning
   :func:`columns`), handed as it is to a lowered chain or a declared
   combine and turned into rows only where something observes it or needs
   rows; inside one fused-chain execution (rows → columns on entry unless
@@ -22,11 +23,27 @@ rows by choice — no conversion, no sidecar, no fallback counted.
   block's rows converted once — or, for a persisted source drawn as
   columns, the drawn batch itself, seeded by ``BlockManager.put(batch=)``
   — owned by the block entry and gone with it, so an iterative job does
-  not re-columnarise the same cached partition on every pass); and at a
-  map head that feeds a declared combine (:class:`Sum`), whose map output
-  is reduced straight from the batch — such a head is never turned back
-  into rows unless something observes it (it is persisted or a
-  materialisation point).
+  not re-columnarise the same cached partition on every pass); at a map
+  head that feeds a declared combine, whose map output is reduced
+  straight from the batch — such a head is never turned back into rows
+  unless something observes it (it is persisted or a materialisation
+  point); and across that combine's shuffle (next rule).
+- **Reduce-side rules.**  When every map output of a shuffle is a batch
+  of one schema, the fetch plan concatenates them once per output epoch
+  into one reduce-major batch, and each fetch is one slice of it; a
+  shuffle mixing rows and batches turns its batches into rows in the
+  plan.  A reducer whose caller takes a batch (``as_batch``: a lowered
+  chain's boundary, a declared combine's head, a cogroup's side) merges
+  a fetched batch of at least :data:`MIN_LOWERED_ROWS` records by sort —
+  ``Sum.combine`` with one bucket — and a two-sided cogroup whose sides
+  both arrive as ``i8``-keyed batches of that size groups by sort
+  (:func:`cogroup`).  Either result is exactly the batch ``from_records``
+  builds from the row path's output, keys in ``hash_sort_key`` order
+  with first occurrence breaking hash ties; where that cannot be
+  promised (a refusal, an empty side, a list level with no element) the
+  rows are built and the row loop runs.  Below the threshold nothing is
+  converted but the fetched slice itself, and staying on rows is never
+  counted as a fallback.
 - **Bit-identity rule.** ``to_records(from_records(rows))`` must equal
   ``rows`` exactly — same Python types (``int`` stays ``int``, ``float``
   stays ``float``), same values, same nesting.  ``from_records`` therefore
@@ -62,24 +79,41 @@ from __future__ import annotations
 
 import os
 from itertools import chain as _chain
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.partitioner import hash_int_keys
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.shuffle import MapOutput
-
 __all__ = [
     "ColumnarBatch",
     "ColumnarUnsupported",
     "Drawn",
+    "MIN_LOWERED_ROWS",
     "Sum",
+    "cogroup",
     "columnar_enabled_by_env",
     "columns",
+    "concat",
     "from_records",
+    "take",
 ]
+
+#: Fewest records for which the columnar plane takes a partition: a fused
+#: chain's boundary, the sidecar a cached block serves, a reducer's merge
+#: input and each side of a cogroup.  Below it nothing is converted.
+#: Lowering has a fixed cost per chain (one ``from_records``, a kernel call
+#: per stage, one ``to_records``) that pays only once the kernels have
+#: enough records to save on.  CPU time per run, both planes
+#: (EXPERIMENTS.md, "Columnar crossover"): at 16 records per partition the
+#: row plane wins KMeans 1.9x and PageRank 1.5x; KMeans is about even at 32
+#: (0.8-1.05x), and its kernels win 1.5x at 64 and 2.9x at 128.
+#: PageRank, whose cogroups and merges run by sort on batches that crossed
+#: the shuffle, ties between 64 and 128 records and wins 1.5-2x at 600 (its
+#: kernels lost everywhere up to ~600 while the cogroup output was
+#: columnarised from rows); rows still win it 1.5x at 16 and 32, so one
+#: threshold serves both.
+MIN_LOWERED_ROWS = 32
 
 
 def columnar_enabled_by_env() -> bool:
@@ -202,17 +236,68 @@ def _emit(schema: Any, column: Any, n: int) -> List[Any]:
     return out
 
 
-def _select(schema: Any, column: Any, mask: np.ndarray) -> Any:
-    """Row subset of one column tree by boolean mask (order preserved)."""
+def take(schema: Any, column: Any, idx: np.ndarray) -> Any:
+    """Records ``idx`` of one column tree, in that order (repeats allowed).
+
+    The one gather every row subset goes through.  A ragged level gathers
+    its ``counts`` and, from its child, each picked record's whole list: the
+    list's start in the child axis plus a ramp over its length.
+    """
     if schema == "i8" or schema == "f8":
-        return column[mask]
+        return column[idx]
+    if schema[0] == "tuple":
+        return tuple(take(child, col, idx) for child, col in zip(schema[1], column))
+    counts, child_column = column
+    picked = counts[idx]
+    starts = np.cumsum(counts) - counts
+    ramp_base = np.cumsum(picked) - picked
+    child_idx = np.repeat(starts[idx] - ramp_base, picked) + np.arange(
+        int(picked.sum()), dtype=np.int64
+    )
+    return picked, take(schema[1], child_column, child_idx)
+
+
+def _slice(schema: Any, column: Any, start: int, stop: int) -> Any:
+    """Records ``start:stop`` of one column tree, as views."""
+    if schema == "i8" or schema == "f8":
+        return column[start:stop]
     if schema[0] == "tuple":
         return tuple(
-            _select(child, col, mask) for child, col in zip(schema[1], column)
+            _slice(child, col, start, stop) for child, col in zip(schema[1], column)
         )
     counts, child_column = column
-    child_mask = np.repeat(mask, counts)
-    return counts[mask], _select(schema[1], child_column, child_mask)
+    low = int(counts[:start].sum())
+    high = low + int(counts[start:stop].sum())
+    return counts[start:stop], _slice(schema[1], child_column, low, high)
+
+
+def _concat(schema: Any, trees: List[Any]) -> Any:
+    """One column tree holding several trees' records, in order."""
+    if schema == "i8" or schema == "f8":
+        return np.concatenate(trees)
+    if schema[0] == "tuple":
+        return tuple(
+            _concat(child, [col[i] for col in trees])
+            for i, child in enumerate(schema[1])
+        )
+    return (
+        np.concatenate([col[0] for col in trees]),
+        _concat(schema[1], [col[1] for col in trees]),
+    )
+
+
+def _vacuous(schema: Any, column: Any) -> bool:
+    """Does some list level of this column tree hold no element at all?
+
+    ``from_records`` gives such a level its placeholder leaf, whatever the
+    tree says, so a batch built from this one could not promise its schema.
+    """
+    if schema == "i8" or schema == "f8":
+        return False
+    if schema[0] == "tuple":
+        return any(_vacuous(child, col) for child, col in zip(schema[1], column))
+    counts, child_column = column
+    return not counts.any() or _vacuous(schema[1], child_column)
 
 
 class ColumnarBatch:
@@ -247,8 +332,13 @@ class ColumnarBatch:
                 f"selection mask must be bool[{self.length}], "
                 f"got {mask.dtype} {mask.shape}"
             )
+        idx = np.flatnonzero(mask)
+        return ColumnarBatch(self.schema, take(self.schema, self.data, idx), len(idx))
+
+    def slice(self, start: int, stop: int) -> "ColumnarBatch":
+        """Records ``start:stop``, sharing this batch's arrays."""
         return ColumnarBatch(
-            self.schema, _select(self.schema, self.data, mask), int(mask.sum())
+            self.schema, _slice(self.schema, self.data, start, stop), stop - start
         )
 
     def to_records(self) -> List[Any]:
@@ -316,6 +406,69 @@ def columns(*arrays: np.ndarray) -> Drawn:
     return ColumnarBatch(("tuple", tuple(leaves)), arrays, length)
 
 
+def concat(batches: Sequence[ColumnarBatch]) -> ColumnarBatch:
+    """One batch holding every batch's records, in order; they must share
+    one schema."""
+    schema = batches[0].schema
+    if any(batch.schema != schema for batch in batches):
+        raise ValueError("concat() needs batches of one schema")
+    return ColumnarBatch(
+        schema,
+        _concat(schema, [batch.data for batch in batches]),
+        sum(batch.length for batch in batches),
+    )
+
+
+def cogroup(left: ColumnarBatch, right: ColumnarBatch) -> Optional[ColumnarBatch]:
+    """Two-sided cogroup of ``(key, value)`` batches, by sort.
+
+    One ``(key, ([left values], [right values]))`` record per distinct key:
+    exactly the batch ``from_records`` builds from the row cogroup's output
+    (``CoGroupedRDD``) — keys in ``hash_sort_key`` order, hash ties broken
+    by first occurrence with the left side read first, and each group's
+    values in their side's order.  None where that cannot be promised: a
+    non-``i8`` key, an empty side, or a list level holding no element
+    anywhere (``from_records`` would infer its placeholder leaf).
+    """
+    sides = (left, right)
+    for side in sides:
+        schema = side.schema
+        if (
+            side.length == 0
+            or schema[0] != "tuple"
+            or len(schema[1]) != 2
+            or schema[1][0] != "i8"
+            or _vacuous(schema[1][1], side.data[1])
+        ):
+            return None
+    distinct, first, inverse = np.unique(
+        np.concatenate((left.data[0], right.data[0])),
+        return_index=True,
+        return_inverse=True,
+    )
+    hashed, _bucket = hash_int_keys(distinct, 1)
+    order = np.lexsort((first, hashed))
+    # Each record's output record: its key's rank in that order.
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    target = rank[inverse]
+    split = left.length
+    schemas = []
+    groups = []
+    for side, at in zip(sides, (target[:split], target[split:])):
+        value_schema = side.schema[1][1]
+        schemas.append(("list", value_schema))
+        groups.append((
+            np.bincount(at, minlength=len(order)),
+            take(value_schema, side.data[1], np.argsort(at, kind="stable")),
+        ))
+    return ColumnarBatch(
+        ("tuple", ("i8", ("tuple", tuple(schemas)))),
+        (distinct[order], tuple(groups)),
+        len(order),
+    )
+
+
 class Sum:
     """Declared reducer: elementwise ``+`` over numbers and tuple trees.
 
@@ -324,8 +477,9 @@ class Sum:
     Declaring the reducer, instead of passing a lambda, lets the engine
     derive both forms of the one definition: calling the instance is the
     row merge, and :meth:`combine` is the same left fold as a segmented
-    NumPy reduction over a lowered map head (:meth:`buckets`: its result
-    as the shuffle's row-form map output).
+    NumPy reduction — over a lowered map head, whose combined batch is the
+    shuffle's map output as it is, and (with one bucket) over a reducer's
+    fetched batch.
     """
 
     __slots__ = ()
@@ -345,7 +499,7 @@ class Sum:
         """Map-side combine of ``(key, value)`` records, columns to columns.
 
         One combiner per distinct key, as a batch laid out the way
-        ``shuffle.bucket_map_output`` lays out its rows under a plain
+        ``buckets.bucket_map_output`` lays out its rows under a plain
         ``HashPartitioner`` — bucket after bucket (``hash % n_buckets``),
         hash-ordered within a bucket, first occurrence breaking hash ties —
         plus each bucket's size.  None when it cannot promise the row
@@ -389,24 +543,6 @@ class Sum:
             return None
         sizes = np.bincount(bucket, minlength=n_buckets).tolist()
         return ColumnarBatch(schema, (distinct[order], sums), len(order)), sizes
-
-    def buckets(
-        self, batch: ColumnarBatch, n_buckets: int
-    ) -> Optional[Tuple[MapOutput, int]]:
-        """:meth:`combine` as the shuffle's row-form map output: exactly the
-        ``(output, records_written)`` that ``bucket_map_output`` returns for
-        ``batch.to_records()``, or None where ``combine`` refuses.  The
-        combined rows already leave in bucket order, so they are the
-        output's rows as they are."""
-        # shuffle -> dependencies -> columnar: imported here, not at the top.
-        from repro.engine.shuffle import map_output
-
-        combined = self.combine(batch, n_buckets)
-        if combined is None:
-            return None
-        merged, sizes = combined
-        rows = _emit(merged.schema, merged.data, merged.length)
-        return map_output(rows, sizes), merged.length
 
 
 def _segment_sums(

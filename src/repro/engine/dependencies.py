@@ -102,7 +102,8 @@ class ShuffleDependency(Dependency):
         declared_sum: the :class:`~repro.engine.columnar.Sum` when this is
             ``reduce_by_key(Sum())`` combining map-side under a plain
             ``HashPartitioner`` — the one shape whose map-side combine can
-            run from a lowered batch (``Sum.buckets``) — else None.  A
+            run from a batch (``Sum.combine``), whose map output may then
+            be that batch, merged by sort on the reduce side — else None.  A
             subclass of ``Sum`` is not declared: its own ``__call__`` and
             the kernel could disagree.
         declared_group: True when this is ``group_by_key`` (the

@@ -9,6 +9,11 @@ from __future__ import annotations
 import zlib
 from typing import Any, Tuple
 
+#: The mask every int key's hash goes through: ``stable_hash(k)`` of an int
+#: is ``k & HASH_MASK``, so keys ``2**31`` apart share a hash.  Per-record
+#: loops elsewhere inline it as this constant, never as a call.
+HASH_MASK = 0x7FFFFFFF
+
 
 def stable_hash(key: Any) -> int:
     """A deterministic, process-independent hash for common key types."""
@@ -16,7 +21,7 @@ def stable_hash(key: Any) -> int:
     # ids, cluster ids, user/item ids).  ``type is`` excludes bool, whose
     # branch below returns the same value anyway (int(True) == 1 & mask).
     if type(key) is int:
-        return key & 0x7FFFFFFF
+        return key & HASH_MASK
     if isinstance(key, str):
         return zlib.crc32(key.encode("utf-8"))
     if isinstance(key, bytes):
@@ -24,14 +29,14 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, bool):
         return int(key)
     if isinstance(key, int):
-        return key & 0x7FFFFFFF
+        return key & HASH_MASK
     if isinstance(key, float):
         return zlib.crc32(repr(key).encode("utf-8"))
     if isinstance(key, tuple):
         h = 0x345678
         for item in key:
             h = (h * 1000003) ^ stable_hash(item)
-        return h & 0x7FFFFFFF
+        return h & HASH_MASK
     if key is None:
         return 0
     return zlib.crc32(repr(key).encode("utf-8"))
@@ -41,7 +46,7 @@ def hash_int_keys(keys: Any, num_partitions: int) -> Tuple[Any, Any]:
     """``stable_hash`` and ``HashPartitioner.partition_for`` of every key of
     an int64 NumPy column at once — for kernels that lay shuffle buckets out
     from a key array (``columnar.Sum``) instead of record by record."""
-    hashed = keys & 0x7FFFFFFF
+    hashed = keys & HASH_MASK
     return hashed, hashed % num_partitions
 
 
@@ -56,7 +61,7 @@ class HashPartitioner:
     def partition_for(self, key: Any) -> int:
         """Bucket index for ``key`` in ``[0, num_partitions)``."""
         if type(key) is int:  # inline the dominant stable_hash branch
-            return (key & 0x7FFFFFFF) % self.num_partitions
+            return (key & HASH_MASK) % self.num_partitions
         return stable_hash(key) % self.num_partitions
 
     def __eq__(self, other: object) -> bool:

@@ -85,11 +85,14 @@ class RDD:
     #: False — they are pipeline breakers and define :meth:`compute`.
     supports_fusion = False
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
+    def compute(self, split: int, runtime: "TaskRuntime", as_batch: bool = False) -> Any:
         """Produce the records of partition ``split`` (pure, deterministic).
 
         Implemented by pipeline breakers only; inputs are reached through
-        ``runtime.iterator`` / ``runtime.shuffle_fetch``.
+        ``runtime.iterator`` / ``runtime.shuffle_fetch``.  ``as_batch`` says
+        the caller can take a :class:`~repro.engine.columnar.ColumnarBatch`
+        (one ``from_records`` would build from the rows) in place of rows;
+        rows are always a valid answer.
         """
         raise NotImplementedError
 

@@ -88,13 +88,14 @@ class SchedulerStats:
     #: (and the stages they covered), plus chains that *attempted* the
     #: lowering and fell back to rows (records refused columnarisation, or
     #: a kernel raised ``ColumnarUnsupported`` on the runtime schema).  A
-    #: chain whose boundary holds fewer than ``task_runtime.MIN_LOWERED_ROWS``
-    #: records never attempts, so it counts in neither.  These describe
+    #: chain whose boundary holds fewer than ``columnar.MIN_LOWERED_ROWS``
+    #: records never attempts, so it counts in neither.  Neither counts a
+    #: reducer's merge or a cogroup that stays on rows.  These describe
     #: *how* bodies ran, so they are excluded from :meth:`task_counts`.
     columnar_chains: int = 0
     columnar_stages: int = 0
     columnar_fallbacks: int = 0
-    #: Map tasks whose declared ``Sum`` combine ran from the lowered batch.
+    #: Map tasks whose declared ``Sum`` combine ran from a batch head.
     columnar_combines: int = 0
 
     def task_counts(self) -> Dict[str, int]:

@@ -5,56 +5,23 @@ their worker's *local* disk — which means a revocation destroys those map
 outputs and forces the map tasks to re-run, the behaviour behind the paper's
 shuffle-sensitive results (PageRank in Figures 7/8).  The ``ShuffleManager``
 is the driver-side MapOutputTracker: it knows which map outputs exist and
-where.
-
-A map output is one flat file plus an offset index, the layout of Spark's
-sort-based shuffle: a :class:`MapOutput` holds the task's rows in bucket
-order, as an immutable tuple, and R + 1 offsets, bucket ``r`` being
-``rows[offsets[r]:offsets[r + 1]]``.  :func:`map_output` is the one
-constructor.  The bucket layout — which reducer a key goes to, in what
-order records leave a bucket — is defined once, below the manager:
-:func:`bucket_map_output` writes it, a fetch slices the non-empty buckets
-out (tuples too), and :func:`merge_reduce_buckets` reads them.
-
-Stored shuffle state is kept out of the cyclic collector's way: CPython
-untracks a tuple whose items are all untracked, so a retained file of
-atomic-valued records — and ``group_by_key``'s ``(key, tuple(values))``
-combiners — costs a full collection nothing.
+where, and serves each reducer its buckets.  What a map output holds, and
+in what order, is :mod:`repro.engine.buckets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.engine.buckets import MapOutput, reduce_major
+from repro.engine.columnar import ColumnarBatch
 from repro.engine.dependencies import ShuffleDependency
-from repro.engine.partitioner import HashPartitioner, stable_hash
 from repro.obs import SpanEvent
 from repro.storage.local_disk import DiskFullError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.worker import Worker
-
-
-class MapOutput(NamedTuple):
-    """One map task's shuffle file: rows in bucket order plus an offset index.
-
-    Two tuples whatever the reducer count.  Neither can change once
-    written, and when every record is made of atomic values the collector
-    untracks them both, so a retained map output costs a full collection
-    nothing.
-    """
-
-    rows: Tuple[Any, ...]
-    #: R + 1 ascending offsets: bucket r is ``rows[offsets[r]:offsets[r + 1]]``.
-    offsets: Tuple[int, ...]
-
-
-def map_output(rows: Iterable[Any], sizes: Iterable[int]) -> MapOutput:
-    """The :class:`MapOutput` of ``rows`` already in bucket order, given
-    each bucket's size."""
-    return MapOutput(tuple(rows), tuple(accumulate(sizes, initial=0)))
 
 
 @dataclass
@@ -78,12 +45,17 @@ class FetchPlan:
     ``outputs[map_id]`` is the map output on disk, and the byte totals are
     pre-aggregated so a fetch resolves its local/remote split with two list
     reads instead of an O(maps) status walk.  Any output mutation (register,
-    eviction, worker loss) bumps the shuffle's epoch, invalidating the plan.
+    eviction, worker loss) ends the epoch and drops the plan, and with it
+    any transposed copy of the outputs.
     """
 
-    epoch: int
-    # map_id -> that map task's output.
+    # map_id -> that map task's output, its rows a tuple; empty when
+    # ``transposed`` holds the shuffle.
     outputs: List[MapOutput]
+    # Every map output as one reduce-major batch, when all of them are
+    # batches of one schema: bucket r is ``rows.slice(offsets[r],
+    # offsets[r + 1])``, map order kept within it.  Else None.
+    transposed: Optional[MapOutput]
     # reduce_id -> total bytes across all map outputs.
     reduce_bytes: List[int]
     # worker_id -> (reduce_id -> bytes served from that worker).
@@ -121,10 +93,9 @@ class ShuffleManager:
         # shuffle_id -> maintained total registered bytes, so
         # ``output_bytes`` is O(1) instead of summing every MapStatus.
         self._total_bytes: Dict[int, int] = {}
-        # shuffle_id -> output-mutation epoch / cached FetchPlan.  The plan
-        # is valid only while its epoch matches; every register/evict/loss
-        # bumps the epoch (see :class:`FetchPlan`).
-        self._plan_epochs: Dict[int, int] = {}
+        # shuffle_id -> cached FetchPlan, valid until the next
+        # register/evict/loss of one of its outputs drops it (see
+        # :class:`FetchPlan`).
         self._plans: Dict[int, FetchPlan] = {}
         self.plans_built = 0
         self.plan_hits = 0
@@ -172,8 +143,8 @@ class ShuffleManager:
         return f"shuffle/{shuffle_id}/map_{map_id}"
 
     def _invalidate_plan(self, shuffle_id: int) -> None:
-        """Bump the shuffle's output epoch, retiring any cached fetch plan."""
-        self._plan_epochs[shuffle_id] = self._plan_epochs.get(shuffle_id, 0) + 1
+        """End the shuffle's output epoch: drop its cached fetch plan."""
+        self._plans.pop(shuffle_id, None)
 
     # ------------------------------------------------------------------
     def register_map_output(
@@ -279,14 +250,15 @@ class ShuffleManager:
 
     def fetch(
         self, dep: ShuffleDependency, reduce_id: int, to_worker: "Worker"
-    ) -> Tuple[List[Tuple[Any, ...]], int, int]:
+    ) -> Tuple[List[Any], int, int]:
         """Gather bucket ``reduce_id`` from every map output.
 
         Returns ``(buckets, local_bytes, remote_bytes)`` so the caller can
         charge network time for the remote portion.  ``buckets`` holds the
         non-empty buckets only, in map order, each an immutable tuple
         slice: the merge loops iterate buckets, so an empty one contributes
-        nothing but a slice.
+        nothing but a slice.  From a transposed plan it holds one batch
+        slice instead: the reducer's records from every map, in map order.
 
         Raises:
             ShuffleFetchFailure: when any map output has been lost.
@@ -303,11 +275,16 @@ class ShuffleManager:
             raise ShuffleFetchFailure(dep.shuffle_id, sorted(missing))
         plan = self._fetch_plan(dep)
         end = reduce_id + 1
-        buckets = [
-            rows[off[reduce_id]:off[end]]
-            for rows, off in plan.outputs
-            if off[reduce_id] != off[end]
-        ]
+        if plan.transposed is None:
+            buckets = [
+                rows[off[reduce_id]:off[end]]
+                for rows, off in plan.outputs
+                if off[reduce_id] != off[end]
+            ]
+        else:
+            batch, off = plan.transposed
+            start, stop = off[reduce_id], off[end]
+            buckets = [batch.slice(start, stop)] if start != stop else []
         total = plan.reduce_bytes[reduce_id]
         served = plan.worker_bytes.get(to_worker.worker_id)
         local_bytes = served[reduce_id] if served is not None else 0
@@ -340,9 +317,8 @@ class ShuffleManager:
         is present.  Rebuilt when the shuffle's output epoch has moved.
         """
         sid = dep.shuffle_id
-        epoch = self._plan_epochs.get(sid, 0)
         plan = self._plans.get(sid)
-        if plan is not None and plan.epoch == epoch:
+        if plan is not None:
             self.plan_hits += 1
             return plan
         self.plans_built += 1
@@ -363,7 +339,18 @@ class ShuffleManager:
                 nbytes = bb[r]
                 reduce_bytes[r] += nbytes
                 served[r] += nbytes
-        plan = FetchPlan(epoch, outputs, reduce_bytes, worker_bytes)
+        transposed = reduce_major(outputs, n_reduce)
+        if transposed is not None:
+            outputs = []
+        elif any(type(output.rows) is ColumnarBatch for output in outputs):
+            # A shuffle mixing rows and batches: its batches become rows
+            # once per plan, not once per fetch.
+            outputs = [
+                MapOutput(tuple(output.rows.to_records()), output.offsets)
+                if type(output.rows) is ColumnarBatch else output
+                for output in outputs
+            ]
+        plan = FetchPlan(outputs, transposed, reduce_bytes, worker_bytes)
         self._plans[sid] = plan
         return plan
 
@@ -461,115 +448,3 @@ class ShuffleManager:
             if worker is not None and worker.alive:
                 out.add(status.worker_id)
         return sorted(out)
-
-
-# ----------------------------------------------------------------------
-# The bucket layout: map-side write, reduce-side merge
-# ----------------------------------------------------------------------
-#: Missing-key sentinel for the combine loops (one dict lookup per record
-#: instead of a membership probe plus a read).
-_ABSENT = object()
-
-
-def hash_sort_key(kv):
-    """``stable_hash`` of a pair's key, with the int fast path inlined."""
-    k = kv[0]
-    if type(k) is int:
-        return k & 0x7FFFFFFF
-    return stable_hash(k)
-
-
-def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOutput, int]:
-    """Lay one map partition out as its :class:`MapOutput`.
-
-    Returns ``(output, records_written)``.  Records keep their order within
-    a bucket; with map-side combine a bucket holds one combiner per
-    distinct key, in hash order — a declared group's as ``(key,
-    tuple(values))``.
-    """
-    n_buckets = dep.num_reduce_partitions
-    partitioner = dep.partitioner
-    combine = dep.map_side_combine
-    if combine:
-        create, merge_value, _merge_combiners = dep.aggregator
-        # Combine into one table, then distribute: the partitioner runs
-        # once per distinct key instead of once per record, and tiny
-        # buckets skip the sort.  Within a bucket the insertion order
-        # (first key occurrence) and merged values are exactly the
-        # per-bucket-table walk's, and the stable sort preserves it for
-        # hash ties — the buckets are bit-identical to the seed's.
-        combined: Dict[Any, Any] = {}
-        get = combined.get
-        for key, value in records:
-            prev = get(key, _ABSENT)
-            combined[key] = (
-                create(value) if prev is _ABSENT else merge_value(prev, value)
-            )
-        if dep.declared_group:
-            # The lists were this task's alone; the file keeps them frozen.
-            records = zip(combined, map(tuple, combined.values()))
-        else:
-            records = combined.items()
-    buckets: List[List[Any]] = [[] for _ in range(n_buckets)]
-    # ``num_reduce_partitions`` is the partitioner's own partition count,
-    # so a plain HashPartitioner's bucket choice can be inlined into the
-    # per-record loop (no function call per record).
-    if type(partitioner) is HashPartitioner:
-        for record in records:
-            key = record[0]
-            if type(key) is int:
-                buckets[(key & 0x7FFFFFFF) % n_buckets].append(record)
-            else:
-                buckets[stable_hash(key) % n_buckets].append(record)
-    else:
-        pf = partitioner.partition_for
-        for record in records:
-            buckets[pf(record[0])].append(record)
-    if combine:
-        for bucket in buckets:
-            if len(bucket) > 1:
-                bucket.sort(key=hash_sort_key)
-    output = map_output(chain.from_iterable(buckets), map(len, buckets))
-    return output, len(output.rows)
-
-
-def merge_reduce_buckets(dep: ShuffleDependency, buckets: List[Tuple[Any, ...]]) -> List[Any]:
-    """One reducer's records from its fetched buckets (the non-empty ones,
-    in map order).
-
-    With an aggregator the values merge per key and leave in hash order;
-    without one the buckets concatenate untouched.  A declared group's
-    stored tuples are never handed on: each key's first one is copied into
-    a fresh list, which the rest extend.
-    """
-    if dep.aggregator is None:
-        out: List[Any] = []
-        for bucket in buckets:
-            out.extend(bucket)
-        return out
-    create, merge_value, merge_combiners = dep.aggregator
-    merged: Dict[Any, Any] = {}
-    get = merged.get
-    if dep.declared_group:
-        for bucket in buckets:
-            for key, values in bucket:
-                prev = get(key, _ABSENT)
-                merged[key] = (
-                    list(values) if prev is _ABSENT else merge_combiners(prev, values)
-                )
-    elif dep.map_side_combine:
-        # Map side already produced combiners.
-        for bucket in buckets:
-            for key, value in bucket:
-                prev = get(key, _ABSENT)
-                merged[key] = (
-                    value if prev is _ABSENT else merge_combiners(prev, value)
-                )
-    else:
-        for bucket in buckets:
-            for key, value in bucket:
-                prev = get(key, _ABSENT)
-                merged[key] = (
-                    create(value) if prev is _ABSENT else merge_value(prev, value)
-                )
-    return sorted(merged.items(), key=hash_sort_key)

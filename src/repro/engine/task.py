@@ -17,7 +17,7 @@ from repro.obs import SpanEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.dependencies import ShuffleDependency
     from repro.engine.rdd import RDD
-    from repro.engine.shuffle import MapOutput
+    from repro.engine.buckets import MapOutput
 
 
 class TaskKind(enum.Enum):

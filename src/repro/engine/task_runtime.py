@@ -10,10 +10,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.engine.block_manager import block_id_for
-from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, from_records
+from repro.engine.columnar import (
+    MIN_LOWERED_ROWS, ColumnarBatch, ColumnarUnsupported, from_records,
+)
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.lineage import fusion_edge
-from repro.engine.shuffle import MapOutput, bucket_map_output
+from repro.engine.buckets import MapOutput, bucket_map_output, map_output
 from repro.engine.task import ComputedPartition, PendingPut, TaskKind, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,18 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.block_manager import BlockManager
     from repro.engine.context import FlintContext
     from repro.engine.rdd import RDD
-
-#: Fewest boundary records for which a fused chain lowers to batch kernels.
-#: Lowering has a fixed cost per chain (one ``from_records``, a kernel call
-#: per stage, one ``to_records``) that pays only once the kernels have
-#: enough records to save on.  CPU time per run, both planes (EXPERIMENTS.md,
-#: "Columnar crossover"): at 16 records per partition the row plane wins
-#: KMeans 1.9x and PageRank 1.5x; KMeans is about even at 32 (0.8-1.05x),
-#: and its kernels win 1.5x at 64 and 2.9x at 128.  PageRank's rows stay
-#: ahead until the planes tie near 600, but a threshold that high would
-#: give up KMeans's gains; its cure is a cheaper cogroup conversion, not a
-#: larger constant.
-MIN_LOWERED_ROWS = 32
 
 
 class TaskRuntime:
@@ -74,19 +64,24 @@ class TaskRuntime:
         """Records of ``(rdd, partition)`` via cache, checkpoint, or recompute.
 
         ``as_batch`` says the caller can take a :class:`ColumnarBatch` in
-        place of rows: the fused-chain boundary with the columnar plane on,
-        and a map head whose declared combine reduces a batch directly.
-        When the partition is computed here as a batch — a lowered chain,
-        or a source drawn as columns — such a caller gets the batch, and
-        rows are built only for whoever observes the partition (a persisted
-        or materialisation-point partition) or a caller that needs rows.
+        place of rows: the boundary of a chain whose every stage has a
+        kernel, a map head whose declared combine reduces a batch directly,
+        and a cogroup's side.  Such a caller gets the batch when the
+        partition is computed here as one — a lowered chain, a source drawn
+        as columns, a reducer's merge or a cogroup by sort — and rows are
+        built only for whoever observes the partition (a persisted or
+        materialisation-point partition) or a caller that needs rows.  It
+        also gets the sidecar of a memory-resident block that holds at
+        least :data:`MIN_LOWERED_ROWS` records, converted once per block.
         """
         key = (rdd.rdd_id, partition)
         memoised = self._memo.get(key)
         if memoised is not None:
-            if not as_batch and type(memoised) is ColumnarBatch:
-                memoised = self._memo[key] = memoised.to_records()
-            return memoised
+            if type(memoised) is ColumnarBatch:
+                if not as_batch:
+                    memoised = self._memo[key] = memoised.to_records()
+                return memoised
+            return self._sidecar(key, memoised) if as_batch else memoised
 
         found = self.context.find_block(rdd, partition, prefer=self.worker)
         if found is not None:
@@ -99,7 +94,7 @@ class TaskRuntime:
             if tier == "memory":
                 self._resident[key] = holder.block_manager
             self._memo[key] = data
-            return data
+            return self._sidecar(key, data) if as_batch else data
 
         registry = self.context.checkpoints
         if registry.has_partition(rdd, partition):
@@ -113,10 +108,11 @@ class TaskRuntime:
         if rdd.supports_fusion:
             data = self._compute_fused(rdd, partition, as_batch)
         else:
-            data = rdd.compute(partition, self)
-            if type(data) is ColumnarBatch:
+            data = rdd.compute(partition, self, as_batch)
+            if type(data) is ColumnarBatch and not rdd.dependencies:
                 # A source drawn as columns: exactly the batch its rows
-                # columnarise to, so it can seed the block's sidecar.
+                # columnarise to, and read-only, so it can seed the
+                # block's sidecar.
                 drawn = data
         # A batch's length is its row list's ``len()``: same charges.
         nbytes = rdd.partition_bytes(len(data))
@@ -140,6 +136,15 @@ class TaskRuntime:
         self._memo[key] = rows
         return data if as_batch else rows
 
+    def _sidecar(self, key: Tuple[int, int], rows: Any) -> Any:
+        """The columnar sidecar of ``rows`` when a store's memory tier served
+        them to this task and they hold enough records to pay; else rows."""
+        store = self._resident.get(key)
+        if store is None or len(rows) < MIN_LOWERED_ROWS:
+            return rows
+        batch = store.columnar(block_id_for(*key), rows)
+        return rows if batch is None else batch
+
     def _compute_fused(self, rdd: "RDD", partition: int, as_batch: bool) -> Any:
         """Materialise ``(rdd, partition)`` by streaming its narrow chain.
 
@@ -147,11 +152,13 @@ class TaskRuntime:
         breaker — a cached/persisted/checkpointed partition, a per-task memo
         hit, a shuffle or multi-parent dependency, a source, or a node with
         more than one dependant (memoised once per task and served to each).
-        The boundary input resolves through the normal :meth:`iterator`
-        path; if it holds at least :data:`MIN_LOWERED_ROWS` records the
-        chain is offered to the columnar plane, and otherwise (or on a
-        refusal) records stream through each stage's ``compute_fused``
-        without re-entering per-RDD resolution.
+        The stages' kernels are looked up first: only a chain whose every
+        stage has one asks :meth:`iterator` for its boundary as a batch, so
+        a kernel-less chain never makes the boundary convert.  If the
+        boundary holds at least :data:`MIN_LOWERED_ROWS` records the chain
+        is offered to the columnar plane, and otherwise (or on a refusal)
+        records stream through each stage's ``compute_fused`` without
+        re-entering per-RDD resolution.
 
         Simulated time charges the input subtree first, then each interior
         stage deepest-first with its own record count, size, and multiplier
@@ -181,9 +188,10 @@ class TaskRuntime:
                 break
             stages.append((node, split))
             node, split = edge
-        stream = self.iterator(node, split, self._columnar)
-        if self._columnar and len(stream) >= MIN_LOWERED_ROWS:
-            batch = self._compute_columnar(stages, node, split, stream)
+        kernels = self._kernels(stages) if self._columnar else None
+        stream = self.iterator(node, split, kernels is not None)
+        if kernels is not None and len(stream) >= MIN_LOWERED_ROWS:
+            batch = self._compute_columnar(stages, kernels, node, split, stream)
             if batch is not None:
                 return batch if as_batch else batch.to_records()
         if type(stream) is ColumnarBatch:
@@ -202,19 +210,35 @@ class TaskRuntime:
             stats.fused_stages += len(stages)
         return rdd.compute_fused(stream, partition)
 
+    @staticmethod
+    def _kernels(stages: List[Tuple["RDD", int]]) -> Optional[List[Any]]:
+        """Every stage's batch kernel, head first; None if one has none."""
+        kernels = []
+        for stage, stage_split in stages:
+            kernel = stage.batch_kernel(stage_split)
+            if kernel is None:
+                return None
+            kernels.append(kernel)
+        return kernels
+
     def _compute_columnar(
-        self, stages: List[Tuple["RDD", int]], node: "RDD", split: int, stream: Any
+        self,
+        stages: List[Tuple["RDD", int]],
+        kernels: List[Any],
+        node: "RDD",
+        split: int,
+        stream: Any,
     ) -> Optional[ColumnarBatch]:
         """Lower a walked chain to batch kernels; None means "use rows".
 
-        The caller has resolved the boundary ``stream`` through the normal
-        :meth:`iterator` and tries this only when it holds at least
-        :data:`MIN_LOWERED_ROWS` records — a smaller boundary is the row
-        plane's by choice, not a fallback.  Lowering then applies only when
-        every stage carries a batch kernel and the boundary records
-        columnarise; a kernel may still refuse the runtime schema
-        (``ColumnarUnsupported``).  Either way the row plane takes over on
-        the same ``stream`` with nothing double-charged.
+        The caller has found a kernel for every stage, resolved the boundary
+        ``stream`` through the normal :meth:`iterator` and tries this only
+        when it holds at least :data:`MIN_LOWERED_ROWS` records — a smaller
+        boundary is the row plane's by choice, not a fallback.  Lowering
+        then applies only when the boundary records columnarise; a kernel
+        may still refuse the runtime schema (``ColumnarUnsupported``).
+        Either way the row plane takes over on the same ``stream`` with
+        nothing double-charged.
 
         Charges are bit-identical to the row plane by construction: batch
         lengths equal the row plane's per-stage record counts (the kernel
@@ -223,26 +247,19 @@ class TaskRuntime:
         so applying them post hoc changes nothing.  The head stage is
         charged by the caller from the returned batch's length, as always.
 
-        A boundary computed here as a batch (a source drawn as columns) is
-        used as it is.  A boundary served from a store's memory tier is
-        columnarised once per block, not once per task: the store keeps the
-        batch beside the rows (``BlockManager.columnar``), and a source
-        block's batch is the one its generator drew.
+        A boundary computed here as a batch (a source drawn as columns, a
+        reducer's merge, a cogroup) is used as it is, and so is the sidecar
+        :meth:`iterator` serves for a block in a store's memory tier — the
+        block's rows converted once per block, or a source block's drawn
+        batch.  Rows from such a block mean its sidecar was refused.
         """
-        kernels = []
-        for stage, stage_split in stages:
-            kernel = stage.batch_kernel(stage_split)
-            if kernel is None:
-                return None
-            kernels.append(kernel)
         stats = self.context.scheduler.stats
-        store = self._resident.get((node.rdd_id, split))
         if type(stream) is ColumnarBatch:
             batch = stream
-        elif store is None:
-            batch = from_records(stream)
+        elif (node.rdd_id, split) in self._resident:
+            batch = None
         else:
-            batch = store.columnar(block_id_for(node.rdd_id, split), stream)
+            batch = from_records(stream)
         if batch is None:
             stats.columnar_fallbacks += 1
             return None
@@ -269,9 +286,10 @@ class TaskRuntime:
             stats.fused_stages += len(stages)
         return batch
 
-    def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[Tuple[Any, ...]]:
+    def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[Any]:
         """Gather one reducer's non-empty buckets, in map order, as
-        immutable tuple slices of the stored files, charging transfer time."""
+        immutable tuple slices of the stored files (or one slice of a
+        transposed plan's batch), charging transfer time."""
         buckets, local_bytes, remote_bytes = self.context.shuffle_manager.fetch(
             dep, reduce_id, self.worker
         )
@@ -292,16 +310,20 @@ class TaskRuntime:
             head = self.iterator(
                 dep.rdd, spec.partition, reducer is not None and self._columnar
             )
-            out = None
+            combined = None
             if type(head) is ColumnarBatch:
-                # The declared combine, straight from the lowered batch; a
-                # refusal runs the row loop on the rows it never needed.
-                out = reducer.buckets(head, dep.num_reduce_partitions)
-                if out is None:
+                # The declared combine, straight from the lowered batch,
+                # whose result is the map output as it is; a refusal runs
+                # the row loop on the rows it never needed.
+                combined = reducer.combine(head, dep.num_reduce_partitions)
+                if combined is None:
                     head = head.to_records()
                 else:
                     self.context.scheduler.stats.columnar_combines += 1
-            output, written = out or bucket_map_output(dep, head)
+            if combined is None:
+                output, written = bucket_map_output(dep, head)
+            else:
+                output, written = map_output(*combined), combined[0].length
             self.charge(self.cost.shuffle_write_time(written * dep.rdd.record_size))
             return None, output
         # CHECKPOINT: the payload was captured at compute time; only the write costs.

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch
+from repro.engine.buckets import hash_sort_key, merge_reduce_buckets
+from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, cogroup
 from repro.engine.dependencies import (
     OneToOneDependency,
     RangeDependency,
@@ -24,7 +25,6 @@ from repro.engine.dependencies import (
 )
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
-from repro.engine.shuffle import hash_sort_key, merge_reduce_buckets
 from repro.engine.sizeof import estimate_record_size
 from repro.simulation.rng import SeededRNG
 
@@ -53,7 +53,7 @@ class ParallelCollectionRDD(RDD):
         length = len(data)
         return [data[(i * length) // n : ((i + 1) * length) // n] for i in range(n)]
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
+    def compute(self, split: int, runtime: "TaskRuntime", as_batch: bool = False) -> List[Any]:
         return list(self._slices[split])
 
 
@@ -83,7 +83,7 @@ class GeneratedRDD(RDD):
         )
         self._generator = generator
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> Any:
+    def compute(self, split: int, runtime: "TaskRuntime", as_batch: bool = False) -> Any:
         data = self._generator(split)
         return data if type(data) is ColumnarBatch else list(data)
 
@@ -358,7 +358,9 @@ class ShuffledRDD(RDD):
 
     With an aggregator (reduceByKey/combineByKey) values are merged map-side
     into combiners and merged again here; without one (partitionBy) the
-    records pass through bucketed but untouched.
+    records pass through bucketed but untouched.  A declared ``Sum``'s
+    combiners arrive as columns and, for a caller that takes a batch,
+    merge by sort (``merge_reduce_buckets``).
     """
 
     def __init__(
@@ -378,9 +380,9 @@ class ShuffledRDD(RDD):
     def shuffle_dependency(self) -> ShuffleDependency:
         return self.dependencies[0]
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
+    def compute(self, split: int, runtime: "TaskRuntime", as_batch: bool = False) -> Any:
         dep = self.shuffle_dependency
-        return merge_reduce_buckets(dep, runtime.shuffle_fetch(dep, split))
+        return merge_reduce_buckets(dep, runtime.shuffle_fetch(dep, split), as_batch)
 
 
 class CoGroupedRDD(RDD):
@@ -390,7 +392,9 @@ class CoGroupedRDD(RDD):
     contributes through a *narrow* dependency — its partition ``p`` holds
     exactly the keys of output partition ``p`` — so iterative joins against
     a pre-partitioned dataset (PageRank's ``links``) shuffle only the small
-    side.
+    side.  For a caller that takes a batch, two sides that both arrive as
+    ``i8``-keyed batches of at least ``MIN_LOWERED_ROWS`` records group by
+    sort (``columnar.cogroup``) into the batch of the rows below.
     """
 
     def __init__(self, context: "FlintContext", parents: List[RDD], partitioner: HashPartitioner):
@@ -405,19 +409,41 @@ class CoGroupedRDD(RDD):
         super().__init__(context, deps, partitioner.num_partitions, name="cogroup")
         self.partitioner = partitioner
 
-    def compute(self, split: int, runtime: "TaskRuntime") -> List[Any]:
-        n = len(self.dependencies)
+    def compute(self, split: int, runtime: "TaskRuntime", as_batch: bool = False) -> Any:
+        deps = self.dependencies
+        n = len(deps)
+        sides = [
+            runtime.shuffle_fetch(dep, split)
+            if isinstance(dep, ShuffleDependency)
+            else [runtime.iterator(dep.rdd, split, as_batch)]
+            for dep in deps
+        ]
+        if as_batch and n == 2:
+            # By sort, when both sides arrived as one batch each, large
+            # enough to pay; every input was resolved once, above.
+            left, right = (
+                sources[0] if len(sources) == 1 else None for sources in sides
+            )
+            if (
+                type(left) is ColumnarBatch
+                and type(right) is ColumnarBatch
+                and min(left.length, right.length) >= MIN_LOWERED_ROWS
+            ):
+                grouped = cogroup(left, right)
+                if grouped is not None:
+                    return grouped
         # Group tuples are built up-front (not converted from lists at the
         # end), so the result is one sort over the table itself.  The
         # two-sided case — every ``cogroup``/``join`` the engine itself
         # creates — constructs its group pair as a literal.
         table: Dict[Any, Tuple[List[Any], ...]] = {}
         get = table.get
-        for side, dep in enumerate(self.dependencies):
-            if isinstance(dep, ShuffleDependency):
-                sources = runtime.shuffle_fetch(dep, split)
-            else:
-                sources = (runtime.iterator(dep.rdd, split),)
+        for side, (dep, sources) in enumerate(zip(deps, sides)):
+            if not isinstance(dep, ShuffleDependency) and type(sources[0]) is ColumnarBatch:
+                # Rows after all: the task's memo turns the batch into rows
+                # once, or already holds the block's rows.  (A cogroup's
+                # shuffles carry no declared combine, so they fetch rows.)
+                sources = [runtime.iterator(dep.rdd, split)]
             if n == 2:
                 for records in sources:
                     for key, value in records:

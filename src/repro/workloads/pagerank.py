@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, Sum
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, Sum, take
 from repro.engine.context import FlintContext
 from repro.engine.rdd import RDD
 from repro.workloads.datagen import generate_graph_partition
@@ -24,9 +24,11 @@ GB = 10**9
 _LINKS_SCHEMA = ("tuple", ("i8", ("list", "i8")))
 #: Schema of a rank partition: ``(vertex, rank)``.
 _RANKS_SCHEMA = ("tuple", ("i8", "f8"))
-#: Schema of a cogrouped ``(src, ([group, ...], [rank, ...]))`` partition —
-#: the link side is doubly ragged (list of adjacency lists).
-_COGROUP_SCHEMA = ("tuple", ("i8", ("tuple", (("list", ("list", "i8")), ("list", "f8")))))
+#: The two sides of a cogrouped ``(src, ([group, ...], [rank, ...]))``
+#: partition — the link side is doubly ragged (list of adjacency lists).
+_LINK_GROUPS = ("list", ("list", "i8"))
+_RANK_VALUES = ("list", "f8")
+_COGROUP_SCHEMA = ("tuple", ("i8", ("tuple", (_LINK_GROUPS, _RANK_VALUES))))
 
 
 def _init_ranks_batch(batch: ColumnarBatch) -> ColumnarBatch:
@@ -52,51 +54,30 @@ def _contributions_batch(batch: ColumnarBatch) -> ColumnarBatch:
     its fan-out) is IEEE-identical to the scalar ``rank / len(dsts)``.
     """
     _src, (link_col, rank_col) = batch.require(_COGROUP_SCHEMA)
-    group_counts, (dst_counts, dst_vals) = link_col
-    rank_counts, rank_vals = rank_col
+    group_counts, rank_counts = link_col[0], rank_col[0]
     if (group_counts > 1).any() or (rank_counts > 1).any():
         # The row plane reads only element [0] of each side; refuse rather
         # than silently dropping the extras (cogroup of pre-grouped links
         # with unique ranks never produces them in practice).
         raise ColumnarUnsupported("multiple cogroup values for one key")
     valid = (group_counts > 0) & (rank_counts > 0)
-    if valid.all():
-        # Dense fast path: every record has exactly one group and one rank
-        # (counts are all 1 after the >1 refusal), so the flat axes are
-        # already in record order and the gather below is the identity.
-        fanout = dst_counts
-        if (fanout == 0).any():
-            raise ColumnarUnsupported("empty adjacency list")
-        share = rank_vals / fanout
-        return ColumnarBatch(
-            _RANKS_SCHEMA,
-            (dst_vals, np.repeat(share, fanout)),
-            int(fanout.sum()),
-        )
-    if not valid.any():
-        return ColumnarBatch(
-            _RANKS_SCHEMA, (np.empty(0, dtype=np.int64), np.empty(0)), 0
-        )
-    # Flat-axis index of each valid record's single adjacency list.
-    group_offsets = np.concatenate(([0], np.cumsum(group_counts)))
-    flat_group = group_offsets[:-1][valid]
-    fanout = dst_counts[flat_group]
+    if not valid.all():
+        # Keep the records with a group and a rank; the row plane emits
+        # nothing for the rest.
+        kept = np.flatnonzero(valid)
+        link_col = take(_LINK_GROUPS, link_col, kept)
+        rank_col = take(_RANK_VALUES, rank_col, kept)
+    # Every record left has exactly one adjacency list and one rank, so the
+    # flat axes are in record order.
+    _groups, (fanout, dst_vals) = link_col
     if (fanout == 0).any():
         # ``rank / len(dsts)`` would raise ZeroDivisionError on the row
         # plane; fall back so the error surfaces there, not here.
         raise ColumnarUnsupported("empty adjacency list")
-    rank_offsets = np.concatenate(([0], np.cumsum(rank_counts)))
-    rank = rank_vals[rank_offsets[:-1][valid]]
-    share = rank / fanout
-    # Gather every valid record's dsts: start of its list in the flat dst
-    # axis, plus a within-list ramp.
-    dst_offsets = np.concatenate(([0], np.cumsum(dst_counts)))
-    starts = dst_offsets[:-1][flat_group]
-    total = int(fanout.sum())
-    out_offsets = np.concatenate(([0], np.cumsum(fanout)[:-1]))
-    within = np.arange(total, dtype=np.int64) - np.repeat(out_offsets, fanout)
-    out_dst = dst_vals[np.repeat(starts, fanout) + within]
-    return ColumnarBatch(_RANKS_SCHEMA, (out_dst, np.repeat(share, fanout)), total)
+    share = rank_col[1] / fanout
+    return ColumnarBatch(
+        _RANKS_SCHEMA, (dst_vals, np.repeat(share, fanout)), int(fanout.sum())
+    )
 
 
 class PageRankWorkload:

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.environment import Environment
 from repro.engine.context import FlintContext
-from repro.engine.shuffle import MapOutput, map_output
+from repro.engine.buckets import MapOutput, map_output
 from repro.market.market import OnDemandMarket, SpotMarket
 from repro.market.provider import CloudProvider
 from repro.simulation.clock import HOUR

@@ -2,8 +2,8 @@
 
 Three contracts (see :mod:`repro.engine.columnar`):
 
-- ``Sum.buckets`` builds, straight from a batch, exactly the map output
-  ``shuffle.bucket_map_output`` builds from the same rows — same rows and
+- ``Sum.combine`` lays out, straight from a batch, exactly the map output
+  ``buckets.bucket_map_output`` builds from the same rows — same rows and
   offsets, same Python types, float leaves equal by ``float.hex`` — or
   refuses, and
   a refusal runs the row loop with the same results;
@@ -28,7 +28,7 @@ from repro.engine.block_manager import block_id_for
 from repro.engine.columnar import ColumnarBatch, Sum, from_records
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.shuffle import bucket_map_output
+from repro.engine.buckets import bucket_map_output, map_output
 from repro.engine.task_runtime import MIN_LOWERED_ROWS
 from repro.engine.transformations import ShuffledRDD
 from repro.streaming import StreamingWindowWorkload
@@ -56,10 +56,20 @@ def sum_dependency(n_buckets, map_side_combine=True, partitioner=HashPartitioner
     )
 
 
+def combined_output(batch, n_buckets):
+    """``Sum.combine``'s batch as the rows of the map output the task runtime
+    stores, with the records written; None where the kernel refuses."""
+    combined = SUM.combine(batch, n_buckets)
+    if combined is None:
+        return None
+    merged, sizes = combined
+    return map_output(merged.to_records(), sizes), merged.length
+
+
 def assert_matches_row_loop(records, n_buckets):
     dep = sum_dependency(n_buckets)
     assert dep.declared_sum is SUM
-    got = SUM.buckets(from_records(records), n_buckets)
+    got = combined_output(from_records(records), n_buckets)
     assert got is not None, "the kernel refused a batch it should accept"
     want = bucket_map_output(dep, records)
     assert exact(got[0]) == exact(want[0])
@@ -114,7 +124,7 @@ def test_hash_ties_keep_first_occurrence_order():
     k = 12345
     records = [(k + 2**31, 1.0), (k, 2.0), (k - 2**31, 3.0), (k, 4.0), (k + 2**31, 5.0)]
     assert_matches_row_loop(records, 4)
-    output, written = SUM.buckets(from_records(records), 4)
+    output, written = combined_output(from_records(records), 4)
     # The three keys share one hash, so one bucket holds all of them.
     assert written == 3
     assert sorted(b - a for a, b in zip(output.offsets, output.offsets[1:])) == [0, 0, 0, 3]
@@ -169,13 +179,13 @@ REFUSED = {
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_kernel_refuses(name):
-    assert SUM.buckets(from_records(REFUSED[name]), 3) is None
+    assert SUM.combine(from_records(REFUSED[name]), 3) is None
 
 
 def test_kernel_refuses_an_empty_batch():
     schema = ("tuple", ("i8", "f8"))
     empty = ColumnarBatch(schema, (np.empty(0, np.int64), np.empty(0)), 0)
-    assert SUM.buckets(empty, 3) is None
+    assert SUM.combine(empty, 3) is None
 
 
 class _OtherPartitioner(HashPartitioner):
@@ -279,9 +289,10 @@ def test_an_observed_head_is_still_materialised(monkeypatch):
     assert ctx.scheduler.stats.columnar_combines == 2
     assert ctx.cached_partition_count(head) == 2
     assert exact(sorted(head.collect())) == exact(sorted(records))
-    # The second pass reads the cached rows: no chain to lower, row loop.
+    # The second pass reads the cached blocks: no chain to lower, but each
+    # holds MIN_LOWERED_ROWS records, so the head combines from its sidecar.
     assert exact(head.reduce_by_key(SUM, 3).collect()) == exact(first)
-    assert ctx.scheduler.stats.columnar_combines == 2
+    assert ctx.scheduler.stats.columnar_combines == 4
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +344,11 @@ def test_kmeans_columnarises_each_cached_partition_once(monkeypatch):
     # single conversion: the points were drawn as columns, and each block's
     # sidecar is the batch its generator drew.
     assert counter.from_rows == []
-    # Nobody observes the assignment map's output: it is never rows.
-    assert counter.to_rows == 0
+    # Nobody observes the assignment map's output: it is never rows.  Its
+    # combined map outputs cross the shuffle as columns, and each of the
+    # 3 x 4 reducers — under MIN_LOWERED_ROWS records — turns its one
+    # slice of them into rows.
+    assert counter.to_rows == 12
     assert sorted(drawn) == [0, 1, 2, 3]
     assert all(len(batches) == 1 for batches in drawn.values())
     prefix = f"rdd_{kmeans.points.rdd_id}_"

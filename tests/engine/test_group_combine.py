@@ -17,7 +17,7 @@ import pytest
 
 from repro.engine.dependencies import GROUP
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.shuffle import bucket_map_output, merge_reduce_buckets
+from repro.engine.buckets import bucket_map_output, merge_reduce_buckets
 from tests.conftest import build_on_demand_context
 from tests.engine.test_map_output import KEYS, _setup
 

@@ -1,6 +1,6 @@
 """One flat map output per map task: rows in bucket order plus an offset index.
 
-Two contracts (see :mod:`repro.engine.shuffle`):
+Two contracts (see :mod:`repro.engine.buckets` and :mod:`repro.engine.shuffle`):
 
 - a registered map output costs the cyclic collector at most two
   containers, whatever the number of reducers (none once its records are
@@ -22,7 +22,8 @@ from repro.cluster.worker import Worker
 from repro.engine.columnar import Sum, from_records
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner, stable_hash
-from repro.engine.shuffle import ShuffleManager, bucket_map_output
+from repro.engine.buckets import bucket_map_output, map_output
+from repro.engine.shuffle import ShuffleManager
 from repro.market.instance import Instance
 from tests.conftest import build_on_demand_context
 
@@ -67,7 +68,7 @@ def test_a_map_output_is_two_containers(producer, n_reduce):
     rng = random.Random(n_reduce)
     records = [(rng.randrange(10 * n_reduce), rng.random()) for _ in range(5 * n_reduce)]
     if producer == "sum kernel":
-        output, _written = SUM.buckets(from_records(records), n_reduce)
+        output = map_output(*SUM.combine(from_records(records), n_reduce))
     else:
         output, _written = bucket_map_output(dep, records)
     status = manager.register_map_output(dep, 0, workers[0], output, 100)
