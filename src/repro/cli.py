@@ -44,17 +44,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="universe seed")
 
 
-def _add_columnar(parser: argparse.ArgumentParser) -> None:
-    """Data-plane flag for subcommands that run the engine.
-
-    ``--columnar`` mirrors ``FLINT_COLUMNAR``.  Precedence: flag >
-    environment > default (on).
-    """
-    parser.add_argument("--columnar", choices=["on", "off"], default=None,
-                        help="vectorised batch kernels for fused chains "
-                             "(default: $FLINT_COLUMNAR or on)")
-
-
 def _add_streaming(parser: argparse.ArgumentParser) -> None:
     """Micro-batch flags for subcommands that can run the streaming plane."""
     parser.add_argument("--batch-interval", type=float, default=30.0,
@@ -108,19 +97,6 @@ def _print_streaming_summary(workload) -> None:
               f"(tau={ssc.policy.tau:.0f}s)")
 
 
-def _apply_columnar(args: argparse.Namespace) -> None:
-    """Publish ``--columnar`` to the environment.
-
-    Scenario builders construct their own contexts, so — exactly like
-    ``FLINT_TRACE`` — the environment is the channel that reaches every one
-    of them.  The flag overrides any inherited env value; an absent flag
-    leaves the environment (and therefore its precedence over the default)
-    untouched.  :func:`main` restores the caller's environment afterwards.
-    """
-    if args.columnar is not None:
-        os.environ["FLINT_COLUMNAR"] = args.columnar
-
-
 def cmd_markets(args: argparse.Namespace) -> int:
     """Print the spot universe as the node manager snapshots it."""
     provider = standard_provider(seed=args.seed)
@@ -167,7 +143,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         TPCHSession,
     )
 
-    _apply_columnar(args)
     provider = standard_provider(seed=args.seed)
     mode = Mode.INTERACTIVE if args.mode == "interactive" else Mode.BATCH
     flint = Flint(
@@ -216,7 +191,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.scenario import run_multitenant
     from repro.server.tenancy import RetryPolicy, TenancyConfig, TenantPolicy
 
-    _apply_columnar(args)
     tenancy = None
     if (args.tenant_quota is not None or args.tenant_rate is not None
             or args.breaker_threshold is not None):
@@ -318,7 +292,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # The scenario builders construct their own contexts; the env var is the
     # channel that reaches every one of them.
     os.environ["FLINT_TRACE"] = "1"
-    _apply_columnar(args)
 
     captured = {}
 
@@ -546,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--hours", type=float, default=2.0)
     _add_streaming(p)
-    _add_columnar(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("serve", help="multi-tenant job server scenario + SLO report")
@@ -582,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append query lifecycle JSONL journal at PATH")
     p.add_argument("--result-cache", action="store_true",
                    help="share query results across sessions by lineage key")
-    _add_columnar(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("trace", help="run a scenario traced; export a Chrome timeline")
@@ -605,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revoke-at", type=float, default=150.0,
                    help="storm scenario: simulated time of the revocation burst")
     _add_streaming(p)
-    _add_columnar(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("advise", help="what-if report: every market + both policies")

@@ -1,12 +1,12 @@
 """Columnar partition representation for the fused data plane.
 
-``FLINT_COLUMNAR`` (default on) lets the fused-chain compiler lower a
-narrow chain to *vectorised batch kernels* operating on arrays-of-columns
-instead of streaming records one at a time through Python closures.  A
-chain lowers when every stage carries a kernel and its boundary holds at
-least :data:`MIN_LOWERED_ROWS` (32) records; below that the fixed cost of
-converting exceeds what the kernels save, so the chain streams rows by
-choice — no conversion, no sidecar, no fallback counted.
+The fused-chain compiler lowers a narrow chain to *vectorised batch
+kernels* operating on arrays-of-columns instead of streaming records one
+at a time through Python closures, choosing the plane from what it
+observes.  A chain lowers when every stage carries a kernel and its
+boundary holds at least :data:`MIN_LOWERED_ROWS` (32) records; below that
+the fixed cost of converting exceeds what the kernels save, so the chain
+streams rows by choice — no conversion, no sidecar, no fallback counted.
 
 - **Plane boundary rules.** Everything observable — block-manager puts,
   checkpoint payloads, memoised partitions, action results — is always
@@ -77,7 +77,6 @@ raises.
 
 from __future__ import annotations
 
-import os
 from itertools import chain as _chain
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -92,7 +91,6 @@ __all__ = [
     "MIN_LOWERED_ROWS",
     "Sum",
     "cogroup",
-    "columnar_enabled_by_env",
     "columns",
     "concat",
     "from_records",
@@ -114,19 +112,6 @@ __all__ = [
 #: columnarised from rows); rows still win it 1.5x at 16 and 32, so one
 #: threshold serves both.
 MIN_LOWERED_ROWS = 32
-
-
-def columnar_enabled_by_env() -> bool:
-    """``FLINT_COLUMNAR``: default on; an unrecognised value is an error."""
-    value = os.environ.get("FLINT_COLUMNAR", "on")
-    folded = value.lower()
-    if folded in ("on", "1", "true"):
-        return True
-    if folded in ("off", "0", "false"):
-        return False
-    raise ValueError(
-        f"FLINT_COLUMNAR={value!r} is not one of on/1/true/off/0/false"
-    )
 
 
 class ColumnarUnsupported(Exception):

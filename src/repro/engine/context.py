@@ -19,7 +19,6 @@ from repro.cluster.environment import Environment
 from repro.engine.block_index import BlockLocationIndex
 from repro.engine.block_manager import BlockManager, block_id_for
 from repro.engine.checkpoint import CheckpointRegistry
-from repro.engine.columnar import columnar_enabled_by_env
 from repro.engine.costs import CostModel
 from repro.engine.shuffle import ShuffleManager
 from repro.obs import Observability
@@ -38,19 +37,10 @@ class FlintContext:
         cluster: Cluster,
         cost_model: Optional[CostModel] = None,
         obs: Optional[Observability] = None,
-        columnar: Optional[bool] = None,
     ):
         self.env = env
         self.cluster = cluster
         self.cost_model = cost_model or CostModel()
-        #: Columnar fused-chain execution (``FLINT_COLUMNAR``, default on):
-        #: a chain whose stages all carry batch kernels and whose boundary
-        #: records columnarise runs as vectorised NumPy passes instead of
-        #: per-record closures, bit-identical by contract.  Off leaves every
-        #: chain on the fused row plane that refusals fall back to.
-        if columnar is None:
-            columnar = columnar_enabled_by_env()
-        self.columnar_enabled = bool(columnar)
         #: Bumped by :meth:`RDD.set_record_size`; versions every RDD's
         #: memoised inherited record size (see ``RDD.record_size``).
         self.sizing_epoch = 0

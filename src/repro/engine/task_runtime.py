@@ -52,7 +52,6 @@ class TaskRuntime:
         #: Stores whose memory tier served a block to this task: the owners
         #: of those blocks' columnar sidecars.
         self._resident: Dict[Tuple[int, int], "BlockManager"] = {}
-        self._columnar = context.columnar_enabled
 
     def charge(self, seconds: float) -> None:
         """Add simulated seconds to this task's duration."""
@@ -188,7 +187,7 @@ class TaskRuntime:
                 break
             stages.append((node, split))
             node, split = edge
-        kernels = self._kernels(stages) if self._columnar else None
+        kernels = self._kernels(stages)
         stream = self.iterator(node, split, kernels is not None)
         if kernels is not None and len(stream) >= MIN_LOWERED_ROWS:
             batch = self._compute_columnar(stages, kernels, node, split, stream)
@@ -307,9 +306,7 @@ class TaskRuntime:
         if spec.kind == TaskKind.SHUFFLE_MAP:
             dep = spec.dep
             reducer = dep.declared_sum
-            head = self.iterator(
-                dep.rdd, spec.partition, reducer is not None and self._columnar
-            )
+            head = self.iterator(dep.rdd, spec.partition, reducer is not None)
             combined = None
             if type(head) is ColumnarBatch:
                 # The declared combine, straight from the lowered batch,

@@ -67,9 +67,10 @@ def _sorted_collect(rdd: "RDD") -> Tuple:
 class StreamingIdentityWorkload:
     """Pass-through pipe: rate source → identity map → per-batch count.
 
-    The identity map carries a columnar ``batch_fn`` twin, so under
-    ``FLINT_COLUMNAR=on`` the whole chain lowers to vectorised batches —
-    the throughput workload deliberately exercises the fastest plane.
+    The identity map carries a columnar ``batch_fn`` twin, so a batch of at
+    least ``MIN_LOWERED_ROWS`` records per partition lowers the whole chain
+    to vectorised batches — the throughput workload deliberately exercises
+    the fastest plane.
     """
 
     def __init__(

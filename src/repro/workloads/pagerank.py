@@ -31,21 +31,40 @@ _RANK_VALUES = ("list", "f8")
 _COGROUP_SCHEMA = ("tuple", ("i8", ("tuple", (_LINK_GROUPS, _RANK_VALUES))))
 
 
+def _init_rank(_dsts):
+    return 1.0
+
+
+def _rank_update(total):
+    return 0.15 + 0.85 * total
+
+
+def _contributions(kv):
+    """Each destination's share of its source's rank, in adjacency order."""
+    _src, (link_groups, rank_values) = kv
+    if not link_groups or not rank_values:
+        return []
+    dsts = link_groups[0]
+    rank = rank_values[0]
+    share = rank / len(dsts)
+    return [(d, share) for d in dsts]
+
+
 def _init_ranks_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Columnar twin of ``map_values(lambda _dsts: 1.0)`` over links."""
+    """Columnar twin of ``map_values(_init_rank)`` over links."""
     src, _dsts = batch.require(_LINKS_SCHEMA)
     n = len(batch)
     return ColumnarBatch(_RANKS_SCHEMA, (src, np.full(n, 1.0)), n)
 
 
 def _rank_update_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Columnar twin of ``map_values(lambda total: 0.15 + 0.85 * total)``."""
+    """Columnar twin of ``map_values(_rank_update)``."""
     vertex, total = batch.require(_RANKS_SCHEMA)
     return ColumnarBatch(_RANKS_SCHEMA, (vertex, 0.15 + 0.85 * total), len(batch))
 
 
 def _contributions_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Columnar twin of the per-record ``contributions`` flat map.
+    """Columnar twin of the per-record :func:`_contributions` flat map.
 
     A ragged gather: each record with one link group and one rank value
     fans out to ``len(dsts)`` ``(dst, rank / len(dsts))`` pairs, preserving
@@ -151,30 +170,21 @@ class PageRankWorkload:
         links = self.links
         iters = iterations or self.iterations
         ranks = (
-            links.map_values(lambda _dsts: 1.0, batch_fn=_init_ranks_batch)
+            links.map_values(_init_rank, batch_fn=_init_ranks_batch)
             .set_record_size(self.rank_record_size)
             .set_name("ranks-0")
         )
-
-        def contributions(kv):
-            _src, (link_groups, rank_values) = kv
-            if not link_groups or not rank_values:
-                return []
-            dsts = link_groups[0]
-            rank = rank_values[0]
-            share = rank / len(dsts)
-            return [(d, share) for d in dsts]
 
         previous = None
         for i in range(iters):
             contribs = (
                 links.cogroup(ranks, self.partitions)
-                .flat_map(contributions, batch_fn=_contributions_batch)
+                .flat_map(_contributions, batch_fn=_contributions_batch)
                 .set_record_size(self.contrib_record_size)
             )
             new_ranks = (
                 contribs.reduce_by_key(Sum(), self.partitions)
-                .map_values(lambda total: 0.15 + 0.85 * total, batch_fn=_rank_update_batch)
+                .map_values(_rank_update, batch_fn=_rank_update_batch)
                 .set_record_size(self.rank_record_size)
                 .persist()
                 .set_name(f"ranks-{i + 1}")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.environment import Environment
 from repro.engine.context import FlintContext
 from repro.engine.buckets import MapOutput, map_output
+from repro.engine.task_runtime import TaskRuntime
 from repro.market.market import OnDemandMarket, SpotMarket
 from repro.market.provider import CloudProvider
 from repro.simulation.clock import HOUR
@@ -83,3 +86,36 @@ def fault_harness():
 def big_ctx():
     """10-worker on-demand context (paper's cluster size)."""
     return build_on_demand_context(num_workers=10)
+
+
+@contextlib.contextmanager
+def row_plane_only():
+    """Run the engine on the row plane alone, as if no stage had a kernel.
+
+    No chain finds its kernels and no caller is handed a batch, so nothing
+    lowers, no declared combine or sorted merge runs on columns, and a
+    source drawn as columns becomes rows where it is read.  Tests compare
+    this against the plane the engine chooses for itself.
+    """
+    iterator = TaskRuntime.iterator
+
+    def rows(self, rdd, partition, as_batch=False):
+        return iterator(self, rdd, partition)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TaskRuntime, "_kernels", staticmethod(lambda stages: None))
+        patch.setattr(TaskRuntime, "iterator", rows)
+        yield
+
+
+def plane(columnar: bool):
+    """A context running the engine on the plane it chooses for itself
+    (``columnar``) or on the row plane alone (:func:`row_plane_only`)."""
+    return contextlib.nullcontext() if columnar else row_plane_only()
+
+
+@pytest.fixture
+def row_plane():
+    """The whole test runs on the row plane (:func:`row_plane_only`)."""
+    with row_plane_only():
+        yield

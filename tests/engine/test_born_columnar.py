@@ -18,7 +18,7 @@ from repro.engine.block_manager import block_id_for
 from repro.engine.columnar import ColumnarBatch, Sum, columns
 from repro.engine.task_runtime import MIN_LOWERED_ROWS, TaskRuntime
 from repro.simulation.rng import SeededRNG
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, plane
 from tests.engine.test_columnar_combine import ConversionCounter
 
 N = 4 * MIN_LOWERED_ROWS
@@ -44,21 +44,17 @@ def _double_row(record):
     return (record[0], record[1] * 2.0)
 
 
-def _context(monkeypatch, knob):
-    monkeypatch.setenv("FLINT_COLUMNAR", knob)
-    return build_on_demand_context(2)
-
-
 def _run_all(monkeypatch, plan):
     """``plan(source)`` over a drawn and a row source, on both planes:
     ``{(generator, knob): (result, ctx.now, stats, conversions)}``."""
     runs = {}
     for generator in (_draw, _draw_rows):
         for knob in ("on", "0"):
-            ctx = _context(monkeypatch, knob)
-            source = ctx.generate(generator, 4, record_size=100)
-            counted = ConversionCounter(monkeypatch)
-            out = plan(source)
+            with plane(knob == "on"):
+                ctx = build_on_demand_context(2)
+                source = ctx.generate(generator, 4, record_size=100)
+                counted = ConversionCounter(monkeypatch)
+                out = plan(source)
             runs[generator.__name__, knob] = (out, ctx.now, ctx.scheduler.stats, counted)
             monkeypatch.undo()
     reference = runs["_draw_rows", "0"][:2]
@@ -118,7 +114,6 @@ def test_the_row_path_gets_rows(monkeypatch):
 
 
 def test_a_persisted_source_seeds_its_sidecar(monkeypatch):
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
     drawn = {}
 
@@ -164,7 +159,7 @@ def test_a_drawn_partition_read_twice_in_one_task_is_drawn_once():
     assert runtime.pending_puts == [] and runtime.computed == []
 
 
-def test_a_kernel_that_writes_into_its_input_raises(monkeypatch):
+def test_a_kernel_that_writes_into_its_input_raises():
     """A drawn batch is shared — here it is a cached block's sidecar — so a
     kernel writing into it must fail rather than corrupt the block."""
 
@@ -173,7 +168,6 @@ def test_a_kernel_that_writes_into_its_input_raises(monkeypatch):
         value *= 2.0
         return batch
 
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(1)
     source = ctx.generate(_draw, 1, record_size=100).persist()
     source.count()
@@ -185,8 +179,7 @@ def test_a_kernel_that_writes_into_its_input_raises(monkeypatch):
     assert store.columnar(block, rows).to_records() == rows == _draw_rows(0)
 
 
-def test_an_empty_drawn_partition_is_an_empty_row_partition(monkeypatch):
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
+def test_an_empty_drawn_partition_is_an_empty_row_partition():
     ctx = build_on_demand_context(1)
 
     def empty(p):

@@ -17,13 +17,12 @@ from repro.engine import block_manager
 from repro.engine.columnar import (
     ColumnarBatch,
     ColumnarUnsupported,
-    columnar_enabled_by_env,
     columns,
     from_records,
 )
 from repro.engine.sizeof import deep_sizeof, estimate_record_size
 from repro.engine.task_runtime import MIN_LOWERED_ROWS
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, plane
 
 
 # ----------------------------------------------------------------------
@@ -120,27 +119,6 @@ def test_select_refuses_bad_masks():
         batch.select(np.array([1, 0, 1]))  # wrong dtype
     with pytest.raises(ColumnarUnsupported):
         batch.select(np.array([True, False]))  # wrong shape
-
-
-def test_env_switch_parsing(monkeypatch):
-    for raw, expect in (
-        ("on", True), ("1", True), ("true", True), ("ON", True),
-        ("off", False), ("0", False), ("false", False), ("FALSE", False),
-    ):
-        monkeypatch.setenv("FLINT_COLUMNAR", raw)
-        assert columnar_enabled_by_env() is expect
-    monkeypatch.delenv("FLINT_COLUMNAR")
-    assert columnar_enabled_by_env() is True
-
-
-@pytest.mark.parametrize("raw", ["offf", "no", "", "2"])
-def test_env_switch_rejects_unrecognised_values(monkeypatch, raw):
-    """A typo must not silently select the default plane."""
-    monkeypatch.setenv("FLINT_COLUMNAR", raw)
-    with pytest.raises(ValueError, match="FLINT_COLUMNAR"):
-        columnar_enabled_by_env()
-    with pytest.raises(ValueError, match="FLINT_COLUMNAR"):
-        build_on_demand_context(1)
 
 
 # ----------------------------------------------------------------------
@@ -269,11 +247,6 @@ def _key_batch(batch):
     return ColumnarBatch(("tuple", ("i8", "i8")), (col % 7, col), len(batch))
 
 
-def _build_planes(monkeypatch, columnar):
-    monkeypatch.setenv("FLINT_COLUMNAR", columnar)
-    return build_on_demand_context(4)
-
-
 def _chain(ctx):
     base = ctx.parallelize(list(range(200)), 4, record_size=100)
     return (
@@ -283,12 +256,13 @@ def _chain(ctx):
     )
 
 
-def test_columnar_chain_matches_row_plane(monkeypatch):
+def test_columnar_chain_matches_row_plane():
     outcomes = {}
     for knob in ("on", "off"):
-        ctx = _build_planes(monkeypatch, knob)
-        t0 = ctx.now
-        outcomes[knob] = (_chain(ctx).collect(), ctx.now - t0, ctx)
+        with plane(knob == "on"):
+            ctx = build_on_demand_context(4)
+            t0 = ctx.now
+            outcomes[knob] = (_chain(ctx).collect(), ctx.now - t0, ctx)
     on_result, on_time, on_ctx = outcomes["on"]
     off_result, off_time, off_ctx = outcomes["off"]
     assert on_result == off_result
@@ -301,14 +275,6 @@ def test_columnar_chain_matches_row_plane(monkeypatch):
     assert stats.fused_chains == off_ctx.scheduler.stats.fused_chains == 4
     assert stats.fused_stages == off_ctx.scheduler.stats.fused_stages == 12
     assert off_ctx.scheduler.stats.columnar_chains == 0
-
-
-def test_columnar_off_never_lowers(monkeypatch):
-    ctx = _build_planes(monkeypatch, "off")
-    assert ctx.columnar_enabled is False
-    _chain(ctx).collect()
-    assert ctx.scheduler.stats.columnar_chains == 0
-    assert ctx.scheduler.stats.columnar_stages == 0
 
 
 def test_a_boundary_under_min_lowered_rows_stays_on_the_row_plane(monkeypatch):
@@ -327,11 +293,12 @@ def test_a_boundary_under_min_lowered_rows_stays_on_the_row_plane(monkeypatch):
     for n, lowered in ((MIN_LOWERED_ROWS - 1, 0), (MIN_LOWERED_ROWS, 1)):
         runs = {}
         for knob in ("on", "off"):
-            ctx = _build_planes(monkeypatch, knob)
-            cached = ctx.parallelize(list(range(n)), 1, record_size=100).persist()
-            cached.count()
-            converted.clear()
-            out = cached.map(lambda x: x + 1, batch_fn=_inc_batch).collect()
+            with plane(knob == "on"):
+                ctx = build_on_demand_context(4)
+                cached = ctx.parallelize(list(range(n)), 1, record_size=100).persist()
+                cached.count()
+                converted.clear()
+                out = cached.map(lambda x: x + 1, batch_fn=_inc_batch).collect()
             runs[knob] = (out, ctx.now, ctx.scheduler.stats, list(converted))
         assert runs["on"][:2] == runs["off"][:2], n
         stats = runs["on"][2]
@@ -340,18 +307,19 @@ def test_a_boundary_under_min_lowered_rows_stays_on_the_row_plane(monkeypatch):
         assert runs["on"][3] == [n] * lowered, n
 
 
-def test_kernel_refusal_falls_back_with_identical_results(monkeypatch):
+def test_kernel_refusal_falls_back_with_identical_results():
     def picky(batch):
         raise ColumnarUnsupported("wrong shape for this kernel")
 
     results = {}
     for knob in ("on", "off"):
-        ctx = _build_planes(monkeypatch, knob)
-        base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
-        rdd = base.map(lambda x: x * 3, batch_fn=picky).map(
-            lambda x: x - 1, batch_fn=_inc_batch
-        )
-        results[knob] = (rdd.collect(), ctx.now, ctx.scheduler.stats)
+        with plane(knob == "on"):
+            ctx = build_on_demand_context(4)
+            base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
+            rdd = base.map(lambda x: x * 3, batch_fn=picky).map(
+                lambda x: x - 1, batch_fn=_inc_batch
+            )
+            results[knob] = (rdd.collect(), ctx.now, ctx.scheduler.stats)
     assert results["on"][0] == results["off"][0]
     assert results["on"][1] == results["off"][1]
     stats = results["on"][2]
@@ -359,8 +327,8 @@ def test_kernel_refusal_falls_back_with_identical_results(monkeypatch):
     assert stats.columnar_chains == 0
 
 
-def test_conversion_refusal_falls_back(monkeypatch):
-    ctx = _build_planes(monkeypatch, "on")
+def test_conversion_refusal_falls_back():
+    ctx = build_on_demand_context(4)
     n = 4 * MIN_LOWERED_ROWS
     base = ctx.parallelize([str(i) for i in range(n)], 4, record_size=100)
     out = base.map(lambda s: s + "!", batch_fn=_inc_batch).collect()
@@ -370,9 +338,9 @@ def test_conversion_refusal_falls_back(monkeypatch):
     assert stats.columnar_chains == 0
 
 
-def test_partial_chain_stays_on_row_plane(monkeypatch):
+def test_partial_chain_stays_on_row_plane():
     """A chain with any kernel-less stage never converts (no fallback)."""
-    ctx = _build_planes(monkeypatch, "on")
+    ctx = build_on_demand_context(4)
     n = 4 * MIN_LOWERED_ROWS
     base = ctx.parallelize(list(range(n)), 4, record_size=100)
     out = base.map(lambda x: x + 1, batch_fn=_inc_batch).map(lambda x: x * 2).collect()
@@ -382,17 +350,18 @@ def test_partial_chain_stays_on_row_plane(monkeypatch):
     assert stats.columnar_fallbacks == 0
 
 
-def test_builtin_kernels_match_row_plane(monkeypatch):
+def test_builtin_kernels_match_row_plane():
     """zip_with_index / sample / union lower via their built-in kernels."""
     outcomes = {}
     for knob in ("on", "off"):
-        ctx = _build_planes(monkeypatch, knob)
-        base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
-        mapped = base.map(lambda x: x + 1, batch_fn=_inc_batch)
-        sampled = mapped.sample(0.5, seed=3).collect()
-        indexed = mapped.zip_with_index().collect()
-        both = mapped.union(mapped.map(lambda x: -x, batch_fn=lambda b: ColumnarBatch(
-            "i8", -b.require("i8"), len(b)))).collect()
-        outcomes[knob] = (sampled, indexed, both, ctx.now, ctx)
+        with plane(knob == "on"):
+            ctx = build_on_demand_context(4)
+            base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
+            mapped = base.map(lambda x: x + 1, batch_fn=_inc_batch)
+            sampled = mapped.sample(0.5, seed=3).collect()
+            indexed = mapped.zip_with_index().collect()
+            both = mapped.union(mapped.map(lambda x: -x, batch_fn=lambda b: ColumnarBatch(
+                "i8", -b.require("i8"), len(b)))).collect()
+            outcomes[knob] = (sampled, indexed, both, ctx.now, ctx)
     assert outcomes["on"][:4] == outcomes["off"][:4]
     assert outcomes["on"][4].scheduler.stats.columnar_chains > 0

@@ -35,7 +35,7 @@ from repro.streaming import StreamingWindowWorkload
 from repro.workloads import KMeansWorkload
 from repro.workloads import kmeans as kmeans_module
 from repro.workloads.datagen import generate_clustered_points
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, plane
 from tests.engine.test_block_manager import make_bm
 
 SUM = Sum()
@@ -220,16 +220,17 @@ def _pass_through(batch):
     return batch
 
 
-def _reduce(monkeypatch, plane, records, build=None):
-    """``records`` → lowered identity map → ``reduce_by_key(Sum())``."""
-    monkeypatch.setenv("FLINT_COLUMNAR", plane)
-    ctx = build_on_demand_context(2)
-    head = ctx.parallelize(records, 2, record_size=100).map(
-        lambda r: r, batch_fn=_pass_through
-    )
-    reduced = head.reduce_by_key(SUM, 3) if build is None else build(head)
-    t0 = ctx.now
-    out = [exact(part) for part in ctx.run_job(reduced, list)]
+def _reduce(columnar, records, build=None):
+    """``records`` → lowered identity map → ``reduce_by_key(Sum())``, on
+    the plane the engine chooses (``columnar``) or on rows alone."""
+    with plane(columnar):
+        ctx = build_on_demand_context(2)
+        head = ctx.parallelize(records, 2, record_size=100).map(
+            lambda r: r, batch_fn=_pass_through
+        )
+        reduced = head.reduce_by_key(SUM, 3) if build is None else build(head)
+        t0 = ctx.now
+        out = [exact(part) for part in ctx.run_job(reduced, list)]
     return out, ctx.now - t0, ctx.scheduler.stats
 
 
@@ -244,11 +245,11 @@ REDUCIBLE["accepted"] = [(i % 5, ((float(i), 0.5), 1)) for i in range(40)]
 
 
 @pytest.mark.parametrize("name", sorted(REDUCIBLE))
-def test_engine_results_do_not_depend_on_the_plane(monkeypatch, name):
+def test_engine_results_do_not_depend_on_the_plane(name):
     # Every shape holds at least two records: >= MIN_LOWERED_ROWS per partition.
     records = REDUCIBLE[name] * MIN_LOWERED_ROWS
-    on, on_time, on_stats = _reduce(monkeypatch, "on", records)
-    off, off_time, off_stats = _reduce(monkeypatch, "off", records)
+    on, on_time, on_stats = _reduce(True, records)
+    off, off_time, off_stats = _reduce(False, records)
     assert on == off
     assert on_time == off_time
     assert on_stats.task_counts() == off_stats.task_counts()
@@ -258,7 +259,7 @@ def test_engine_results_do_not_depend_on_the_plane(monkeypatch, name):
     assert on_stats.columnar_fallbacks == (2 if name == "string keys" else 0)
 
 
-def test_undeclared_shuffles_stay_on_the_row_loop(monkeypatch):
+def test_undeclared_shuffles_stay_on_the_row_loop():
     records = [(i % 5, float(i)) for i in range(2 * MIN_LOWERED_ROWS)]
     builds = {
         "lambda": lambda head: head.reduce_by_key(lambda a, b: a + b, 3),
@@ -269,17 +270,16 @@ def test_undeclared_shuffles_stay_on_the_row_loop(monkeypatch):
             head, _OtherPartitioner(3), (identity, SUM, SUM), map_side_combine=True
         ),
     }
-    want, _, _ = _reduce(monkeypatch, "on", records)
+    want, _, _ = _reduce(True, records)
     for name, build in builds.items():
-        got, _, stats = _reduce(monkeypatch, "on", records, build)
+        got, _, stats = _reduce(True, records, build)
         assert got == want, name
         assert stats.columnar_combines == 0, name
         assert stats.columnar_chains == 2, name
 
 
-def test_an_observed_head_is_still_materialised(monkeypatch):
+def test_an_observed_head_is_still_materialised():
     """A persisted map head combines from the batch *and* caches its rows."""
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
     records = [(i % 5, float(i)) for i in range(2 * MIN_LOWERED_ROWS)]
     head = ctx.parallelize(records, 2, record_size=100).map(
@@ -321,7 +321,6 @@ class ConversionCounter:
 
 
 def test_kmeans_columnarises_each_cached_partition_once(monkeypatch):
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     drawn = {}
 
     def drawing(seed, partition, *args):
@@ -442,7 +441,6 @@ def _track_sidecars(monkeypatch):
 
 
 def test_unpersist_and_worker_revocation_release_sidecars(monkeypatch):
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
     rows = [(i, float(i)) for i in range(4 * MIN_LOWERED_ROWS)]
     cached = ctx.parallelize(rows, 4, record_size=100).persist()
@@ -467,7 +465,6 @@ def test_unpersist_and_worker_revocation_release_sidecars(monkeypatch):
 def test_streaming_sidecars_never_outnumber_cached_blocks(monkeypatch):
     """100 sliding windows over a persisted source: every batch's blocks are
     unpersisted as the window passes, and their sidecars go with them."""
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
     live = _track_sidecars(monkeypatch)
     workload = StreamingWindowWorkload(

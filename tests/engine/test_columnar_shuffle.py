@@ -38,7 +38,7 @@ from repro.engine.shuffle import ShuffleManager
 from repro.engine.transformations import CoGroupedRDD
 from repro.market.instance import Instance
 from repro.workloads import PageRankWorkload
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, plane
 from tests.engine.test_block_manager import make_bm
 from tests.engine.test_columnar_combine import ConversionCounter, exact
 
@@ -302,16 +302,15 @@ def test_pagerank_cogroups_by_sort_with_the_row_planes_results(monkeypatch):
         return grouped
 
     results = {}
-    for plane in ("on", "0"):
-        monkeypatch.setenv("FLINT_COLUMNAR", plane)
-        monkeypatch.setattr("repro.engine.transformations.cogroup", counting)
-        ctx = build_on_demand_context(2)
-        ranks = PageRankWorkload(
-            ctx, data_gb=0.2, num_edges=2_400, num_vertices=400, partitions=4,
-            iterations=3, seed=5,
-        ).run()
-        results[plane] = (exact(sorted(ranks.items())), ctx.now, ctx.scheduler.stats)
-        monkeypatch.undo()
+    monkeypatch.setattr("repro.engine.transformations.cogroup", counting)
+    for knob in ("on", "0"):
+        with plane(knob == "on"):
+            ctx = build_on_demand_context(2)
+            ranks = PageRankWorkload(
+                ctx, data_gb=0.2, num_edges=2_400, num_vertices=400, partitions=4,
+                iterations=3, seed=5,
+            ).run()
+        results[knob] = (exact(sorted(ranks.items())), ctx.now, ctx.scheduler.stats)
     assert results["on"][:2] == results["0"][:2]
     # 3 iterations x 4 partitions, every one by sort; none on the row plane.
     assert sorted_cogroups == [True] * 12
@@ -322,7 +321,6 @@ def test_pagerank_cogroups_by_sort_with_the_row_planes_results(monkeypatch):
 # Bypass paths convert nothing
 # ----------------------------------------------------------------------
 def test_a_chain_with_a_kernel_less_stage_gets_no_batch(monkeypatch):
-    monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(2)
     cached = ctx.parallelize([(i, float(i)) for i in range(4 * MIN_LOWERED_ROWS)], 2).persist()
     cached.count()

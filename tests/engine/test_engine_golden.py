@@ -10,11 +10,13 @@ scenario's simulated runtime and accrued billing (``float.hex``, so the
 comparison is bit-for-bit), the scheduler's task books, and a digest of the
 action results.
 
-Both surviving data planes run every row: the columnar plane and the fused
-row plane it falls back to (``FLINT_COLUMNAR=0``).  The rows are only worth
-something if the optimisations under test actually ran, so each scenario
-also asserts that the memoised frontiers, chain fusion and (where the
-workload carries batch kernels) columnar lowering were engaged.
+Every row runs twice: on the plane the engine chooses for itself, and on
+the fused row plane alone (the ``row_plane`` fixture: no stage finds its
+kernel, no caller is handed a batch).  The rows are only worth something
+if the optimisations under test actually ran, so each scenario also
+asserts that the memoised frontiers, chain fusion and (where the workload
+carries batch kernels) columnar lowering were engaged — and that no chain
+fell back from the columnar plane to rows unasked.
 """
 
 from __future__ import annotations
@@ -243,13 +245,15 @@ def test_fixture_covers_exactly_the_scenarios():
 
 @pytest.mark.parametrize("columnar", ("on", "off"))
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_row(monkeypatch, name, columnar):
-    monkeypatch.setenv("FLINT_COLUMNAR", columnar)
+def test_golden_row(request, name, columnar):
+    if columnar == "off":
+        request.getfixturevalue("row_plane")
     row, stats = SCENARIOS[name]()
     assert row == load_golden()[name], f"{name} (columnar {columnar}) drifted from the golden capture"
     if stats is None:
         return
     # The optimisations must be engaged, not silently bypassed.
+    assert stats.columnar_fallbacks == 0
     assert stats.readiness_rebuilds <= stats.scheduling_rounds
     if stats.map_tasks:  # multi-stage jobs read their memoised frontier most rounds
         assert stats.readiness_rebuilds < stats.scheduling_rounds / 2
@@ -259,7 +263,6 @@ def test_golden_row(monkeypatch, name, columnar):
     if columnar == "on" and name.startswith(_LOWERS):
         assert stats.columnar_chains > 0
         assert stats.columnar_stages >= stats.columnar_chains
-        assert stats.columnar_fallbacks == 0
     if columnar == "on" and name.startswith(_DECLARES_SUM):
         assert stats.columnar_combines > 0
     if columnar == "off" or name == "dstream/wordcount":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import row_plane_only
 
 
 def test_markets_command(capsys):
@@ -106,73 +107,28 @@ def test_advise_command(capsys):
     assert "savings" in out
 
 
-@pytest.fixture
-def planes(monkeypatch):
-    """``columnar_enabled`` of every engine context ``main`` builds."""
-    from repro.engine.context import FlintContext
-
-    seen = []
-    original = FlintContext.__init__
-
-    def recording(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        seen.append(self.columnar_enabled)
-
-    monkeypatch.setattr(FlintContext, "__init__", recording)
-    return seen
-
-
-def test_columnar_flag_wins_over_env(monkeypatch, planes, capsys):
-    """--columnar mirrors FLINT_COLUMNAR; flag > environment > default."""
-    import os
-
-    monkeypatch.delenv("FLINT_COLUMNAR", raising=False)
-    assert main(_SERVE_SMALL + ["--columnar", "off"]) == 0
-    monkeypatch.setenv("FLINT_COLUMNAR", "off")
-    assert main(_SERVE_SMALL + ["--columnar", "on"]) == 0
-    assert planes == [False, True]
-    assert os.environ["FLINT_COLUMNAR"] == "off"  # the caller's value is back
-    capsys.readouterr()
-
-
-def test_columnar_env_applies_when_flag_absent(monkeypatch, planes, capsys):
-    monkeypatch.setenv("FLINT_COLUMNAR", "off")
-    assert main(_SERVE_SMALL) == 0
-    monkeypatch.delenv("FLINT_COLUMNAR")
-    assert main(_SERVE_SMALL) == 0
-    assert planes == [False, True]
-    capsys.readouterr()
-
-
 def test_main_leaves_the_environment_unchanged(tmp_path, monkeypatch, capsys):
-    """Flags travel to the scenario builders as FLINT_* variables; a caller
-    importing ``main`` must get its own environment back afterwards."""
+    """``trace`` reaches the scenario builders through ``FLINT_TRACE``; a
+    caller importing ``main`` must get its own environment back afterwards."""
     import os
 
     for key in [k for k in os.environ if k.startswith("FLINT_")]:
         monkeypatch.delenv(key)
     before = dict(os.environ)
-    assert main(_SERVE_SMALL + ["--columnar", "off"]) == 0
-    assert dict(os.environ) == before
     assert main(["trace", "streaming", "--workers", "4", "--batches", "2",
                  "--out", str(tmp_path / "t.json"), "--seed", "3"]) == 0
     assert dict(os.environ) == before
     capsys.readouterr()
 
 
-def test_columnar_plane_is_report_invariant(monkeypatch, capsys):
+def test_columnar_plane_is_report_invariant(request, capsys):
     """The serve report is bit-identical whichever plane runs fused chains."""
-    monkeypatch.delenv("FLINT_COLUMNAR", raising=False)
-    assert main(_SERVE_SMALL + ["--columnar", "on"]) == 0
+    assert main(_SERVE_SMALL) == 0
     on_out = capsys.readouterr().out
-    assert main(_SERVE_SMALL + ["--columnar", "off"]) == 0
+    request.getfixturevalue("row_plane")
+    assert main(_SERVE_SMALL) == 0
     off_out = capsys.readouterr().out
     assert on_out == off_out
-
-
-def test_parser_rejects_unknown_columnar_mode():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--columnar", "maybe"])
 
 
 _STREAM_SMALL = ["run", "--workload", "streaming", "--nodes", "4",
@@ -214,11 +170,11 @@ def test_trace_streaming_scenario(tmp_path, capsys):
     assert "span/book reconciliation: OK" in text
 
 
-def test_streaming_report_is_plane_invariant(monkeypatch, capsys):
+def test_streaming_report_is_plane_invariant(capsys):
     """Same streaming report whichever data plane runs it."""
-    monkeypatch.delenv("FLINT_COLUMNAR", raising=False)
-    assert main(_STREAM_SMALL + ["--columnar", "off"]) == 0
+    with row_plane_only():
+        assert main(_STREAM_SMALL) == 0
     row_out = capsys.readouterr().out
-    assert main(_STREAM_SMALL + ["--columnar", "on"]) == 0
+    assert main(_STREAM_SMALL) == 0
     columnar_out = capsys.readouterr().out
     assert row_out == columnar_out
