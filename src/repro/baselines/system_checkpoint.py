@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.interval import optimal_checkpoint_interval
+from repro.core.interval import clamped_interval
 from repro.engine.task import TaskKind, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,9 +75,7 @@ class SystemCheckpointManager:
     def current_interval(self) -> float:
         if self.fixed_interval is not None:
             return self.fixed_interval
-        delta = self._system_delta()
-        tau = optimal_checkpoint_interval(max(delta, 1e-6), self.mttf_fn())
-        return max(tau, self.min_tau)
+        return clamped_interval(self._system_delta(), self.mttf_fn(), self.min_tau)
 
     def _system_delta(self) -> float:
         """Time to write every worker's full memory image in parallel."""

@@ -86,9 +86,6 @@ class Cluster:
     def add_listener(self, listener: ClusterListener) -> None:
         self.listeners.append(listener)
 
-    def remove_listener(self, listener: ClusterListener) -> None:
-        self.listeners.remove(listener)
-
     # -- launch / revoke ------------------------------------------------------
     def launch(
         self,

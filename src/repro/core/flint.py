@@ -108,23 +108,6 @@ class Flint:
             instance_cost=self.env.provider.total_cost(t1) - cost0,
         )
 
-    def run_async(
-        self,
-        rdd: Any,
-        func: Callable[[Any], Any] = len,
-        pool: Optional[str] = None,
-        name: Optional[str] = None,
-    ):
-        """Submit one action without blocking; returns a ``JobHandle``.
-
-        The action competes for slots alongside any jobs already in flight
-        (e.g. a batch program mid-``run``); call ``wait()`` on the handle to
-        pump the simulation until it completes.
-        """
-        if self._started_at is None:
-            raise RuntimeError("call start() before running jobs")
-        return self.context.submit_job(rdd, func, pool=pool, name=name)
-
     def idle_until(self, t: float) -> None:
         """Let simulated time pass with no job running (interactive think time)."""
         self.env.run_until(t)

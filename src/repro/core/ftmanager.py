@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.interval import (
+    all_memory_delta,
     checkpoint_time_estimate,
-    optimal_checkpoint_interval,
+    clamped_interval,
     shuffle_checkpoint_interval,
 )
 from repro.engine.dependencies import ShuffleDependency
@@ -67,8 +68,12 @@ class FaultToleranceManager:
         #: The §3.1.1 refinement: checkpoint shuffle outputs every τ/m.
         #: Exposed as a switch for the ablation benchmarks.
         self.shuffle_rule_enabled = shuffle_rule_enabled
-        self.delta = initial_delta if initial_delta is not None else self._conservative_delta()
-        self.tau = self._compute_tau()
+        self.delta = (
+            initial_delta
+            if initial_delta is not None
+            else all_memory_delta(context.cluster, self.env.dfs.config)
+        )
+        self.tau = clamped_interval(self.delta, mttf_fn(), min_tau, max_tau)
         self.stats = FTManagerStats()
         self._due = False
         self._last_shuffle_checkpoint = self.env.now
@@ -80,29 +85,9 @@ class FaultToleranceManager:
     # ------------------------------------------------------------------
     # δ and τ maintenance
     # ------------------------------------------------------------------
-    def _conservative_delta(self) -> float:
-        """Initial δ assuming all cluster memory holds active RDDs (§3.1.2)."""
-        cluster = self.context.cluster
-        total_memory = cluster.total_storage_memory()
-        workers = max(1, cluster.size)
-        dfs = self.env.dfs.config
-        return checkpoint_time_estimate(
-            total_memory, workers, dfs.write_bandwidth, dfs.replication
-        )
-
-    def _compute_tau(self) -> float:
-        mttf = self.mttf_fn()
-        tau = optimal_checkpoint_interval(max(self.delta, 1e-6), mttf)
-        if math.isinf(tau):
-            return tau
-        tau = max(tau, self.min_tau)
-        if self.max_tau is not None:
-            tau = min(tau, self.max_tau)
-        return tau
-
     def refresh(self) -> None:
         """Recompute τ (call after the cluster mix or MTTF changes)."""
-        self.tau = self._compute_tau()
+        self.tau = clamped_interval(self.delta, self.mttf_fn(), self.min_tau, self.max_tau)
         self.stats.tau_history.append(self.tau)
 
     def reset_conservative_delta(self) -> None:
@@ -111,7 +96,7 @@ class FaultToleranceManager:
         Needed when the manager was constructed before provisioning (the
         cluster had zero workers, so the all-memory-in-use bound was zero).
         """
-        self.delta = self._conservative_delta()
+        self.delta = all_memory_delta(self.context.cluster, self.env.dfs.config)
         self.refresh()
 
     def set_delta(self, delta: float) -> None:

@@ -11,6 +11,11 @@ still clamp pathological inputs rather than emit garbage.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.cluster import Cluster
+    from repro.storage.dfs import DFSConfig
 
 
 def optimal_checkpoint_interval(delta: float, mttf: float) -> float:
@@ -38,6 +43,24 @@ def optimal_checkpoint_interval(delta: float, mttf: float) -> float:
     if mttf <= delta:
         return delta
     return math.sqrt(2.0 * delta * mttf)
+
+
+def clamped_interval(
+    delta: float, mttf: float, min_tau: float, max_tau: Optional[float] = None
+) -> float:
+    """Flint's τ rule: the optimum, bounded to what a scheduler can use.
+
+    δ is floored at 1 µs (a zero estimate would ask for τ = 0), an infinite
+    τ passes through unclamped (revocations never happen: checkpointing is
+    off), and a finite τ is held within ``[min_tau, max_tau]``.
+    """
+    tau = optimal_checkpoint_interval(max(delta, 1e-6), mttf)
+    if math.isinf(tau):
+        return tau
+    tau = max(tau, min_tau)
+    if max_tau is not None:
+        tau = min(tau, max_tau)
+    return tau
 
 
 def shuffle_checkpoint_interval(tau: float, num_map_partitions: int) -> float:
@@ -73,3 +96,14 @@ def checkpoint_time_estimate(
     if dfs_write_bandwidth <= 0:
         raise ValueError("dfs_write_bandwidth must be positive")
     return frontier_bytes * replication / (dfs_write_bandwidth * num_workers)
+
+
+def all_memory_delta(cluster: "Cluster", dfs: "DFSConfig") -> float:
+    """δ's conservative upper bound (§3.1.2): every byte of the cluster's
+    storage memory is frontier state, written in parallel."""
+    return checkpoint_time_estimate(
+        cluster.total_storage_memory(),
+        max(1, cluster.size),
+        dfs.write_bandwidth,
+        dfs.replication,
+    )

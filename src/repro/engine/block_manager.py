@@ -67,12 +67,8 @@ class BlockManager:
         worker: "Worker",
         capacity_bytes: Optional[int] = None,
         index: Optional["BlockLocationIndex"] = None,
-        obs: Optional[Any] = None,
     ):
         self.worker = worker
-        #: Observability hook (attribute-wired by the scheduler on worker
-        #: registration); None keeps the cache free of any tracing branch.
-        self.obs = obs
         self.capacity_bytes = (
             worker.storage_memory_bytes if capacity_bytes is None else int(capacity_bytes)
         )
@@ -129,8 +125,6 @@ class BlockManager:
                 "convert with to_records() first"
             )
         self.stats.puts += 1
-        if self.obs is not None and self.obs.enabled:
-            self.obs.metrics.inc("blocks.puts")
         if nbytes > self.capacity_bytes:
             # Rejecting the oversized replacement still invalidates any
             # existing copy: the caller produced a new version of this
@@ -143,8 +137,6 @@ class BlockManager:
             if (old is not None or spilled) and self.index is not None:
                 self.index.remove(block_id, self.worker.worker_id)
             self.stats.drops += 1
-            if self.obs is not None and self.obs.enabled:
-                self.obs.metrics.inc("blocks.dropped")
             return False
         if block_id in self._memory:
             old = self._memory.pop(block_id)
@@ -164,20 +156,14 @@ class BlockManager:
         self._used -= victim.nbytes
         if not victim.spill:
             self.stats.drops += 1
-            if self.obs is not None and self.obs.enabled:
-                self.obs.metrics.inc("blocks.dropped")
             if self.index is not None:
                 self.index.remove(victim_id, self.worker.worker_id)
             return
         try:
             self.worker.local_disk.put(self._SPILL_PREFIX + victim_id, victim.data, victim.nbytes)
             self.stats.evictions_to_disk += 1
-            if self.obs is not None and self.obs.enabled:
-                self.obs.metrics.inc("blocks.spilled")
         except DiskFullError:
             self.stats.drops += 1
-            if self.obs is not None and self.obs.enabled:
-                self.obs.metrics.inc("blocks.dropped")
             if self.index is not None:
                 self.index.remove(victim_id, self.worker.worker_id)
 

@@ -106,8 +106,6 @@ class CheckpointRegistry:
         self.partitions_written += 1
         obs = self.obs
         if obs is not None and obs.enabled:
-            obs.metrics.inc("checkpoint.bytes_written", nbytes)
-            obs.metrics.inc("checkpoint.partitions_written")
             obs.bus.emit(SpanEvent(
                 kind="checkpoint-write",
                 name=f"ckpt rdd{rdd.rdd_id}[{partition}]",
@@ -185,7 +183,6 @@ class CheckpointRegistry:
         self.gc_deleted += deleted
         obs = self.obs
         if deleted and obs is not None and obs.enabled:
-            obs.metrics.inc("checkpoint.gc_deleted", deleted)
             obs.bus.emit(SpanEvent(
                 kind="checkpoint-gc",
                 name=f"gc after rdd{rdd.rdd_id}",

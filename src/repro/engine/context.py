@@ -22,6 +22,7 @@ from repro.engine.checkpoint import CheckpointRegistry
 from repro.engine.costs import CostModel
 from repro.engine.shuffle import ShuffleManager
 from repro.obs import Observability
+from repro.obs.metrics import span_metrics, summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.worker import Worker
@@ -46,7 +47,7 @@ class FlintContext:
         self.sizing_epoch = 0
         self.record_size_memo_hits = 0
         self.record_size_memo_misses = 0
-        #: Engine-wide tracing + metrics (``FLINT_TRACE``, default off).
+        #: Engine-wide tracing (``FLINT_TRACE``, default off).
         #: Attribute-wired into every subsystem below, the same first-class
         #: hook-point pattern as the fault injector.
         self.obs = obs if obs is not None else Observability()
@@ -173,12 +174,9 @@ class FlintContext:
     def adopt_worker(self, worker: "Worker") -> None:
         """Wire a joining worker into the application-wide services."""
         if worker.block_manager is None:
-            worker.block_manager = BlockManager(worker, index=self.block_index, obs=self.obs)
-        else:
-            if worker.block_manager.index is None:
-                worker.block_manager.index = self.block_index
-            if worker.block_manager.obs is None:
-                worker.block_manager.obs = self.obs
+            worker.block_manager = BlockManager(worker, index=self.block_index)
+        elif worker.block_manager.index is None:
+            worker.block_manager.index = self.block_index
         if worker.obs is None:
             worker.obs = self.obs
         self.shuffle_manager.register_worker(worker)
@@ -246,8 +244,46 @@ class FlintContext:
 
     # ------------------------------------------------------------------
     def metrics_report(self) -> Dict[str, Any]:
-        """``FLINT_TRACE=1`` counters/gauges/histograms (empty when off)."""
-        return self.obs.metrics.snapshot()
+        """A traced run's counters and histograms (empty when tracing is off).
+
+        Derived, never recorded twice: task, block, shuffle and checkpoint
+        counters come from the always-on books; the rest from the spans on
+        the bus (:func:`~repro.obs.metrics.span_metrics`).  A counter that
+        never moved is absent.
+        """
+        if not self.obs.enabled:
+            return {"counters": {}, "histograms": {}}
+        counters, samples = span_metrics(self.obs.bus.events)
+        stats = self.scheduler.stats
+        blocks = [
+            w.block_manager.stats
+            for w in self.cluster.workers.values()
+            if w.block_manager is not None
+        ]
+        shuffle, ckpt = self.shuffle_manager, self.checkpoints
+        books = {
+            "scheduler.tasks_completed": stats.tasks_completed,
+            "scheduler.tasks_lost": stats.tasks_lost,
+            "scheduler.tasks_dispatched": (
+                stats.tasks_completed + stats.tasks_lost + len(self.scheduler.running)
+            ),
+            "blocks.puts": sum(b.puts for b in blocks),
+            "blocks.dropped": sum(b.drops for b in blocks),
+            "blocks.spilled": sum(b.evictions_to_disk for b in blocks),
+            "shuffle.bytes_written": shuffle.bytes_written,
+            "shuffle.bytes_fetched_local": shuffle.bytes_fetched_local,
+            "shuffle.bytes_fetched_remote": shuffle.bytes_fetched_remote,
+            "checkpoint.bytes_written": ckpt.bytes_written,
+            "checkpoint.partitions_written": ckpt.partitions_written,
+            "checkpoint.gc_deleted": ckpt.gc_deleted,
+        }
+        counters.update((name, n) for name, n in books.items() if n)
+        return {
+            "counters": dict(sorted(counters.items())),
+            "histograms": {
+                name: summary(values) for name, values in sorted(samples.items())
+            },
+        }
 
     @property
     def now(self) -> float:

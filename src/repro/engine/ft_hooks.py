@@ -52,7 +52,6 @@ class FaultToleranceHooks:
                 # its earlier copy was lost (revocation, eviction) and
                 # lineage just re-derived it — one tick of the Figure 3
                 # recomputation storm.
-                obs.metrics.inc("scheduler.recomputed_partitions")
                 obs.bus.emit(SpanEvent(
                     kind="recompute",
                     name=f"recompute rdd{cp.rdd.rdd_id}[{cp.partition}]",

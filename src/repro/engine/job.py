@@ -102,5 +102,5 @@ class JobHandle:
             job_id=self.job_id,
             pool=self.pool,
             status=status,
-            attrs={"tasks": tasks},
+            attrs={"tasks": tasks, "queue_delay": self.queue_delay},
         )

@@ -257,16 +257,11 @@ class RDD:
         self,
         fn: Callable[[List[Any]], List[Any]],
         compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
     ) -> "RDD":
-        """Apply ``fn`` to each whole partition.
-
-        ``batch_fn`` is the vectorised twin over the columnarised
-        partition.
-        """
+        """Apply ``fn`` to each whole partition."""
         from repro.engine import transformations as t
 
-        return t.MapPartitionsRDD(self, fn, compute_multiplier, batch_fn=batch_fn)
+        return t.MapPartitionsRDD(self, fn, compute_multiplier)
 
     def union(self, other: "RDD") -> "RDD":
         """Concatenate two RDDs (no dedup), preserving partition counts."""

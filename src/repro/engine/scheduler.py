@@ -170,7 +170,6 @@ class TaskScheduler(ClusterListener):
             self._note_task_left(rt)
             self.stats.tasks_lost += 1
             if obs.enabled:
-                obs.metrics.inc("scheduler.tasks_lost")
                 obs.bus.emit(rt.span(t, "lost"))
         self.slots.forget_worker(worker.worker_id)
         self.readiness.lost()
@@ -496,17 +495,9 @@ class TaskScheduler(ClusterListener):
         )
         self.running[spec.key] = running
         self.readiness.dispatched(spec.key)
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.inc("scheduler.tasks_dispatched")
         if job is not None:
             if job.first_dispatch_at is None:
                 job.first_dispatch_at = self.env.now
-                if obs.enabled:
-                    obs.metrics.observe(
-                        f"pool.queue_delay.{job.pool}",
-                        self.env.now - job.submitted_at,
-                    )
             job.running_tasks += 1
             self.pools[job.pool].running_tasks += 1
         if inj is not None:
@@ -532,7 +523,6 @@ class TaskScheduler(ClusterListener):
             self.stats.tasks_lost += 1
             obs = self.context.obs
             if obs.enabled:
-                obs.metrics.inc("scheduler.tasks_lost")
                 obs.bus.emit(running.span(self.env.now, "lost"))
             self.readiness.lost()
             self._schedule_round()
@@ -549,7 +539,6 @@ class TaskScheduler(ClusterListener):
             self.pools[job.pool].tasks_completed += 1
         obs = self.context.obs
         if obs.enabled:
-            obs.metrics.inc("scheduler.tasks_completed")
             obs.bus.emit(running.span(now, "complete"))
 
         for put in running.pending_puts:

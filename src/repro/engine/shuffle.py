@@ -194,19 +194,17 @@ class ShuffleManager:
         missing.discard(map_id)
         self.bytes_written += total
         obs = self.obs
-        if obs is not None and obs.enabled:
-            obs.metrics.inc("shuffle.bytes_written", total)
-            if not missing:
-                obs.bus.emit(SpanEvent(
-                    kind="stage",
-                    name=f"shuffle-{dep.shuffle_id}-maps-complete",
-                    start=obs.now(),
-                    status="instant",
-                    attrs={
-                        "shuffle_id": dep.shuffle_id,
-                        "num_maps": dep.num_map_partitions,
-                    },
-                ))
+        if not missing and obs is not None and obs.enabled:
+            obs.bus.emit(SpanEvent(
+                kind="stage",
+                name=f"shuffle-{dep.shuffle_id}-maps-complete",
+                start=obs.now(),
+                status="instant",
+                attrs={
+                    "shuffle_id": dep.shuffle_id,
+                    "num_maps": dep.num_map_partitions,
+                },
+            ))
         self._notify(dep.shuffle_id, map_id, True)
         return status
 
@@ -293,8 +291,6 @@ class ShuffleManager:
         self.bytes_fetched_remote += remote_bytes
         obs = self.obs
         if obs is not None and obs.enabled:
-            obs.metrics.inc("shuffle.bytes_fetched_local", local_bytes)
-            obs.metrics.inc("shuffle.bytes_fetched_remote", remote_bytes)
             obs.bus.emit(SpanEvent(
                 kind="shuffle-fetch",
                 name=f"shuffle-{dep.shuffle_id}-reduce-{reduce_id}",

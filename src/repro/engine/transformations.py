@@ -195,7 +195,6 @@ class MapPartitionsRDD(RDD):
         parent: RDD,
         fn: Callable[[List[Any]], List[Any]],
         compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
     ):
         super().__init__(
             parent.context,
@@ -205,16 +204,12 @@ class MapPartitionsRDD(RDD):
             name="mapPartitions",
         )
         self._fn = fn
-        self._batch_fn = batch_fn
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         # The user function gets a private list copy, exactly as unfused:
         # it may mutate its argument, and ``records`` can be a cached
         # partition the block manager still owns.
         return list(self._fn(list(records)))
-
-    def batch_kernel(self, split: int) -> Optional[Callable]:
-        return self._batch_fn
 
 
 class PartitionIndexedRDD(RDD):

@@ -38,8 +38,6 @@ def hour_transform(seconds: ArrayLike) -> ArrayLike:
     pass this transform so the integral comes back in dollars:
     ``f.integral(a, b, transform=hour_transform)``.
     """
-    if isinstance(seconds, np.ndarray):
-        return seconds / _SECONDS_PER_HOUR
     return seconds / _SECONDS_PER_HOUR
 
 

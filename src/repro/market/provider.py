@@ -222,13 +222,12 @@ class CloudProvider:
         return prices
 
     def _record_spend(self, instance: Instance, end: float, revoked_by_provider: bool) -> None:
-        """Observability: one final bill -> spend counter + instance span."""
+        """Observability: one final bill -> one instance span."""
         obs = self.obs
         if obs is None or not obs.enabled:
             return
         from repro.obs import SpanEvent
 
-        obs.metrics.inc(f"market.spend.{instance.market_id}", instance.cost)
         obs.bus.emit(SpanEvent(
             kind="instance",
             name=instance.instance_id,

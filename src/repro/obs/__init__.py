@@ -1,13 +1,15 @@
-"""``repro.obs``: zero-dependency tracing + metrics for the whole stack.
+"""``repro.obs``: zero-dependency tracing for the whole stack.
 
-One :class:`Observability` object per application bundles the
+One :class:`Observability` object per application holds the
 :class:`~repro.obs.events.EventBus` (typed span events on the simulated
-clock) and the :class:`~repro.obs.metrics.MetricsRegistry` (counters,
-gauges, histograms).  :class:`~repro.engine.context.FlintContext` creates
-it and attribute-wires it into every subsystem — scheduler, shuffle
-manager, checkpoint registry, block managers, cluster, workers, markets,
-provider, and job server — the same first-class hook-point pattern as the
-fault injector, never monkeypatching.
+clock).  :class:`~repro.engine.context.FlintContext` creates it and
+attribute-wires it into every subsystem — scheduler, shuffle manager,
+checkpoint registry, cluster, workers, markets, provider, and job server —
+the same first-class hook-point pattern as the fault injector, never
+monkeypatching.  Nothing keeps a second count of what a span records:
+``FlintContext.metrics_report()`` derives its counters and histograms from
+the spans (:func:`~repro.obs.metrics.span_metrics`) and the engine's
+always-on books.
 
 Gating: tracing is **off by default**.  It turns on via the ``FLINT_TRACE``
 environment variable (any value but empty/``0``/``false``) or by passing an
@@ -23,13 +25,10 @@ import os
 from typing import Callable, Optional
 
 from repro.obs.events import EVENT_KINDS, EventBus, SpanEvent
-from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "EVENT_KINDS",
     "EventBus",
-    "Histogram",
-    "MetricsRegistry",
     "Observability",
     "SpanEvent",
     "tracing_enabled_by_env",
@@ -42,14 +41,13 @@ def tracing_enabled_by_env() -> bool:
 
 
 class Observability:
-    """The application's event bus + metrics registry, enabled as one unit."""
+    """The application's event bus and simulated clock, enabled as one unit."""
 
     def __init__(self, enabled: Optional[bool] = None):
         if enabled is None:
             enabled = tracing_enabled_by_env()
         self.enabled = enabled
         self.bus = EventBus(enabled)
-        self.metrics = MetricsRegistry(enabled)
         self._now_fn: Optional[Callable[[], float]] = None
 
     def bind_clock(self, now_fn: Callable[[], float]) -> None:

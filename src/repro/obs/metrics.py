@@ -1,20 +1,24 @@
-"""Counters, gauges, and histograms over the simulated run.
+"""Counters and histograms derived from the spans of a traced run.
 
-One :class:`MetricsRegistry` per application.  Names are dotted paths with
-any per-entity label folded into the last segment (``market.spend.us-east-1a``,
-``pool.queue_delay.interactive``) — zero-dependency, no label cardinality
-machinery.  Like the event bus, a disabled registry costs one attribute
-check per call site.
+Nothing here records anything: :func:`span_metrics` reads the event bus
+after the fact, so every fact a report shows has exactly one record — the
+span that carries it.  Names are dotted paths with any per-entity label
+folded into the last segment (``market.spend.us-east-1a``,
+``pool.queue_delay.interactive``).  Counters kept by the engine's
+always-on books (tasks, blocks, shuffle and checkpoint bytes) are read
+from those books by :meth:`FlintContext.metrics_report`, not from here.
 
-:func:`percentile` is the one nearest-rank rule: histograms and the job
-server's SLO report both use it, so numbers line up across reports.
+:func:`percentile` is the one nearest-rank rule: histogram summaries and
+the job server's SLO report both use it, so numbers line up across reports.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.events import SpanEvent
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -38,91 +42,68 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     return ordered[rank - 1]
 
 
-class Histogram:
-    """A value list with nearest-rank percentiles (deterministic, exact)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Nearest-rank :func:`percentile`, ``q`` in (0, 1]; None when empty."""
-        return percentile(self.values, q)
-
-    def summary(self) -> Dict[str, Optional[float]]:
-        """Count/sum/extremes plus the p50/p95/p99 ladder."""
-        if not self.values:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": min(self.values),
-            "max": max(self.values),
-            "mean": self.total / self.count,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-        }
+def summary(values: Sequence[float]) -> Dict[str, Optional[float]]:
+    """Count/sum/extremes plus the p50/p95/p99 ladder of one sample list."""
+    if not values:
+        return {"count": 0}
+    total = sum(values)
+    return {
+        "count": len(values),
+        "sum": total,
+        "min": min(values),
+        "max": max(values),
+        "mean": total / len(values),
+        "p50": percentile(values, 0.50),
+        "p95": percentile(values, 0.95),
+        "p99": percentile(values, 0.99),
+    }
 
 
-class MetricsRegistry:
-    """Named counters, gauges, and histograms for one application."""
+#: Query-span status -> the server counters it moves.
+_QUERY_COUNTERS = {
+    "complete": ("server.queries_completed",),
+    "cached": ("server.queries_completed", "server.cache_hits"),
+    "failed": ("server.queries_failed",),
+    "rejected": ("server.queries_rejected",),
+}
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
 
-    # ------------------------------------------------------------------
-    def inc(self, name: str, value: float = 1) -> None:
-        """Add ``value`` to a counter (no-op while disabled)."""
-        if not self.enabled:
-            return
-        self.counters[name] = self.counters.get(name, 0) + value
+def span_metrics(
+    events: Iterable[SpanEvent],
+) -> Tuple[Dict[str, float], Dict[str, List[float]]]:
+    """Counters and histogram samples carried by a run's spans.
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record the latest value of a gauge (no-op while disabled)."""
-        if not self.enabled:
-            return
-        self.gauges[name] = value
+    Samples are in emission order, except ``pool.queue_delay.<pool>``, whose
+    samples come from ``job`` spans and so are in job-retirement order.  A
+    counter no span moved is absent.
+    """
+    counters: Dict[str, float] = {}
+    samples: Dict[str, List[float]] = {}
 
-    def observe(self, name: str, value: float) -> None:
-        """Add one sample to a histogram (no-op while disabled)."""
-        if not self.enabled:
-            return
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.observe(value)
+    def inc(name: str, value: float = 1) -> None:
+        counters[name] = counters.get(name, 0) + value
 
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> float:
-        """Current value of a counter (0 when never incremented)."""
-        return self.counters.get(name, 0)
+    def observe(name: str, value: float) -> None:
+        samples.setdefault(name, []).append(float(value))
 
-    def histogram(self, name: str) -> Optional[Histogram]:
-        return self.histograms.get(name)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-serialisable view of everything recorded so far."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: hist.summary()
-                for name, hist in sorted(self.histograms.items())
-            },
-        }
+    for event in events:
+        kind, attrs = event.kind, event.attrs
+        if kind == "recompute":
+            inc("scheduler.recomputed_partitions")
+        elif kind == "instance":
+            inc(f"market.spend.{attrs['market']}", attrs["cost"])
+        elif kind == "job":
+            if attrs.get("queue_delay") is not None:
+                observe(f"pool.queue_delay.{event.pool}", attrs["queue_delay"])
+        elif kind == "stream-batch":
+            inc("streaming.batches")
+            inc("streaming.records", attrs["records"])
+            observe("streaming.batch_latency", attrs["latency"])
+        elif kind == "query":
+            for name in _QUERY_COUNTERS.get(event.status, ()):
+                inc(name)
+            if event.status == "rejected":
+                inc(f"server.rejected.{attrs['reason']}")
+            elif attrs.get("queue_delay") is not None:
+                observe(f"server.queue_delay.{event.pool}", attrs["queue_delay"])
+    return counters, samples

@@ -323,8 +323,6 @@ class JobServer:
             state.note_rejection(reason)
         obs = self.context.obs
         if obs.enabled:
-            obs.metrics.inc("server.queries_rejected")
-            obs.metrics.inc(f"server.rejected.{reason}")
             obs.bus.emit(SpanEvent(
                 kind="query", name=record.name, start=record.arrived_at,
                 pool=record.pool, status="rejected",
@@ -367,8 +365,6 @@ class JobServer:
                 state.breaker.record_success(self.context.now)
         obs = self.context.obs
         if obs.enabled:
-            obs.metrics.inc("server.queries_completed")
-            obs.metrics.inc("server.cache_hits")
             obs.bus.emit(SpanEvent(
                 kind="query", name=record.name, start=record.arrived_at,
                 end=record.finished_at, pool=record.pool, status="cached",
@@ -426,11 +422,6 @@ class JobServer:
                 self.result_cache.put(record.cache_key, record.result)
             obs = self.context.obs
             if obs.enabled:
-                obs.metrics.inc(
-                    "server.queries_completed" if record.ok else "server.queries_failed"
-                )
-                if record.queue_delay is not None:
-                    obs.metrics.observe(f"server.queue_delay.{pool}", record.queue_delay)
                 obs.bus.emit(SpanEvent(
                     kind="query",
                     name=record.name,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.interval import checkpoint_time_estimate, optimal_checkpoint_interval
+from repro.core.interval import all_memory_delta, checkpoint_time_estimate, clamped_interval
 from repro.obs import SpanEvent
 from repro.streaming.dstream import DStream, SourceDStream, StateDStream
 from repro.streaming.sources import (
@@ -101,41 +101,24 @@ class StateCheckpointPolicy:
         self.mttf_fn = mttf_fn
         self.min_tau = min_tau
         self.max_tau = max_tau
+        ctx = ssc.ctx
         self.delta = (
-            initial_delta if initial_delta is not None else self._conservative_delta()
+            initial_delta
+            if initial_delta is not None
+            else all_memory_delta(ctx.cluster, ctx.env.dfs.config)
         )
-        self.tau = self._compute_tau()
+        self.tau = clamped_interval(self.delta, mttf_fn(), min_tau, max_tau)
         self.stats = StateCheckpointStats()
         self.last_mark_time = ssc.ctx.now
         self._pending_delta_refresh: List["RDD"] = []
 
     # -- δ and τ -----------------------------------------------------------
-    def _conservative_delta(self) -> float:
-        """All cluster memory as state — the FTManager's §3.1.2 upper bound."""
-        ctx = self.ssc.ctx
-        dfs = ctx.env.dfs.config
-        return checkpoint_time_estimate(
-            ctx.cluster.total_storage_memory(),
-            max(1, ctx.cluster.size),
-            dfs.write_bandwidth,
-            dfs.replication,
-        )
-
-    def _compute_tau(self) -> float:
-        tau = optimal_checkpoint_interval(max(self.delta, 1e-6), self.mttf_fn())
-        if math.isinf(tau):
-            return tau
-        tau = max(tau, self.min_tau)
-        if self.max_tau is not None:
-            tau = min(tau, self.max_tau)
-        return tau
-
     def set_delta(self, delta: float) -> None:
         if delta < 0:
             raise ValueError("delta must be non-negative")
         self.delta = delta
         self.stats.delta_updates += 1
-        self.tau = self._compute_tau()
+        self.tau = clamped_interval(self.delta, self.mttf_fn(), self.min_tau, self.max_tau)
         self.stats.tau_history.append(self.tau)
 
     def _refresh_delta(self) -> None:
@@ -373,9 +356,6 @@ class StreamingContext:
                     },
                 )
             )
-            obs.metrics.inc("streaming.batches")
-            obs.metrics.inc("streaming.records", records)
-            obs.metrics.observe("streaming.batch_latency", info.latency)
         for stream in self.streams:
             stream.release(b)
         self._next_batch = b + 1

@@ -141,25 +141,16 @@ class DStream:
             lambda rdd: rdd.map(fn, compute_multiplier, batch_fn=batch_fn)
         )
 
-    def filter(
-        self, predicate: Callable[[Any], bool], batch_fn: Optional[Callable] = None
-    ) -> "DStream":
-        return self.transform(lambda rdd: rdd.filter(predicate, batch_fn=batch_fn))
+    def filter(self, predicate: Callable[[Any], bool]) -> "DStream":
+        return self.transform(lambda rdd: rdd.filter(predicate))
 
     def flat_map(
-        self,
-        fn: Callable[[Any], Any],
-        compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
+        self, fn: Callable[[Any], Any], compute_multiplier: float = 1.0
     ) -> "DStream":
-        return self.transform(
-            lambda rdd: rdd.flat_map(fn, compute_multiplier, batch_fn=batch_fn)
-        )
+        return self.transform(lambda rdd: rdd.flat_map(fn, compute_multiplier))
 
-    def map_values(
-        self, fn: Callable[[Any], Any], batch_fn: Optional[Callable] = None
-    ) -> "DStream":
-        return self.transform(lambda rdd: rdd.map_values(fn, batch_fn=batch_fn))
+    def map_values(self, fn: Callable[[Any], Any]) -> "DStream":
+        return self.transform(lambda rdd: rdd.map_values(fn))
 
     def reduce_by_key(
         self, fn: Callable[[Any, Any], Any], num_partitions: Optional[int] = None

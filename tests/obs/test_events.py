@@ -1,10 +1,10 @@
-"""EventBus and MetricsRegistry unit behaviour."""
+"""EventBus and nearest-rank percentile unit behaviour."""
 
 import pytest
 
 from repro.obs import Observability, tracing_enabled_by_env
 from repro.obs.events import EVENT_KINDS, EventBus, SpanEvent
-from repro.obs.metrics import Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import percentile, span_metrics, summary
 
 
 def span(kind="task", name="t", start=0.0, **kw):
@@ -68,50 +68,55 @@ def test_core_kinds_are_declared():
 # Metrics
 # ---------------------------------------------------------------------------
 
-def test_disabled_registry_is_inert():
-    reg = MetricsRegistry(enabled=False)
-    reg.inc("a")
-    reg.set_gauge("g", 1.0)
-    reg.observe("h", 1.0)
-    assert reg.counter("a") == 0
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+def test_span_metrics_reads_counters_and_samples_off_spans():
+    events = [
+        span("query", status="complete", pool="p", attrs={"queue_delay": 2.0}),
+        span("query", status="cached", pool="p"),
+        span("query", status="failed", pool="p", attrs={"queue_delay": 1.0}),
+        span("query", status="rejected", pool="p", attrs={"reason": "throttled"}),
+        span("instance", attrs={"market": "m", "cost": 0.5}),
+        span("instance", attrs={"market": "m", "cost": 0.25}),
+        span("job", pool="default", attrs={"tasks": 3, "queue_delay": 4.0}),
+        span("job", pool="default", attrs={"tasks": 0, "queue_delay": None}),
+        span("recompute"),
+        span("task"),
+    ]
+    counters, samples = span_metrics(events)
+    assert counters == {
+        "server.queries_completed": 2,
+        "server.cache_hits": 1,
+        "server.queries_failed": 1,
+        "server.queries_rejected": 1,
+        "server.rejected.throttled": 1,
+        "market.spend.m": 0.75,
+        "scheduler.recomputed_partitions": 1,
+    }
+    assert samples == {"server.queue_delay.p": [2.0, 1.0], "pool.queue_delay.default": [4.0]}
+    assert span_metrics([]) == ({}, {})
 
 
-def test_counters_gauges_histograms():
-    reg = MetricsRegistry(enabled=True)
-    reg.inc("a")
-    reg.inc("a", 2.5)
-    reg.set_gauge("g", 1.0)
-    reg.set_gauge("g", 7.0)  # gauges keep the latest value
-    for v in (1.0, 2.0, 3.0, 4.0):
-        reg.observe("h", v)
-    assert reg.counter("a") == pytest.approx(3.5)
-    snap = reg.snapshot()
-    assert snap["gauges"]["g"] == 7.0
-    assert snap["histograms"]["h"]["count"] == 4
-    assert snap["histograms"]["h"]["mean"] == pytest.approx(2.5)
+def test_summary_ladder():
+    assert summary([]) == {"count": 0}
+    out = summary([float(v) for v in range(1, 101)])
+    assert (out["count"], out["sum"], out["min"], out["max"]) == (100, 5050.0, 1.0, 100.0)
+    assert (out["mean"], out["p50"], out["p95"], out["p99"]) == (50.5, 50.0, 95.0, 99.0)
 
 
 def test_histogram_nearest_rank_percentiles():
-    hist = Histogram()
-    assert hist.percentile(0.5) is None
-    for v in range(1, 101):
-        hist.observe(float(v))
-    assert hist.percentile(0.50) == 50.0
-    assert hist.percentile(0.95) == 95.0
-    assert hist.percentile(0.99) == 99.0
-    assert hist.percentile(1.0) == 100.0
+    assert percentile([], 0.5) is None
+    values = [float(v) for v in range(1, 101)]
+    assert percentile(values, 0.50) == 50.0
+    assert percentile(values, 0.95) == 95.0
+    assert percentile(values, 0.99) == 99.0
+    assert percentile(values, 1.0) == 100.0
     with pytest.raises(ValueError):
-        hist.percentile(0.0)
+        percentile(values, 0.0)
 
 
 def test_histogram_percentile_is_the_exact_nearest_rank():
-    hist = Histogram()
     values = [float(v) for v in range(1, 1871)]
-    for v in values:
-        hist.observe(v)
     # ceil(0.3162 * 1870) = 592; truncating q to 316/1000 gave rank 591.
-    assert hist.percentile(0.3162) == 592.0 == percentile(values, 0.3162)
+    assert percentile(values, 0.3162) == 592.0
 
 
 def test_env_gating(monkeypatch):

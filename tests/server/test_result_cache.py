@@ -178,7 +178,7 @@ def test_server_cache_hit_counts_in_obs_metrics(monkeypatch):
     key = lineage_fingerprint(plan, action="count")
     server.submit_query(plan.count, name="a", cache_key=key)
     server.submit_query(plan.count, name="b", cache_key=key)
-    assert ctx.obs.metrics.counters.get("server.cache_hits") == 1
+    assert ctx.metrics_report()["counters"].get("server.cache_hits") == 1
     cached_spans = ctx.obs.bus.count("query", status="cached")
     assert cached_spans == 1
 

@@ -92,10 +92,10 @@ def test_stream_batch_events_and_metrics():
         assert event.attrs["batch"] == b
         assert event.attrs["records"] == 400
         assert event.end - event.start == pytest.approx(event.attrs["latency"])
-    assert obs.metrics.counter("streaming.batches") == 3
-    assert obs.metrics.counter("streaming.records") == 1200
-    hist = obs.metrics.histogram("streaming.batch_latency")
-    assert hist is not None and hist.count == 3
+    report = ctx.metrics_report()
+    assert report["counters"]["streaming.batches"] == 3
+    assert report["counters"]["streaming.records"] == 1200
+    assert report["histograms"]["streaming.batch_latency"]["count"] == 3
 
 
 def test_stream_batches_render_on_their_own_trace_lane():
@@ -125,4 +125,4 @@ def test_disabled_observability_records_nothing(ctx):
         ctx, records_per_batch=400, partitions=4, num_batches=2,
     ).run()
     assert ctx.obs.bus.events == []
-    assert ctx.obs.metrics.counter("streaming.batches") == 0
+    assert "streaming.batches" not in ctx.metrics_report()["counters"]
