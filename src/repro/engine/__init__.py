@@ -21,9 +21,10 @@ Key pieces, mirroring Spark's architecture:
 * :class:`~repro.engine.context.FlintContext` — the user-facing entry point.
 """
 
-from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, Sum
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported
 from repro.engine.context import FlintContext
 from repro.engine.costs import CostModel
+from repro.engine.declared import Pair, Split, Sum
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
 
@@ -33,6 +34,8 @@ __all__ = [
     "FlintContext",
     "CostModel",
     "HashPartitioner",
+    "Pair",
     "RDD",
+    "Split",
     "Sum",
 ]

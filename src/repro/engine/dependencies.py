@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from repro.engine.columnar import Sum
+from repro.engine.declared import Sum
 from repro.engine.partitioner import HashPartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,7 +99,7 @@ class ShuffleDependency(Dependency):
         aggregator: (create_combiner, merge_value, merge_combiners) triple, or
             None for a raw repartition (partitionBy/groupByKey handles
             grouping reduce-side).
-        declared_sum: the :class:`~repro.engine.columnar.Sum` when this is
+        declared_sum: the :class:`~repro.engine.declared.Sum` when this is
             ``reduce_by_key(Sum())`` combining map-side under a plain
             ``HashPartitioner`` — the one shape whose map-side combine can
             run from a batch (``Sum.combine``), whose map output may then

@@ -217,7 +217,8 @@ class RDD:
 
         ``batch_fn``, when given, is the columnar plane's vectorised twin
         (``ColumnarBatch -> ColumnarBatch``); it must produce exactly the
-        records ``fn`` would, in order (see :meth:`batch_kernel`).
+        records ``fn`` would, in order (see :meth:`batch_kernel`).  Without
+        one, a declared ``fn`` (``declared.Pair``) brings its own kernel.
         """
         from repro.engine import transformations as t
 
@@ -247,7 +248,8 @@ class RDD:
         """Apply ``fn`` and flatten the resulting iterables.
 
         ``batch_fn`` is the vectorised twin over whole batches (output
-        length is free — flattening is the kernel's business).
+        length is free — flattening is the kernel's business); without one,
+        a declared ``fn`` (``declared.Split``) brings its own kernel.
         """
         from repro.engine import transformations as t
 

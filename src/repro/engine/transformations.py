@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.engine.buckets import hash_sort_key, merge_reduce_buckets
 from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, cogroup
+from repro.engine.declared import kernel_of
 from repro.engine.dependencies import (
     OneToOneDependency,
     RangeDependency,
@@ -89,7 +90,8 @@ class GeneratedRDD(RDD):
 
 
 class MappedRDD(RDD):
-    """One-to-one record transformation."""
+    """One-to-one record transformation; a declared row function
+    (``declared.Pair``) brings its own kernel."""
 
     supports_fusion = True
 
@@ -108,7 +110,7 @@ class MappedRDD(RDD):
             name="map",
         )
         self._fn = fn
-        self._batch_fn = batch_fn
+        self._batch_fn = batch_fn if batch_fn is not None else kernel_of(fn, "map")
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return [self._fn(x) for x in records]
@@ -152,7 +154,8 @@ class FilteredRDD(RDD):
 
 
 class FlatMappedRDD(RDD):
-    """Maps each record to an iterable and flattens."""
+    """Maps each record to an iterable and flattens; a declared row function
+    (``declared.Split``) brings its own kernel."""
 
     supports_fusion = True
 
@@ -171,7 +174,7 @@ class FlatMappedRDD(RDD):
             name="flatMap",
         )
         self._fn = fn
-        self._batch_fn = batch_fn
+        self._batch_fn = batch_fn if batch_fn is not None else kernel_of(fn, "flat_map")
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         out: List[Any] = []

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.engine.columnar import Sum
+from repro.engine.declared import Pair, Split, Sum
 from repro.engine.context import FlintContext
 from repro.faults.harness import run_reference, run_with_plan
 from repro.obs.export import write_chrome_trace, write_jsonl
@@ -120,25 +120,14 @@ class _StreamingChaosWorkload:
 
     def __init__(self, ctx: FlintContext):
         from repro.streaming import StreamingContext
-        from repro.streaming.workloads import (
-            VOCABULARY,
-            _add,
-            _sorted_collect,
-            _split_words,
-            _sum_update,
-            _word_one,
-        )
+        from repro.streaming.workloads import VOCABULARY, _sorted_collect, _sum_update
 
         self.ctx = ctx
         self.ssc = StreamingContext(ctx, batch_interval=30.0)
         text = self.ssc.text_stream(
             800, PARTITIONS, VOCABULARY, seed=WORKLOAD_SEED, record_size=100_000
         )
-        counts = (
-            text.flat_map(_split_words)
-            .map(_word_one)
-            .reduce_by_key(_add, PARTITIONS)
-        )
+        counts = text.flat_map(Split()).map(Pair(1)).reduce_by_key(Sum(), PARTITIONS)
         self.state = counts.update_state_by_key(
             _sum_update, PARTITIONS, record_size=25_000
         )

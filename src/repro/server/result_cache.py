@@ -128,6 +128,12 @@ def _describe_callable(hasher: "hashlib._Hash", fn: Any, depth: int) -> None:
             f"callable:{getattr(fn, '__module__', '?')}."
             f"{getattr(fn, '__qualname__', type(fn).__name__)}",
         )
+        # A callable instance is its class plus its public slots: without
+        # them ``Pair(1)`` and ``Pair(2)`` hash alike.
+        for name in getattr(type(fn), "__slots__", ()):
+            if not name.startswith("_") and hasattr(fn, name):
+                _feed(hasher, f"slot:{name}")
+                _describe_value(hasher, getattr(fn, name), depth + 1)
         return
     _feed(hasher, f"fn:{fn.__module__}.{fn.__qualname__}")
     _feed(hasher, code.co_code.hex())

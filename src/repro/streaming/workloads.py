@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
     from repro.engine.rdd import RDD
 
-from repro.engine.columnar import Sum
+from repro.engine.declared import Pair, Split, Sum
 from repro.streaming.context import StreamingContext
 
 #: Fixed wordcount vocabulary — part of the workload's seed contract.
@@ -42,18 +42,6 @@ def _identity(record):
 def _identity_batch(batch):
     """Columnar twin of :func:`_identity` (a fully-kernelled chain)."""
     return batch
-
-
-def _split_words(line: str) -> List[str]:
-    return line.split()
-
-
-def _word_one(word: str) -> Tuple[str, int]:
-    return (word, 1)
-
-
-def _add(a, b):
-    return a + b
 
 
 def _sum_update(new_values: List[int], old_state: Optional[int]) -> int:
@@ -108,8 +96,11 @@ class StreamingWordCountWorkload:
     """Stateful wordcount: text source → split → (word, 1) → reduce →
     ``update_state_by_key`` running totals.
 
-    Strings keep this on the row plane; the state chain is the lineage
-    that τ-periodic checkpointing must truncate.
+    The map side is declared (``Split()``, ``Pair(1)``, ``Sum()``), so with
+    the source born as its tokens it runs on columns from the draw to the
+    stored map output; the state fold, keyed by strings, stays on rows.
+    The state chain is the lineage that τ-periodic checkpointing must
+    truncate.
     """
 
     def __init__(
@@ -138,9 +129,9 @@ class StreamingWordCountWorkload:
         )
         self.source = source
         counts = (
-            source.flat_map(_split_words)
-            .map(_word_one)
-            .reduce_by_key(_add, partitions)
+            source.flat_map(Split())
+            .map(Pair(1))
+            .reduce_by_key(Sum(), partitions)
         )
         self.state = counts.update_state_by_key(
             _sum_update, partitions, record_size=max(1, record_size // 4)

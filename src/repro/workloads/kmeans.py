@@ -13,7 +13,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch, Sum
+from repro.engine.columnar import ColumnarBatch
+from repro.engine.declared import Sum
 from repro.engine.context import FlintContext
 from repro.engine.rdd import RDD
 from repro.workloads.datagen import generate_clustered_points, initial_centroids

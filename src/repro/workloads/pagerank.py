@@ -13,7 +13,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, Sum, take
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, take
+from repro.engine.declared import Sum
 from repro.engine.context import FlintContext
 from repro.engine.rdd import RDD
 from repro.workloads.datagen import generate_graph_partition

@@ -15,7 +15,8 @@ import pytest
 
 from repro.engine import columnar
 from repro.engine.block_manager import block_id_for
-from repro.engine.columnar import ColumnarBatch, Sum, columns
+from repro.engine.columnar import ColumnarBatch, columns
+from repro.engine.declared import Sum
 from repro.engine.task_runtime import MIN_LOWERED_ROWS, TaskRuntime
 from repro.simulation.rng import SeededRNG
 from tests.conftest import build_on_demand_context, plane

@@ -43,6 +43,9 @@ from tests.conftest import build_on_demand_context, plane
         # Vacuous level: every list empty, leaf dtype unobservable.
         [(1, []), (2, [])],
         [[[]], [[], []]],
+        # String leaves: a dictionary of the distinct strings.
+        ["a", "b"],
+        [(1, "x")],
     ],
 )
 def test_round_trip_is_exact(records):
@@ -65,6 +68,10 @@ def test_negative_zero_round_trips():
     assert np.signbit(value)
 
 
+class _Str(str):
+    pass
+
+
 @pytest.mark.parametrize(
     "records",
     [
@@ -75,12 +82,14 @@ def test_negative_zero_round_trips():
         [1, True],
         [2**63, 1],  # outside int64
         [-(2**63) - 1],
-        ["a", "b"],  # non-numeric leaves
-        [None],
+        [None],  # leaves that are not int, float or str
         [{"k": 1}],
-        [(1, "x")],
         [[1], [2.0]],  # mixed types across flattened list elements
         [(1, [1]), (2, (2,))],  # list vs tuple in one column
+        [_Str("a"), _Str("b")],  # a str subclass must round-trip as itself
+        [1, "a"],
+        ["a", b"a"],
+        ["a", _Str("b")],
     ],
 )
 def test_refusals_return_none(records):

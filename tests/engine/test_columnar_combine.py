@@ -25,7 +25,8 @@ import pytest
 
 from repro.engine import block_manager, columnar, task_runtime
 from repro.engine.block_manager import block_id_for
-from repro.engine.columnar import ColumnarBatch, Sum, from_records
+from repro.engine.columnar import ColumnarBatch, from_records
+from repro.engine.declared import Sum
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.buckets import bucket_map_output, map_output
@@ -235,13 +236,14 @@ def _reduce(columnar, records, build=None):
 
 
 #: What the engine can be asked to reduce by key: the refused (key, value)
-#: shapes, keys no batch can hold, and one shape the kernel accepts.
+#: shapes, and two shapes the kernel accepts.
 REDUCIBLE = {
     name: records for name, records in REFUSED.items()
     if name not in ("not pairs", "scalars")
 }
 REDUCIBLE["string keys"] = [("a", 1.0), ("b", 2.0), ("a", 3.0)]
 REDUCIBLE["accepted"] = [(i % 5, ((float(i), 0.5), 1)) for i in range(40)]
+ACCEPTED = ("accepted", "string keys")
 
 
 @pytest.mark.parametrize("name", sorted(REDUCIBLE))
@@ -254,9 +256,9 @@ def test_engine_results_do_not_depend_on_the_plane(name):
     assert on_time == off_time
     assert on_stats.task_counts() == off_stats.task_counts()
     assert off_stats.columnar_combines == 0
-    assert on_stats.columnar_combines == (2 if name == "accepted" else 0)
+    assert on_stats.columnar_combines == (2 if name in ACCEPTED else 0)
     # A refused combine is not a refused chain.
-    assert on_stats.columnar_fallbacks == (2 if name == "string keys" else 0)
+    assert on_stats.columnar_fallbacks == 0
 
 
 def test_undeclared_shuffles_stay_on_the_row_loop():
@@ -384,7 +386,7 @@ def test_sidecar_is_converted_once_and_only_for_the_resident_rows():
     assert store.columnar(block, ROWS) is batch
     assert store.columnar("rdd_9_9", ROWS) is not batch
     # A refusal is not an error and caches nothing.
-    store.put("rdd_4_0", ["a", "b"], 100)
+    store.put("rdd_4_0", ["a", b"b"], 100)
     assert store.columnar("rdd_4_0", store.get("rdd_4_0")[0]) is None
 
 

@@ -29,8 +29,9 @@ import pytest
 from repro.cluster.worker import Worker
 from repro.engine import block_manager, columnar
 from repro.engine.columnar import (
-    MIN_LOWERED_ROWS, ColumnarBatch, Sum, cogroup, concat, from_records, take,
+    MIN_LOWERED_ROWS, ColumnarBatch, cogroup, concat, from_records, take,
 )
+from repro.engine.declared import Sum
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.buckets import bucket_map_output, map_output, merge_reduce_buckets
@@ -341,7 +342,7 @@ def test_a_chain_with_a_kernel_less_stage_gets_no_batch(monkeypatch):
 
 def test_a_refused_sidecar_is_remembered(monkeypatch):
     _worker, store = make_bm()
-    rows = [("a", 1.0), ("b", 2.0)]  # string keys never columnarise
+    rows = [("a", 1.0), (b"b", 2.0)]  # str and bytes keys in one column
     store.put("rdd_1_0", rows, 10)
     calls = []
 

@@ -232,9 +232,9 @@ def _scenarios():
 SCENARIOS = _scenarios()
 
 #: Scenarios whose every chain carries batch kernels: they must lower.
-_LOWERS = ("pagerank/", "kmeans/", "dstream/identity")
+_LOWERS = ("pagerank/", "kmeans/", "dstream/identity", "dstream/wordcount")
 #: Scenarios that reduce by a declared ``Sum`` over a lowered map head.
-_DECLARES_SUM = ("pagerank/", "kmeans/", "dstream/window")
+_DECLARES_SUM = ("pagerank/", "kmeans/", "dstream/window", "dstream/wordcount")
 #: Scenarios with multi-operator narrow chains: fusion must engage.
 _FUSES = ("multitenant/", "chain/")
 
@@ -265,8 +265,7 @@ def test_golden_row(request, name, columnar):
         assert stats.columnar_stages >= stats.columnar_chains
     if columnar == "on" and name.startswith(_DECLARES_SUM):
         assert stats.columnar_combines > 0
-    if columnar == "off" or name == "dstream/wordcount":
-        # The row plane (and string records, which refuse columnarisation)
-        # must not lower anything.
+    if columnar == "off":
+        # The row plane must not lower anything.
         assert stats.columnar_chains == 0
         assert stats.columnar_combines == 0

@@ -19,7 +19,8 @@ import random
 import pytest
 
 from repro.cluster.worker import Worker
-from repro.engine.columnar import Sum, from_records
+from repro.engine.columnar import from_records
+from repro.engine.declared import Sum
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner, stable_hash
 from repro.engine.buckets import bucket_map_output, map_output

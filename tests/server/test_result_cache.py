@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import build_engine_context
+from repro.engine import Pair, Split
 from repro.engine.partitioner import HashPartitioner
 from repro.server import (
     CacheInvariantError,
@@ -84,6 +85,18 @@ def test_fingerprint_distinguishes_keyword_only_defaults(ctx):
     assert one.collect() == [0, 1, 2] and two.collect() == [0, 2, 4]
     assert lineage_fingerprint(one) != lineage_fingerprint(two)
     assert lineage_fingerprint(one) == lineage_fingerprint(base.map(scaled(1)))
+
+
+def test_fingerprint_distinguishes_declared_row_functions(ctx):
+    # A declared row function is a callable instance with no code of its
+    # own: its value is what tells ``Pair(1)`` from ``Pair(2)``.
+    words = ctx.parallelize(["a b", "b"], 1).flat_map(Split())
+    one, two = words.map(Pair(1)), words.map(Pair(2))
+    assert one.collect() == [("a", 1), ("b", 1), ("b", 1)]
+    assert two.collect() == [("a", 2), ("b", 2), ("b", 2)]
+    assert lineage_fingerprint(one) != lineage_fingerprint(two)
+    assert lineage_fingerprint(one) == lineage_fingerprint(words.map(Pair(1)))
+    assert lineage_fingerprint(one) != lineage_fingerprint(words.map(Pair(1.0)))
 
 
 def test_fingerprint_ignores_names_and_persistence(ctx):

@@ -91,7 +91,7 @@ def test_text_source_lines_equal_the_per_word_reference():
                 " ".join(VOCAB[int(w)] for w in picks[i * 5:(i + 1) * 5])
                 for i in range(10)
             ]
-            assert generate(p) == reference
+            assert generate(p).to_records() == reference
 
 
 # The oracles below are the generators as they were written before they
