@@ -6,13 +6,13 @@ engine derives both of its forms from the one definition: calling it is
 the row function, and its batch form — ``kernel`` for a row function,
 :meth:`Sum.combine` for the reducer — runs the same computation over a
 :class:`~repro.engine.columnar.ColumnarBatch`, producing exactly the
-records the row form does or refusing.  ``RDD.map`` and ``RDD.flat_map``
-take a declared row function's kernel when no ``batch_fn`` is given
-(:func:`kernel_of`); only the exact classes are declared, since a
-subclass's own ``__call__`` and the inherited kernel could disagree.
+records the row form does or refusing.
 
-These are the first operators of an expression layer from which row
-functions and kernels both derive, instead of hand-written twins.
+A row function is declared for a stage (``"map"`` or ``"flat_map"``) when
+its own class body defines ``__call__``, ``kernel`` and ``stage``
+(:func:`kernel_of`); this is the only way a ``map`` or ``flat_map`` stage
+gets a kernel.  A subclass that overrides ``__call__`` alone is not
+declared, since its row form and the inherited kernel could disagree.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.partitioner import hash_int_keys, hash_str_keys
 
-__all__ = ["Pair", "Split", "Sum", "kernel_of"]
+__all__ = ["Identity", "MapValues", "Pair", "Split", "Sum", "kernel_of"]
 
 
 class Split:
@@ -48,6 +48,7 @@ class Split:
     """
 
     __slots__ = ()
+    stage = "flat_map"
 
     def __call__(self, line: str) -> List[str]:
         return line.split()
@@ -76,6 +77,7 @@ class Pair:
     """
 
     __slots__ = ("value", "_leaf")
+    stage = "map"
 
     def __init__(self, value: Any):
         self.value = value
@@ -98,16 +100,56 @@ class Pair:
         return ColumnarBatch(("tuple", (batch.schema, self._leaf)), (batch.data, column), n)
 
 
-#: The stage each declared row function declares its kernel for.
-_STAGE_OF = {Split: "flat_map", Pair: "map"}
-
-
 def kernel_of(fn: Any, stage: str) -> Optional[Callable[[ColumnarBatch], ColumnarBatch]]:
     """The kernel of ``fn`` run as a ``stage`` (``"map"`` or ``"flat_map"``)
-    when ``fn`` is a declared row function for that stage; else None."""
-    if _STAGE_OF.get(type(fn)) != stage:
+    when ``fn`` is a row function declared for that stage; else None."""
+    body = vars(type(fn))
+    if body.get("stage") != stage or "__call__" not in body or "kernel" not in body:
         return None
     return fn.kernel
+
+
+class Identity:
+    """Declared row function ``x -> x``: its kernel hands the batch on."""
+
+    __slots__ = ()
+    stage = "map"
+
+    def __call__(self, x: Any) -> Any:
+        return x
+
+    def kernel(self, batch: ColumnarBatch) -> ColumnarBatch:
+        return batch
+
+
+class MapValues:
+    """Declared row function ``(k, v) -> (k, fn(v))``, ``RDD.map_values``'s
+    stage.  When ``fn`` is declared for ``map`` its kernel runs over the
+    value column, beside the key column as it is; otherwise none."""
+
+    __slots__ = ("fn", "_value_kernel")
+    stage = "map"
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+        self._value_kernel = kernel_of(fn, "map")
+
+    def __call__(self, kv: Tuple[Any, Any]) -> Tuple[Any, Any]:
+        return (kv[0], self.fn(kv[1]))
+
+    @property
+    def kernel(self) -> Optional[Callable[[ColumnarBatch], ColumnarBatch]]:
+        return None if self._value_kernel is None else self._lift
+
+    def _lift(self, batch: ColumnarBatch) -> ColumnarBatch:
+        schema = batch.schema
+        if schema[0] != "tuple" or len(schema[1]) != 2:
+            raise ColumnarUnsupported(f"map_values needs pairs, got {schema!r}")
+        key_schema, value_schema = schema[1]
+        keys, values = batch.data
+        n = batch.length
+        out = self._value_kernel(ColumnarBatch(value_schema, values, n))
+        return ColumnarBatch(("tuple", (key_schema, out.schema)), (keys, out.data), n)
 
 
 class Sum:

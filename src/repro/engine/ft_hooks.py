@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.engine.checkpoint import CheckpointWriteError
+from repro.engine.columnar import ColumnarBatch
 from repro.engine.task import ComputedPartition, TaskKind, TaskSpec
 from repro.obs import SpanEvent
 
@@ -80,12 +81,17 @@ class FaultToleranceHooks:
             if cp.rdd.manual_checkpoint and not registry.is_marked(cp.rdd):
                 registry.mark(cp.rdd)
             if registry.is_marked(cp.rdd) and not registry.has_partition(cp.rdd, cp.partition):
+                data = cp.data
+                if type(data) is ColumnarBatch:
+                    # Checkpoints hold rows; a partition computed as a
+                    # batch becomes rows only when it is captured.
+                    data = data.to_records()
                 self.scheduler.enqueue_checkpoint(
                     TaskSpec(
                         TaskKind.CHECKPOINT,
                         cp.rdd,
                         cp.partition,
-                        data=cp.data,
+                        data=data,
                         nbytes=cp.nbytes,
                         preferred_worker_id=worker.worker_id,
                     )

@@ -15,6 +15,7 @@ import functools
 import operator
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from repro.engine.declared import MapValues
 from repro.engine.dependencies import GROUP, Dependency, identity
 from repro.engine.partitioner import HashPartitioner
 
@@ -89,7 +90,8 @@ class RDD:
         """Produce the records of partition ``split`` (pure, deterministic).
 
         Implemented by pipeline breakers only; inputs are reached through
-        ``runtime.iterator`` / ``runtime.shuffle_fetch``.  ``as_batch`` says
+        ``runtime.iterator`` (``runtime.batch_iterator`` where a batch is
+        wanted) / ``runtime.shuffle_fetch``.  ``as_batch`` says
         the caller can take a :class:`~repro.engine.columnar.ColumnarBatch`
         (one ``from_records`` would build from the rows) in place of rows;
         rows are always a valid answer.
@@ -106,7 +108,9 @@ class RDD:
         raise NotImplementedError
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
-        """Vectorised ``ColumnarBatch -> ColumnarBatch`` twin, or None.
+        """The stage's ``ColumnarBatch -> ColumnarBatch`` kernel, or None:
+        an operator's built-in one, or a declared row function's
+        (:func:`~repro.engine.declared.kernel_of`).
 
         The columnar plane lowers a fused chain to batch kernels only when
         *every* stage provides one; None (the default) keeps the stage — and
@@ -207,53 +211,29 @@ class RDD:
     # ------------------------------------------------------------------
     # Transformations (lazy)
     # ------------------------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
-    ) -> "RDD":
+    def map(self, fn: Callable[[Any], Any], compute_multiplier: float = 1.0) -> "RDD":
         """Apply ``fn`` to every record.
 
-        ``batch_fn``, when given, is the columnar plane's vectorised twin
-        (``ColumnarBatch -> ColumnarBatch``); it must produce exactly the
-        records ``fn`` would, in order (see :meth:`batch_kernel`).  Without
-        one, a declared ``fn`` (``declared.Pair``) brings its own kernel.
+        A row function declared for ``map`` (``declared.Pair``; see
+        :mod:`repro.engine.declared`) brings its own kernel, so the stage
+        can lower to the columnar plane (see :meth:`batch_kernel`).
         """
         from repro.engine import transformations as t
 
-        return t.MappedRDD(self, fn, compute_multiplier, batch_fn=batch_fn)
+        return t.MappedRDD(self, fn, compute_multiplier)
 
-    def filter(
-        self,
-        predicate: Callable[[Any], bool],
-        batch_fn: Optional[Callable] = None,
-    ) -> "RDD":
-        """Keep records where ``predicate`` is true.
-
-        ``batch_fn``, when given, maps a ``ColumnarBatch`` to a boolean
-        NumPy mask (True = keep) that must agree with ``predicate`` on
-        every record.
-        """
+    def filter(self, predicate: Callable[[Any], bool]) -> "RDD":
+        """Keep records where ``predicate`` is true."""
         from repro.engine import transformations as t
 
-        return t.FilteredRDD(self, predicate, batch_fn=batch_fn)
+        return t.FilteredRDD(self, predicate)
 
-    def flat_map(
-        self,
-        fn: Callable[[Any], Any],
-        compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
-    ) -> "RDD":
-        """Apply ``fn`` and flatten the resulting iterables.
-
-        ``batch_fn`` is the vectorised twin over whole batches (output
-        length is free — flattening is the kernel's business); without one,
-        a declared ``fn`` (``declared.Split``) brings its own kernel.
-        """
+    def flat_map(self, fn: Callable[[Any], Any], compute_multiplier: float = 1.0) -> "RDD":
+        """Apply ``fn`` and flatten the resulting iterables; a row function
+        declared for ``flat_map`` (``declared.Split``) brings its own kernel."""
         from repro.engine import transformations as t
 
-        return t.FlatMappedRDD(self, fn, compute_multiplier, batch_fn=batch_fn)
+        return t.FlatMappedRDD(self, fn, compute_multiplier)
 
     def map_partitions(
         self,
@@ -295,18 +275,15 @@ class RDD:
     def values(self) -> "RDD":
         return self.map(lambda kv: kv[1])
 
-    def map_values(
-        self, fn: Callable[[Any], Any], batch_fn: Optional[Callable] = None
-    ) -> "RDD":
+    def map_values(self, fn: Callable[[Any], Any]) -> "RDD":
         """Map over pair values, preserving keys and partitioning.
 
-        ``batch_fn`` is a full ``ColumnarBatch -> ColumnarBatch`` twin of
-        the *pair* transform (it sees keys too — preserving them is its
-        contract, mirroring the row lambda below).
+        The stage is ``declared.MapValues(fn)``: a ``fn`` declared for
+        ``map`` has its kernel run over the value column, beside the keys.
         """
         from repro.engine import transformations as t
 
-        rdd = t.MappedRDD(self, lambda kv: (kv[0], fn(kv[1])), batch_fn=batch_fn)
+        rdd = t.MappedRDD(self, MapValues(fn))
         rdd.partitioner = self.partitioner
         return rdd
 

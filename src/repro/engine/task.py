@@ -88,7 +88,8 @@ class ComputedPartition:
     """A partition materialised during task execution.
 
     Reported to the fault-tolerance manager at completion so it can track
-    the lineage frontier and capture checkpoint payloads.
+    the lineage frontier and capture checkpoint payloads.  ``data`` is the
+    partition's rows, or the ``ColumnarBatch`` it was computed as.
     """
 
     rdd: "RDD"

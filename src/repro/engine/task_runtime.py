@@ -63,24 +63,19 @@ class TaskRuntime:
         """Records of ``(rdd, partition)`` via cache, checkpoint, or recompute.
 
         ``as_batch`` says the caller can take a :class:`ColumnarBatch` in
-        place of rows: the boundary of a chain whose every stage has a
-        kernel, a map head whose declared combine reduces a batch directly,
-        and a cogroup's side.  Such a caller gets the batch when the
-        partition is computed here as one — a lowered chain, a source drawn
-        as columns, a reducer's merge or a cogroup by sort — and rows are
-        built only for whoever observes the partition (a persisted or
-        materialisation-point partition) or a caller that needs rows.  It
-        also gets the sidecar of a memory-resident block that holds at
-        least :data:`MIN_LOWERED_ROWS` records, converted once per block.
+        place of rows: a count, and every :meth:`batch_iterator` caller.
+        Such a caller gets the batch when the partition is computed here as
+        one — a lowered chain, a source drawn as columns, a reducer's merge
+        or a cogroup by sort — and rows are built only for a persisted
+        partition's block or a caller that needs rows.  Stored rows stay
+        rows.
         """
         key = (rdd.rdd_id, partition)
         memoised = self._memo.get(key)
         if memoised is not None:
-            if type(memoised) is ColumnarBatch:
-                if not as_batch:
-                    memoised = self._memo[key] = memoised.to_records()
-                return memoised
-            return self._sidecar(key, memoised) if as_batch else memoised
+            if type(memoised) is ColumnarBatch and not as_batch:
+                memoised = self._memo[key] = memoised.to_records()
+            return memoised
 
         found = self.context.find_block(rdd, partition, prefer=self.worker)
         if found is not None:
@@ -93,7 +88,7 @@ class TaskRuntime:
             if tier == "memory":
                 self._resident[key] = holder.block_manager
             self._memo[key] = data
-            return self._sidecar(key, data) if as_batch else data
+            return data
 
         registry = self.context.checkpoints
         if registry.has_partition(rdd, partition):
@@ -116,12 +111,10 @@ class TaskRuntime:
         # A batch's length is its row list's ``len()``: same charges.
         nbytes = rdd.partition_bytes(len(data))
         self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
-        observed = self._is_materialisation_point(rdd)
         rows = data
-        if type(data) is ColumnarBatch:
-            if as_batch and not observed:
-                self._memo[key] = data
-                return data
+        if type(data) is ColumnarBatch and (rdd.persisted or not as_batch):
+            # Rows for a block or a caller that needs them; an observed
+            # partition is reported as its batch (see ``ft_hooks``).
             rows = data.to_records()
         if rdd.persisted:
             self.pending_puts.append(
@@ -130,19 +123,25 @@ class TaskRuntime:
                     rdd=rdd, batch=drawn,
                 )
             )
-        if observed:
+        if self._is_materialisation_point(rdd):
             self.computed.append(ComputedPartition(rdd, partition, rows, nbytes))
         self._memo[key] = rows
         return data if as_batch else rows
 
-    def _sidecar(self, key: Tuple[int, int], rows: Any) -> Any:
-        """The columnar sidecar of ``rows`` when a store's memory tier served
-        them to this task and they hold enough records to pay; else rows."""
+    def batch_iterator(self, rdd: "RDD", partition: int) -> Any:
+        """:meth:`iterator` for a caller that lowers what it gets — the
+        boundary of a chain whose every stage has a kernel, a map head whose
+        declared combine reduces a batch directly, a cogroup's side — which
+        also gets the sidecar of a block a store's memory tier served, when
+        it holds at least :data:`MIN_LOWERED_ROWS` records (converted once
+        per block)."""
+        data = self.iterator(rdd, partition, True)
+        key = (rdd.rdd_id, partition)
         store = self._resident.get(key)
-        if store is None or len(rows) < MIN_LOWERED_ROWS:
-            return rows
-        batch = store.columnar(block_id_for(*key), rows)
-        return rows if batch is None else batch
+        if type(data) is ColumnarBatch or store is None or len(data) < MIN_LOWERED_ROWS:
+            return data
+        batch = store.columnar(block_id_for(*key), data)
+        return data if batch is None else batch
 
     def _compute_fused(self, rdd: "RDD", partition: int, as_batch: bool) -> Any:
         """Materialise ``(rdd, partition)`` by streaming its narrow chain.
@@ -152,7 +151,7 @@ class TaskRuntime:
         hit, a shuffle or multi-parent dependency, a source, or a node with
         more than one dependant (memoised once per task and served to each).
         The stages' kernels are looked up first: only a chain whose every
-        stage has one asks :meth:`iterator` for its boundary as a batch, so
+        stage has one asks :meth:`batch_iterator` for its boundary, so
         a kernel-less chain never makes the boundary convert.  If the
         boundary holds at least :data:`MIN_LOWERED_ROWS` records the chain
         is offered to the columnar plane, and otherwise (or on a refusal)
@@ -188,7 +187,7 @@ class TaskRuntime:
             stages.append((node, split))
             node, split = edge
         kernels = self._kernels(stages)
-        stream = self.iterator(node, split, kernels is not None)
+        stream = (self.iterator if kernels is None else self.batch_iterator)(node, split)
         if kernels is not None and len(stream) >= MIN_LOWERED_ROWS:
             batch = self._compute_columnar(stages, kernels, node, split, stream)
             if batch is not None:
@@ -248,7 +247,7 @@ class TaskRuntime:
 
         A boundary computed here as a batch (a source drawn as columns, a
         reducer's merge, a cogroup) is used as it is, and so is the sidecar
-        :meth:`iterator` serves for a block in a store's memory tier — the
+        :meth:`batch_iterator` serves for a block in a store's memory tier — the
         block's rows converted once per block, or a source block's drawn
         batch.  Rows from such a block mean its sidecar was refused.
         """
@@ -298,6 +297,10 @@ class TaskRuntime:
     def run(self, spec: TaskSpec) -> Tuple[Any, Optional[MapOutput]]:
         """Execute one task body; returns ``(result, map_output)``."""
         if spec.kind == TaskKind.RESULT:
+            if spec.func is len:
+                # A count needs no records: a partition computed as a batch
+                # is counted as it is, and stored rows are not columnarised.
+                return len(self.iterator(spec.rdd, spec.partition, True)), None
             data = self.iterator(spec.rdd, spec.partition)
             result = spec.func(data)
             if isinstance(result, list):
@@ -306,7 +309,9 @@ class TaskRuntime:
         if spec.kind == TaskKind.SHUFFLE_MAP:
             dep = spec.dep
             reducer = dep.declared_sum
-            head = self.iterator(dep.rdd, spec.partition, reducer is not None)
+            head = (self.iterator if reducer is None else self.batch_iterator)(
+                dep.rdd, spec.partition
+            )
             combined = None
             if type(head) is ColumnarBatch:
                 # The declared combine, straight from the lowered batch,

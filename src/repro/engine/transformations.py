@@ -4,7 +4,8 @@ Sources and shuffle consumers implement ``compute(split, runtime)``, reaching
 their inputs through the task runtime (which resolves caches, checkpoints,
 and shuffle outputs); single-parent narrow operators implement
 ``compute_fused(records, split)`` over the parent's already-resolved records
-(plus an optional ``batch_kernel``) and run as stages of a fused chain.
+(plus an optional ``batch_kernel``: built in, or a declared row function's
+kernel) and run as stages of a fused chain.
 Either way the body is a *pure* function of its parents' records.  Purity is
 what makes lineage recomputation after a revocation return byte-identical
 results — an invariant the property-based tests hammer on.
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.engine.buckets import hash_sort_key, merge_reduce_buckets
 from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, cogroup
-from repro.engine.declared import kernel_of
+from repro.engine.declared import Identity, kernel_of
 from repro.engine.dependencies import (
     OneToOneDependency,
     RangeDependency,
@@ -32,6 +33,9 @@ from repro.simulation.rng import SeededRNG
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
     from repro.engine.task_runtime import TaskRuntime
+
+
+_IDENTITY = Identity()
 
 
 class ParallelCollectionRDD(RDD):
@@ -90,18 +94,12 @@ class GeneratedRDD(RDD):
 
 
 class MappedRDD(RDD):
-    """One-to-one record transformation; a declared row function
-    (``declared.Pair``) brings its own kernel."""
+    """One-to-one record transformation; a row function declared for
+    ``map`` (``declared.Pair``, ``declared.MapValues``) brings its kernel."""
 
     supports_fusion = True
 
-    def __init__(
-        self,
-        parent: RDD,
-        fn: Callable[[Any], Any],
-        compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
-    ):
+    def __init__(self, parent: RDD, fn: Callable[[Any], Any], compute_multiplier: float = 1.0):
         super().__init__(
             parent.context,
             [OneToOneDependency(parent)],
@@ -110,62 +108,38 @@ class MappedRDD(RDD):
             name="map",
         )
         self._fn = fn
-        self._batch_fn = batch_fn if batch_fn is not None else kernel_of(fn, "map")
+        self._kernel = kernel_of(fn, "map")
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return [self._fn(x) for x in records]
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
-        return self._batch_fn
+        return self._kernel
 
 
 class FilteredRDD(RDD):
-    """Keeps records matching a predicate."""
+    """Keeps records matching a predicate (on the row plane)."""
 
     supports_fusion = True
 
-    def __init__(
-        self,
-        parent: RDD,
-        predicate: Callable[[Any], bool],
-        batch_fn: Optional[Callable] = None,
-    ):
+    def __init__(self, parent: RDD, predicate: Callable[[Any], bool]):
         super().__init__(
             parent.context, [OneToOneDependency(parent)], parent.num_partitions, name="filter"
         )
         self._predicate = predicate
-        self._batch_fn = batch_fn
         self.partitioner = parent.partitioner
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         return [x for x in records if self._predicate(x)]
 
-    def batch_kernel(self, split: int) -> Optional[Callable]:
-        if self._batch_fn is None:
-            return None
-        mask_fn = self._batch_fn
-
-        def kernel(batch: ColumnarBatch) -> ColumnarBatch:
-            # select() validates the mask (bool, batch-length) and raises
-            # ColumnarUnsupported itself on a shape mismatch.
-            return batch.select(np.asarray(mask_fn(batch)))
-
-        return kernel
-
 
 class FlatMappedRDD(RDD):
-    """Maps each record to an iterable and flattens; a declared row function
-    (``declared.Split``) brings its own kernel."""
+    """Maps each record to an iterable and flattens; a row function
+    declared for ``flat_map`` (``declared.Split``) brings its kernel."""
 
     supports_fusion = True
 
-    def __init__(
-        self,
-        parent: RDD,
-        fn: Callable[[Any], Any],
-        compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
-    ):
+    def __init__(self, parent: RDD, fn: Callable[[Any], Any], compute_multiplier: float = 1.0):
         super().__init__(
             parent.context,
             [OneToOneDependency(parent)],
@@ -174,7 +148,7 @@ class FlatMappedRDD(RDD):
             name="flatMap",
         )
         self._fn = fn
-        self._batch_fn = batch_fn if batch_fn is not None else kernel_of(fn, "flat_map")
+        self._kernel = kernel_of(fn, "flat_map")
 
     def compute_fused(self, records: Any, split: int) -> List[Any]:
         out: List[Any] = []
@@ -185,7 +159,7 @@ class FlatMappedRDD(RDD):
         return out
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
-        return self._batch_fn
+        return self._kernel
 
 
 class MapPartitionsRDD(RDD):
@@ -342,13 +316,10 @@ class UnionRDD(RDD):
         return list(records)
 
     def batch_kernel(self, split: int) -> Optional[Callable]:
-        # Identity: columns are immutable by convention, so the same batch
-        # passes through (the row twin's list() copy exists only to protect
-        # cached rows from downstream mutation, which columns cannot see).
-        def kernel(batch: ColumnarBatch) -> ColumnarBatch:
-            return batch
-
-        return kernel
+        # Columns are never written in place, so the same batch passes
+        # through (the row form's list() copy exists only to protect cached
+        # rows from downstream mutation, which columns cannot see).
+        return _IDENTITY.kernel
 
 
 class ShuffledRDD(RDD):
@@ -413,7 +384,7 @@ class CoGroupedRDD(RDD):
         sides = [
             runtime.shuffle_fetch(dep, split)
             if isinstance(dep, ShuffleDependency)
-            else [runtime.iterator(dep.rdd, split, as_batch)]
+            else [(runtime.batch_iterator if as_batch else runtime.iterator)(dep.rdd, split)]
             for dep in deps
         ]
         if as_batch and n == 2:

@@ -128,11 +128,16 @@ def _describe_callable(hasher: "hashlib._Hash", fn: Any, depth: int) -> None:
             f"callable:{getattr(fn, '__module__', '?')}."
             f"{getattr(fn, '__qualname__', type(fn).__name__)}",
         )
-        # A callable instance is its class plus its public slots: without
-        # them ``Pair(1)`` and ``Pair(2)`` hash alike.
-        for name in getattr(type(fn), "__slots__", ()):
+        # A callable instance is its class plus its public state, slots and
+        # ``vars()`` alike: without it ``Pair(1)`` and ``Pair(2)``, or two
+        # instances of a plain class holding ``self.k``, hash alike.
+        names = list(getattr(type(fn), "__slots__", ()))
+        state = getattr(fn, "__dict__", None)
+        if isinstance(state, dict):
+            names += sorted(state)
+        for name in names:
             if not name.startswith("_") and hasattr(fn, name):
-                _feed(hasher, f"slot:{name}")
+                _feed(hasher, f"state:{name}")
                 _describe_value(hasher, getattr(fn, name), depth + 1)
         return
     _feed(hasher, f"fn:{fn.__module__}.{fn.__qualname__}")

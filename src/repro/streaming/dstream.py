@@ -131,15 +131,8 @@ class DStream:
         """Arbitrary per-batch RDD-to-RDD transform (driver-side builder)."""
         return TransformedDStream(self.ssc, self, build)
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        compute_multiplier: float = 1.0,
-        batch_fn: Optional[Callable] = None,
-    ) -> "DStream":
-        return self.transform(
-            lambda rdd: rdd.map(fn, compute_multiplier, batch_fn=batch_fn)
-        )
+    def map(self, fn: Callable[[Any], Any], compute_multiplier: float = 1.0) -> "DStream":
+        return self.transform(lambda rdd: rdd.map(fn, compute_multiplier))
 
     def filter(self, predicate: Callable[[Any], bool]) -> "DStream":
         return self.transform(lambda rdd: rdd.filter(predicate))

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
     from repro.engine.rdd import RDD
 
-from repro.engine.declared import Pair, Split, Sum
+from repro.engine.declared import Identity, Pair, Split, Sum
 from repro.streaming.context import StreamingContext
 
 #: Fixed wordcount vocabulary — part of the workload's seed contract.
@@ -30,18 +30,6 @@ VOCABULARY: Tuple[str, ...] = (
     "checkpoint", "tau", "delta", "mttf", "worker", "shuffle", "fetch",
     "block", "cache", "replay", "seed", "drift", "burst", "queue", "drain",
 )
-
-
-# ----------------------------------------------------------------------
-# Module-level kernels shared by the workloads below.
-# ----------------------------------------------------------------------
-def _identity(record):
-    return record
-
-
-def _identity_batch(batch):
-    """Columnar twin of :func:`_identity` (a fully-kernelled chain)."""
-    return batch
 
 
 def _sum_update(new_values: List[int], old_state: Optional[int]) -> int:
@@ -55,10 +43,10 @@ def _sorted_collect(rdd: "RDD") -> Tuple:
 class StreamingIdentityWorkload:
     """Pass-through pipe: rate source → identity map → per-batch count.
 
-    The identity map carries a columnar ``batch_fn`` twin, so a batch of at
-    least ``MIN_LOWERED_ROWS`` records per partition lowers the whole chain
-    to vectorised batches — the throughput workload deliberately exercises
-    the fastest plane.
+    The identity map is declared (``Identity()``), so a batch of at least
+    ``MIN_LOWERED_ROWS`` records per partition lowers the whole chain to
+    vectorised batches — the throughput workload deliberately exercises the
+    fastest plane — and is counted without becoming rows.
     """
 
     def __init__(
@@ -77,7 +65,7 @@ class StreamingIdentityWorkload:
         self.ssc = StreamingContext(ctx, batch_interval)
         source = self.ssc.rate_stream(records_per_batch, partitions, record_size)
         self.source = source
-        passed = source.map(_identity, batch_fn=_identity_batch)
+        passed = source.map(Identity())
         passed.count_per_batch("count")
 
     def load(self) -> None:

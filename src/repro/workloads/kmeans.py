@@ -43,35 +43,45 @@ def _closest(point: Tuple[float, ...], centroids: List[Tuple[float, ...]]) -> in
     return best
 
 
-def _assign_batch(batch: ColumnarBatch, centroids: List[Tuple[float, ...]]) -> ColumnarBatch:
-    """Columnar twin of the per-record ``_closest`` assignment map.
+class Assign:
+    """Declared row function ``point -> (closest centroid, (point, 1))``,
+    one Lloyd iteration's assignment map; ``centroids`` is public, so two
+    iterations' plans fingerprint apart in the result cache.
 
-    Per element the float-operation order matches ``_closest`` exactly:
+    The kernel's float-operation order matches :func:`_closest` per element:
     distances accumulate one dimension at a time (left-to-right from 0.0)
     and the running minimum uses the same strict ``<`` (ties keep the
     earlier centroid).  ``_closest``'s early exit never changes its answer
     (the full sum only grows), so computing full sums here is equivalent.
     """
-    dim = len(centroids[0])
-    point_schema = ("tuple", ("f8",) * dim)
-    cols = batch.require(point_schema)
-    n = len(batch)
-    best = np.zeros(n, dtype=np.int64)
-    best_d = np.full(n, np.inf)
-    for i, c in enumerate(centroids):
-        d = np.zeros(n)
-        for j in range(dim):
-            diff = cols[j] - c[j]
-            d += diff * diff
-        better = d < best_d
-        best[better] = i
-        best_d[better] = d[better]
-    counts = np.ones(n, dtype=np.int64)
-    return ColumnarBatch(
-        ("tuple", ("i8", ("tuple", (point_schema, "i8")))),
-        (best, (cols, counts)),
-        n,
-    )
+
+    __slots__ = ("centroids",)
+    stage = "map"
+
+    def __init__(self, centroids: List[Tuple[float, ...]]):
+        self.centroids = centroids
+
+    def __call__(self, point: Tuple[float, ...]) -> Tuple[int, Tuple[Tuple[float, ...], int]]:
+        return (_closest(point, self.centroids), (point, 1))
+
+    def kernel(self, batch: ColumnarBatch) -> ColumnarBatch:
+        centroids = self.centroids
+        dim = len(centroids[0])
+        point_schema = ("tuple", ("f8",) * dim)
+        cols = batch.require(point_schema)
+        n = len(batch)
+        best = np.zeros(n, dtype=np.int64)
+        best_d = np.full(n, np.inf)
+        for i, c in enumerate(centroids):
+            d = np.zeros(n)
+            for j in range(dim):
+                diff = cols[j] - c[j]
+                d += diff * diff
+            better = d < best_d
+            best[better] = i
+            best_d[better] = d[better]
+        schema = ("tuple", ("i8", ("tuple", (point_schema, "i8"))))
+        return ColumnarBatch(schema, (best, (cols, np.ones(n, dtype=np.int64))), n)
 
 
 class KMeansWorkload:
@@ -134,15 +144,9 @@ class KMeansWorkload:
         centroids = initial_centroids(self.seed, self.k, self.dim)
         iters = iterations or self.iterations
         for _ in range(iters):
-            frozen = list(centroids)
-            stats = (
-                points.map(
-                    lambda p, cs=frozen: (_closest(p, cs), (p, 1)),
-                    compute_multiplier=self.distance_cost,
-                    batch_fn=lambda batch, cs=frozen: _assign_batch(batch, cs),
-                )
-                .reduce_by_key(Sum(), min(self.partitions, self.k))
-            )
+            stats = points.map(
+                Assign(list(centroids)), compute_multiplier=self.distance_cost
+            ).reduce_by_key(Sum(), min(self.partitions, self.k))
             totals = stats.collect()
             new_centroids = list(centroids)
             for idx, (vec_sum, count) in totals:

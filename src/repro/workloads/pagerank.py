@@ -21,8 +21,6 @@ from repro.workloads.datagen import generate_graph_partition
 
 GB = 10**9
 
-#: Schema of a cached adjacency partition: ``(src, [dsts])``.
-_LINKS_SCHEMA = ("tuple", ("i8", ("list", "i8")))
 #: Schema of a rank partition: ``(vertex, rank)``.
 _RANKS_SCHEMA = ("tuple", ("i8", "f8"))
 #: The two sides of a cogrouped ``(src, ([group, ...], [rank, ...]))``
@@ -32,72 +30,80 @@ _RANK_VALUES = ("list", "f8")
 _COGROUP_SCHEMA = ("tuple", ("i8", ("tuple", (_LINK_GROUPS, _RANK_VALUES))))
 
 
-def _init_rank(_dsts):
-    return 1.0
+class InitRank:
+    """Declared row function ``dsts -> 1.0``: every vertex's first rank."""
+
+    __slots__ = ()
+    stage = "map"
+
+    def __call__(self, _dsts) -> float:
+        return 1.0
+
+    def kernel(self, batch: ColumnarBatch) -> ColumnarBatch:
+        return ColumnarBatch("f8", np.full(batch.length, 1.0), batch.length)
 
 
-def _rank_update(total):
-    return 0.15 + 0.85 * total
+class RankUpdate:
+    """Declared row function ``total -> 0.15 + 0.85 * total``; the kernel
+    applies it to the ``f8`` column, the same IEEE operations per element."""
+
+    __slots__ = ()
+    stage = "map"
+
+    def __call__(self, total):
+        return 0.15 + 0.85 * total
+
+    def kernel(self, batch: ColumnarBatch) -> ColumnarBatch:
+        return ColumnarBatch("f8", self(batch.require("f8")), batch.length)
 
 
-def _contributions(kv):
-    """Each destination's share of its source's rank, in adjacency order."""
-    _src, (link_groups, rank_values) = kv
-    if not link_groups or not rank_values:
-        return []
-    dsts = link_groups[0]
-    rank = rank_values[0]
-    share = rank / len(dsts)
-    return [(d, share) for d in dsts]
+class Contributions:
+    """Declared row function for ``flat_map`` over ``links.cogroup(ranks)``:
+    each destination's share of its source's rank, in adjacency order.
 
-
-def _init_ranks_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Columnar twin of ``map_values(_init_rank)`` over links."""
-    src, _dsts = batch.require(_LINKS_SCHEMA)
-    n = len(batch)
-    return ColumnarBatch(_RANKS_SCHEMA, (src, np.full(n, 1.0)), n)
-
-
-def _rank_update_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Columnar twin of ``map_values(_rank_update)``."""
-    vertex, total = batch.require(_RANKS_SCHEMA)
-    return ColumnarBatch(_RANKS_SCHEMA, (vertex, 0.15 + 0.85 * total), len(batch))
-
-
-def _contributions_batch(batch: ColumnarBatch) -> ColumnarBatch:
-    """Columnar twin of the per-record :func:`_contributions` flat map.
-
-    A ragged gather: each record with one link group and one rank value
-    fans out to ``len(dsts)`` ``(dst, rank / len(dsts))`` pairs, preserving
-    record order then in-list order — exactly the row plane's emission
-    order.  All arithmetic (one f8/i8 division per record, broadcast to
-    its fan-out) is IEEE-identical to the scalar ``rank / len(dsts)``.
+    The kernel is a ragged gather: a record with one link group and one rank
+    fans out to ``len(dsts)`` ``(dst, rank / len(dsts))`` pairs in record,
+    then list order, with one IEEE division per record, as the row form.
     """
-    _src, (link_col, rank_col) = batch.require(_COGROUP_SCHEMA)
-    group_counts, rank_counts = link_col[0], rank_col[0]
-    if (group_counts > 1).any() or (rank_counts > 1).any():
-        # The row plane reads only element [0] of each side; refuse rather
-        # than silently dropping the extras (cogroup of pre-grouped links
-        # with unique ranks never produces them in practice).
-        raise ColumnarUnsupported("multiple cogroup values for one key")
-    valid = (group_counts > 0) & (rank_counts > 0)
-    if not valid.all():
-        # Keep the records with a group and a rank; the row plane emits
-        # nothing for the rest.
-        kept = np.flatnonzero(valid)
-        link_col = take(_LINK_GROUPS, link_col, kept)
-        rank_col = take(_RANK_VALUES, rank_col, kept)
-    # Every record left has exactly one adjacency list and one rank, so the
-    # flat axes are in record order.
-    _groups, (fanout, dst_vals) = link_col
-    if (fanout == 0).any():
-        # ``rank / len(dsts)`` would raise ZeroDivisionError on the row
-        # plane; fall back so the error surfaces there, not here.
-        raise ColumnarUnsupported("empty adjacency list")
-    share = rank_col[1] / fanout
-    return ColumnarBatch(
-        _RANKS_SCHEMA, (dst_vals, np.repeat(share, fanout)), int(fanout.sum())
-    )
+
+    __slots__ = ()
+    stage = "flat_map"
+
+    def __call__(self, kv):
+        _src, (link_groups, rank_values) = kv
+        if not link_groups or not rank_values:
+            return []
+        dsts = link_groups[0]
+        rank = rank_values[0]
+        share = rank / len(dsts)
+        return [(d, share) for d in dsts]
+
+    def kernel(self, batch: ColumnarBatch) -> ColumnarBatch:
+        _src, (link_col, rank_col) = batch.require(_COGROUP_SCHEMA)
+        group_counts, rank_counts = link_col[0], rank_col[0]
+        if (group_counts > 1).any() or (rank_counts > 1).any():
+            # The row form reads only element [0] of each side; refuse rather
+            # than silently dropping the extras (cogroup of pre-grouped links
+            # with unique ranks never produces them in practice).
+            raise ColumnarUnsupported("multiple cogroup values for one key")
+        valid = (group_counts > 0) & (rank_counts > 0)
+        if not valid.all():
+            # Keep the records with a group and a rank; the row form emits
+            # nothing for the rest.
+            kept = np.flatnonzero(valid)
+            link_col = take(_LINK_GROUPS, link_col, kept)
+            rank_col = take(_RANK_VALUES, rank_col, kept)
+        # Every record left has exactly one adjacency list and one rank, so
+        # the flat axes are in record order.
+        _groups, (fanout, dst_vals) = link_col
+        if (fanout == 0).any():
+            # ``rank / len(dsts)`` would raise ZeroDivisionError on the row
+            # plane; fall back so the error surfaces there, not here.
+            raise ColumnarUnsupported("empty adjacency list")
+        share = rank_col[1] / fanout
+        return ColumnarBatch(
+            _RANKS_SCHEMA, (dst_vals, np.repeat(share, fanout)), int(fanout.sum())
+        )
 
 
 class PageRankWorkload:
@@ -171,7 +177,7 @@ class PageRankWorkload:
         links = self.links
         iters = iterations or self.iterations
         ranks = (
-            links.map_values(_init_rank, batch_fn=_init_ranks_batch)
+            links.map_values(InitRank())
             .set_record_size(self.rank_record_size)
             .set_name("ranks-0")
         )
@@ -180,12 +186,12 @@ class PageRankWorkload:
         for i in range(iters):
             contribs = (
                 links.cogroup(ranks, self.partitions)
-                .flat_map(_contributions, batch_fn=_contributions_batch)
+                .flat_map(Contributions())
                 .set_record_size(self.contrib_record_size)
             )
             new_ranks = (
                 contribs.reduce_by_key(Sum(), self.partitions)
-                .map_values(_rank_update, batch_fn=_rank_update_batch)
+                .map_values(RankUpdate())
                 .set_record_size(self.rank_record_size)
                 .persist()
                 .set_name(f"ranks-{i + 1}")

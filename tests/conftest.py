@@ -105,7 +105,26 @@ def row_plane_only():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TaskRuntime, "_kernels", staticmethod(lambda stages: None))
         patch.setattr(TaskRuntime, "iterator", rows)
+        patch.setattr(TaskRuntime, "batch_iterator", rows)
         yield
+
+
+class Declared:
+    """A row function declared for ``map``, made of a row form and a kernel
+    given apart: for tests of the planes rather than of one operator (a
+    kernel that refuses, counts its inputs, or disagrees on purpose)."""
+
+    stage = "map"
+
+    def __init__(self, row, kernel):
+        self.row = row
+        self.batch = kernel
+
+    def __call__(self, record):
+        return self.row(record)
+
+    def kernel(self, batch):
+        return self.batch(batch)
 
 
 def plane(columnar: bool):

@@ -16,10 +16,10 @@ import pytest
 from repro.engine import columnar
 from repro.engine.block_manager import block_id_for
 from repro.engine.columnar import ColumnarBatch, columns
-from repro.engine.declared import Sum
+from repro.engine.declared import Identity, Sum
 from repro.engine.task_runtime import MIN_LOWERED_ROWS, TaskRuntime
 from repro.simulation.rng import SeededRNG
-from tests.conftest import build_on_demand_context, plane
+from tests.conftest import Declared, build_on_demand_context, plane
 from tests.engine.test_columnar_combine import ConversionCounter
 
 N = 4 * MIN_LOWERED_ROWS
@@ -66,7 +66,7 @@ def _run_all(monkeypatch, plan):
 
 def test_a_lowered_chain_reads_the_drawn_columns_without_converting(monkeypatch):
     runs = _run_all(
-        monkeypatch, lambda src: src.map(_double_row, batch_fn=_double).collect()
+        monkeypatch, lambda src: src.map(Declared(_double_row, _double)).collect()
     )
     _out, _now, stats, counted = runs["_draw", "on"]
     assert stats.columnar_chains == 4 and stats.columnar_fallbacks == 0
@@ -80,7 +80,7 @@ def test_a_lowered_chain_reads_the_drawn_columns_without_converting(monkeypatch)
 
 def test_an_unobserved_source_never_becomes_rows(monkeypatch):
     plans = {
-        "lowered head": lambda src: src.map(_double_row, batch_fn=_double)
+        "lowered head": lambda src: src.map(Declared(_double_row, _double))
         .reduce_by_key(SUM, 2)
         .collect(),
         "source head": lambda src: src.reduce_by_key(SUM, 2).collect(),
@@ -105,13 +105,40 @@ def test_the_row_path_gets_rows(monkeypatch):
 
     plans = {
         "no kernel": lambda src: src.map(_double_row).collect(),
-        "refusal": lambda src: src.map(_double_row, batch_fn=refuse).collect(),
+        "refusal": lambda src: src.map(Declared(_double_row, refuse)).collect(),
         "row head": lambda src: src.collect(),
         "filtered rows": lambda src: src.filter(lambda r: r[0] < 3).count(),
     }
     for name, plan in plans.items():
         runs = _run_all(monkeypatch, plan)
         assert runs["_draw", "on"][2].columnar_chains == 0, name
+
+
+def test_a_count_takes_the_length_of_what_it_finds(monkeypatch):
+    """A count needs no records: a lowered chain is counted as the batch it
+    computed, and a cached block as its rows — neither is converted."""
+    runs = _run_all(monkeypatch, lambda src: src.map(Identity()).count())
+    _out, _now, stats, counted = runs["_draw", "on"]
+    assert stats.columnar_chains == 4
+    assert (counted.from_rows, counted.to_rows) == ([], 0)
+    ctx = build_on_demand_context(2)
+    cached = ctx.generate(_draw_rows, 4, record_size=100).persist()
+    assert cached.count() == 4 * N
+    counted = ConversionCounter(monkeypatch)
+    assert cached.count() == 4 * N
+    assert (counted.from_rows, counted.to_rows) == ([], 0)
+
+
+def test_a_counted_batch_is_checkpointed_as_its_rows():
+    ctx = build_on_demand_context(2)
+    lowered = ctx.generate(_draw, 4, record_size=100).map(Identity())
+    lowered.checkpoint()
+    assert lowered.count() == 4 * N
+    ctx.env.run_until(ctx.now + 60)  # let the asynchronous writes finish
+    assert ctx.checkpoints.is_fully_checkpointed(lowered)
+    for p in range(4):
+        written = ctx.checkpoints.read_partition(lowered, p)
+        assert type(written) is list and written == _draw_rows(p)
 
 
 def test_a_persisted_source_seeds_its_sidecar(monkeypatch):
@@ -125,7 +152,7 @@ def test_a_persisted_source_seeds_its_sidecar(monkeypatch):
     source = ctx.generate(drawing, 4, record_size=100).persist()
     assert source.count() == 4 * N
     counted = ConversionCounter(monkeypatch)
-    lowered = source.map(_double_row, batch_fn=_double)
+    lowered = source.map(Declared(_double_row, _double))
     for _ in range(2):
         lowered.reduce_by_key(SUM, 2).collect()
     assert counted.from_rows == []
@@ -173,7 +200,7 @@ def test_a_kernel_that_writes_into_its_input_raises():
     source = ctx.generate(_draw, 1, record_size=100).persist()
     source.count()
     with pytest.raises(ValueError, match="read-only"):
-        source.map(_double_row, batch_fn=scale_in_place).collect()
+        source.map(Declared(_double_row, scale_in_place)).collect()
     store = ctx.cluster.live_workers()[0].block_manager
     block = block_id_for(source.rdd_id, 0)
     rows = store.get(block)[0]
@@ -187,6 +214,6 @@ def test_an_empty_drawn_partition_is_an_empty_row_partition():
         return columns(np.empty(0, dtype=np.int64), np.empty(0))
 
     source = ctx.generate(empty, 2, record_size=100)
-    assert source.map(_double_row, batch_fn=_double).collect() == []
+    assert source.map(Declared(_double_row, _double)).collect() == []
     assert source.reduce_by_key(SUM, 2).collect() == []
     assert ctx.scheduler.stats.columnar_fallbacks == 0

@@ -22,7 +22,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.sizeof import deep_sizeof, estimate_record_size
 from repro.engine.task_runtime import MIN_LOWERED_ROWS
-from tests.conftest import build_on_demand_context, plane
+from tests.conftest import Declared, build_on_demand_context, plane
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +247,16 @@ def _inc_batch(batch):
     return ColumnarBatch("i8", batch.require("i8") + 1, len(batch))
 
 
-def _even_mask(batch):
-    return batch.require("i8") % 2 == 0
+class _KeepEven:
+    """A filter of the even numbers, declared as a ``flat_map``."""
+
+    stage = "flat_map"
+
+    def __call__(self, x):
+        return [x] if x % 2 == 0 else []
+
+    def kernel(self, batch):
+        return batch.select(batch.require("i8") % 2 == 0)
 
 
 def _key_batch(batch):
@@ -259,9 +267,9 @@ def _key_batch(batch):
 def _chain(ctx):
     base = ctx.parallelize(list(range(200)), 4, record_size=100)
     return (
-        base.map(lambda x: x + 1, batch_fn=_inc_batch)
-        .filter(lambda x: x % 2 == 0, batch_fn=_even_mask)
-        .map(lambda x: (x % 7, x), batch_fn=_key_batch)
+        base.map(Declared(lambda x: x + 1, _inc_batch))
+        .flat_map(_KeepEven())
+        .map(Declared(lambda x: (x % 7, x), _key_batch))
     )
 
 
@@ -307,7 +315,7 @@ def test_a_boundary_under_min_lowered_rows_stays_on_the_row_plane(monkeypatch):
                 cached = ctx.parallelize(list(range(n)), 1, record_size=100).persist()
                 cached.count()
                 converted.clear()
-                out = cached.map(lambda x: x + 1, batch_fn=_inc_batch).collect()
+                out = cached.map(Declared(lambda x: x + 1, _inc_batch)).collect()
             runs[knob] = (out, ctx.now, ctx.scheduler.stats, list(converted))
         assert runs["on"][:2] == runs["off"][:2], n
         stats = runs["on"][2]
@@ -325,8 +333,8 @@ def test_kernel_refusal_falls_back_with_identical_results():
         with plane(knob == "on"):
             ctx = build_on_demand_context(4)
             base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
-            rdd = base.map(lambda x: x * 3, batch_fn=picky).map(
-                lambda x: x - 1, batch_fn=_inc_batch
+            rdd = base.map(Declared(lambda x: x * 3, picky)).map(
+                Declared(lambda x: x - 1, _inc_batch)
             )
             results[knob] = (rdd.collect(), ctx.now, ctx.scheduler.stats)
     assert results["on"][0] == results["off"][0]
@@ -340,7 +348,7 @@ def test_conversion_refusal_falls_back():
     ctx = build_on_demand_context(4)
     n = 4 * MIN_LOWERED_ROWS
     base = ctx.parallelize([str(i) for i in range(n)], 4, record_size=100)
-    out = base.map(lambda s: s + "!", batch_fn=_inc_batch).collect()
+    out = base.map(Declared(lambda s: s + "!", _inc_batch)).collect()
     assert out == [str(i) + "!" for i in range(n)]
     stats = ctx.scheduler.stats
     assert stats.columnar_fallbacks == 4
@@ -352,7 +360,7 @@ def test_partial_chain_stays_on_row_plane():
     ctx = build_on_demand_context(4)
     n = 4 * MIN_LOWERED_ROWS
     base = ctx.parallelize(list(range(n)), 4, record_size=100)
-    out = base.map(lambda x: x + 1, batch_fn=_inc_batch).map(lambda x: x * 2).collect()
+    out = base.map(Declared(lambda x: x + 1, _inc_batch)).map(lambda x: x * 2).collect()
     assert out == [(x + 1) * 2 for x in range(n)]
     stats = ctx.scheduler.stats
     assert stats.columnar_chains == 0
@@ -366,11 +374,11 @@ def test_builtin_kernels_match_row_plane():
         with plane(knob == "on"):
             ctx = build_on_demand_context(4)
             base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
-            mapped = base.map(lambda x: x + 1, batch_fn=_inc_batch)
+            mapped = base.map(Declared(lambda x: x + 1, _inc_batch))
             sampled = mapped.sample(0.5, seed=3).collect()
             indexed = mapped.zip_with_index().collect()
-            both = mapped.union(mapped.map(lambda x: -x, batch_fn=lambda b: ColumnarBatch(
-                "i8", -b.require("i8"), len(b)))).collect()
+            both = mapped.union(mapped.map(Declared(lambda x: -x, lambda b: ColumnarBatch(
+                "i8", -b.require("i8"), len(b))))).collect()
             outcomes[knob] = (sampled, indexed, both, ctx.now, ctx)
     assert outcomes["on"][:4] == outcomes["off"][:4]
     assert outcomes["on"][4].scheduler.stats.columnar_chains > 0

@@ -26,7 +26,7 @@ import pytest
 from repro.engine import block_manager, columnar, task_runtime
 from repro.engine.block_manager import block_id_for
 from repro.engine.columnar import ColumnarBatch, from_records
-from repro.engine.declared import Sum
+from repro.engine.declared import Identity, Sum
 from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.buckets import bucket_map_output, map_output
@@ -217,18 +217,12 @@ def test_only_reduce_by_key_sum_under_a_plain_hash_partitioner_is_declared():
         assert dep.declared_sum is None
 
 
-def _pass_through(batch):
-    return batch
-
-
 def _reduce(columnar, records, build=None):
     """``records`` → lowered identity map → ``reduce_by_key(Sum())``, on
     the plane the engine chooses (``columnar``) or on rows alone."""
     with plane(columnar):
         ctx = build_on_demand_context(2)
-        head = ctx.parallelize(records, 2, record_size=100).map(
-            lambda r: r, batch_fn=_pass_through
-        )
+        head = ctx.parallelize(records, 2, record_size=100).map(Identity())
         reduced = head.reduce_by_key(SUM, 3) if build is None else build(head)
         t0 = ctx.now
         out = [exact(part) for part in ctx.run_job(reduced, list)]
@@ -284,9 +278,7 @@ def test_an_observed_head_is_still_materialised():
     """A persisted map head combines from the batch *and* caches its rows."""
     ctx = build_on_demand_context(2)
     records = [(i % 5, float(i)) for i in range(2 * MIN_LOWERED_ROWS)]
-    head = ctx.parallelize(records, 2, record_size=100).map(
-        lambda r: r, batch_fn=_pass_through
-    ).persist()
+    head = ctx.parallelize(records, 2, record_size=100).map(Identity()).persist()
     first = head.reduce_by_key(SUM, 3).collect()
     assert ctx.scheduler.stats.columnar_combines == 2
     assert ctx.cached_partition_count(head) == 2
@@ -448,7 +440,7 @@ def test_unpersist_and_worker_revocation_release_sidecars(monkeypatch):
     cached = ctx.parallelize(rows, 4, record_size=100).persist()
     cached.count()
     live = _track_sidecars(monkeypatch)
-    lowered = cached.map(lambda r: r, batch_fn=_pass_through)
+    lowered = cached.map(Identity())
     for _ in range(2):
         lowered.reduce_by_key(SUM, 2).collect()
     gc.collect()

@@ -39,7 +39,7 @@ from repro.engine.shuffle import ShuffleManager
 from repro.engine.transformations import CoGroupedRDD
 from repro.market.instance import Instance
 from repro.workloads import PageRankWorkload
-from tests.conftest import build_on_demand_context, plane
+from tests.conftest import Declared, build_on_demand_context, plane
 from tests.engine.test_block_manager import make_bm
 from tests.engine.test_columnar_combine import ConversionCounter, exact
 
@@ -210,7 +210,7 @@ def test_a_small_merge_converts_only_its_input(monkeypatch):
 # ----------------------------------------------------------------------
 class _Runtime:
     """Serves each parent's partition as a batch to a batch caller and as
-    rows otherwise — the two ways ``TaskRuntime.iterator`` can answer."""
+    rows otherwise — the two ways ``TaskRuntime`` can answer."""
 
     def __init__(self, data):
         self.data = data
@@ -220,6 +220,9 @@ class _Runtime:
         if type(data) is ColumnarBatch and not as_batch:
             return data.to_records()
         return data
+
+    def batch_iterator(self, rdd, split):
+        return self.iterator(rdd, split, True)
 
 
 def _cogroup_both_ways(left, right):
@@ -332,7 +335,7 @@ def test_a_chain_with_a_kernel_less_stage_gets_no_batch(monkeypatch):
         return batch
 
     counted = ConversionCounter(monkeypatch)
-    chain = cached.map(lambda r: r).map(lambda r: r, batch_fn=kernel)
+    chain = cached.map(lambda r: r).map(Declared(lambda r: r, kernel))
     assert sorted(chain.collect()) == sorted(cached.collect())
     assert kernel_inputs == []
     # No sidecar was asked for: the cached rows streamed as they are.

@@ -6,14 +6,19 @@ The row plane is what the engine falls back to and what it chooses below
 function's output bit for bit (floats compared by ``float.hex``, so
 ``-0.0`` is not ``0.0``).  A kernel may instead refuse the batch with
 ``ColumnarUnsupported``: the chain then runs on rows, which is also
-correct.  Covered: the workloads' ``batch_fn`` twins, the built-in
-kernels of the fusable transformations, and the declared row functions
-(``Split``, ``Pair``), whose kernel and row form are one definition.
+correct.  Covered: every declared row function — the engine's
+(``Split``, ``Pair``, ``Identity``, ``MapValues``) and the workloads'
+(KMeans's ``Assign``, PageRank's ``InitRank``, ``RankUpdate`` and
+``Contributions``), whose kernel and row form are one definition — and the
+built-in kernels of the fusable transformations.  A declared class that no
+test here covers fails :func:`test_every_declared_class_is_covered`.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
+import pathlib
 
 import numpy as np
 import pytest
@@ -29,9 +34,8 @@ from repro.engine.columnar import (
     from_records,
     token_lines,
 )
-from repro.engine.declared import Pair, Split, kernel_of
+from repro.engine.declared import Identity, MapValues, Pair, Split, kernel_of
 from repro.engine.transformations import (
-    FilteredRDD,
     FlatMappedRDD,
     MappedRDD,
     PartitionIndexedRDD,
@@ -39,7 +43,6 @@ from repro.engine.transformations import (
     UnionRDD,
     ZipWithIndexRDD,
 )
-from repro.streaming.workloads import _identity, _identity_batch
 from repro.workloads import kmeans, pagerank
 from tests.conftest import build_on_demand_context
 from tests.engine.test_columnar_combine import exact
@@ -84,10 +87,32 @@ def _records(schema, max_size=40):
 
 
 ANY_RECORDS = SCHEMAS.flatmap(_records)
-#: ``(i8 key, payload)`` pairs, for the filter's key-parity predicate.
-KEYED_RECORDS = SCHEMAS.flatmap(
-    lambda payload: _records(("tuple", ("i8", payload)))
-)
+#: ``(key, value)`` pairs of any two schemas, for ``MapValues``.
+PAIRS = st.tuples(SCHEMAS, SCHEMAS).flatmap(lambda kv: _records(("tuple", kv)))
+
+#: The declared classes some test below holds to their row form.
+COVERED = set()
+
+
+def covers(*classes):
+    """Mark a test as the one that holds ``classes``' kernels to their row
+    forms."""
+    COVERED.update(f"{cls.__module__}.{cls.__qualname__}" for cls in classes)
+    return lambda test: test
+
+
+def assert_declared(fn, records):
+    """``fn``'s kernel against ``fn`` itself, as the stage it declares."""
+    kernel = kernel_of(fn, fn.stage)
+    assert kernel is not None
+    if fn.stage == "map":
+        assert_twins(kernel, lambda rows: [fn(r) for r in rows], records)
+    else:
+        assert_twins(kernel, _flat_map(fn), records)
+
+
+def _flat_map(fn):
+    return lambda rows: [out for row in rows for out in fn(row)]
 
 
 def assert_twins(kernel, rows_of, records):
@@ -108,7 +133,7 @@ def assert_twins(kernel, rows_of, records):
 
 
 # ----------------------------------------------------------------------
-# Workload twins
+# Workloads' declared row functions
 # ----------------------------------------------------------------------
 POINTS = st.integers(1, 4).flatmap(
     lambda dim: st.tuples(
@@ -118,32 +143,34 @@ POINTS = st.integers(1, 4).flatmap(
 )
 
 
+@covers(kmeans.Assign)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan points by design
 @settings(max_examples=60, deadline=None)
 @given(POINTS)
 def test_kmeans_assignment(case):
     centroids, points = case
-    assert_twins(
-        lambda batch: kmeans._assign_batch(batch, centroids),
-        lambda rows: [(kmeans._closest(p, centroids), (p, 1)) for p in rows],
-        points,
-    )
+    assign = kmeans.Assign(centroids)
+    assert [assign(p) for p in points] == [
+        (kmeans._closest(p, centroids), (p, 1)) for p in points
+    ]
+    assert_declared(assign, points)
 
 
-def _map_values(fn):
-    return lambda rows: [(k, fn(v)) for k, v in rows]
-
-
+@covers(pagerank.InitRank)
 @settings(max_examples=60, deadline=None)
 @given(_records(("tuple", ("i8", ("list", "i8")))))
 def test_pagerank_initial_ranks(links):
-    assert_twins(pagerank._init_ranks_batch, _map_values(pagerank._init_rank), links)
+    assert_declared(pagerank.InitRank(), [dsts for _src, dsts in links])
+    # As PageRank runs it: lifted over the links' adjacency lists.
+    assert_declared(MapValues(pagerank.InitRank()), links)
 
 
+@covers(pagerank.RankUpdate)
 @settings(max_examples=60, deadline=None)
 @given(_records(("tuple", ("i8", "f8"))))
 def test_pagerank_rank_update(totals):
-    assert_twins(pagerank._rank_update_batch, _map_values(pagerank._rank_update), totals)
+    assert_declared(pagerank.RankUpdate(), [total for _v, total in totals])
+    assert_declared(MapValues(pagerank.RankUpdate()), totals)
 
 
 #: Any float, or one of the ordinary magnitudes ranks take, whose shares
@@ -173,22 +200,18 @@ def _cogrouped(groups, adjacency, ranks):
 COGROUPED = st.one_of(_cogrouped(1, 1, 1), _cogrouped(1, 1, 1), _cogrouped(2, 0, 2))
 
 
-def _flat_map(fn):
-    return lambda rows: [out for row in rows for out in fn(row)]
-
-
+@covers(pagerank.Contributions)
 @settings(max_examples=150, deadline=None)
 @given(COGROUPED)
 def test_pagerank_contributions(cogrouped):
-    assert_twins(
-        pagerank._contributions_batch, _flat_map(pagerank._contributions), cogrouped
-    )
+    assert_declared(pagerank.Contributions(), cogrouped)
 
 
+@covers(Identity)
 @settings(max_examples=60, deadline=None)
 @given(ANY_RECORDS)
 def test_streaming_identity(records):
-    assert_twins(_identity_batch, lambda rows: [_identity(r) for r in rows], records)
+    assert_declared(Identity(), records)
 
 
 # ----------------------------------------------------------------------
@@ -234,20 +257,10 @@ def test_union(records, split):
     assert_rdd_twins(UnionRDD(parent.context, [parent, parent]), split, records)
 
 
-@settings(max_examples=60, deadline=None)
-@given(KEYED_RECORDS, SPLITS, st.integers(2, 5))
-def test_filter_mask(records, split, modulus):
-    rdd = FilteredRDD(
-        _parent(),
-        lambda record: record[0] % modulus != 0,
-        batch_fn=lambda batch: batch.data[0] % modulus != 0,
-    )
-    assert_rdd_twins(rdd, split, records)
-
-
 # ----------------------------------------------------------------------
 # Declared row functions: the kernel and the row form are one definition
 # ----------------------------------------------------------------------
+@covers(Split)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(TEXT, min_size=1, max_size=40))
 def test_split_over_lines_held_as_strings(lines):
@@ -307,6 +320,7 @@ def test_split_refuses_what_is_not_lines():
             Split().kernel(from_records(records))
 
 
+@covers(Pair)
 @settings(max_examples=60, deadline=None)
 @given(ANY_RECORDS, st.sampled_from([1, 0, -7, 2**63 - 1, -(2**63), 0.5, -0.0, float("inf")]))
 def test_pair(records, value):
@@ -319,6 +333,24 @@ def test_pair_without_a_column_has_no_kernel(value):
     pair = Pair(value)
     assert pair.kernel is None
     assert pair(3) == (3, value)
+
+
+@covers(MapValues)
+@settings(max_examples=60, deadline=None)
+@given(PAIRS, st.sampled_from([1, 0.5, -0.0]))
+def test_map_values_lifts_a_declared_kernel_over_the_values(pairs, value):
+    assert_declared(MapValues(Pair(value)), pairs)
+    assert_declared(MapValues(Identity()), pairs)
+
+
+def test_map_values_of_what_is_not_a_declared_map_has_no_kernel():
+    assert MapValues(lambda v: v).kernel is None
+    assert MapValues(Split()).kernel is None
+    assert MapValues(Pair("x")).kernel is None
+    assert MapValues(Pair(1))((3, 4)) == (3, (4, 1))
+    for records in ([1, 2], [(1, 2, 3)], ["a"]):
+        with pytest.raises(ColumnarUnsupported):
+            MapValues(Identity()).kernel(from_records(records))
 
 
 class _LoudSplit(Split):
@@ -336,6 +368,33 @@ def test_a_declared_function_is_only_a_kernel_for_its_own_stage():
     assert FlatMappedRDD(parent, Pair(1)).batch_kernel(0) is None
     assert FlatMappedRDD(parent, _LoudSplit()).batch_kernel(0) is None
     assert MappedRDD(parent, Pair("x")).batch_kernel(0) is None
-    # An explicit twin still wins over the declared kernel.
-    twin = lambda batch: batch
-    assert MappedRDD(parent, Pair(1), batch_fn=twin).batch_kernel(0) is twin
+    assert FlatMappedRDD(parent, Identity()).batch_kernel(0) is None
+    assert MappedRDD(parent, lambda x: x).batch_kernel(0) is None
+
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+def _declared_classes():
+    """Every class under ``src/repro`` whose own body defines ``__call__``,
+    ``kernel`` and ``stage`` — the rule ``kernel_of`` applies — by dotted
+    name."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            if {"__call__", "kernel", "stage"} <= names:
+                yield f"{module}.{node.name}"
+
+
+def test_every_declared_class_is_covered():
+    declared = set(_declared_classes())
+    assert "repro.engine.declared.Split" in declared
+    assert declared - COVERED == set()

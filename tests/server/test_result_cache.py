@@ -14,6 +14,7 @@ from repro.server import (
     ServerConfig,
     lineage_fingerprint,
 )
+from repro.workloads.kmeans import Assign
 
 
 @pytest.fixture
@@ -97,6 +98,29 @@ def test_fingerprint_distinguishes_declared_row_functions(ctx):
     assert lineage_fingerprint(one) != lineage_fingerprint(two)
     assert lineage_fingerprint(one) == lineage_fingerprint(words.map(Pair(1)))
     assert lineage_fingerprint(one) != lineage_fingerprint(words.map(Pair(1.0)))
+
+
+class _Scale:
+    """A plain callable class: its state lives in ``__dict__``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __call__(self, x):
+        return x * self.k
+
+
+def test_fingerprint_distinguishes_callable_instances_by_their_state(ctx):
+    base = ctx.parallelize(list(range(8)), 2)
+    two, three = base.map(_Scale(2)), base.map(_Scale(3))
+    assert two.collect() != three.collect()
+    assert lineage_fingerprint(two) != lineage_fingerprint(three)
+    assert lineage_fingerprint(two) == lineage_fingerprint(base.map(_Scale(2)))
+    # Two KMeans iterations differ only in the centroids they assign to.
+    points = ctx.parallelize([(0.0, 1.0), (2.0, 3.0)], 1)
+    first = points.map(Assign([(0.0, 0.0), (1.0, 1.0)]))
+    second = points.map(Assign([(0.0, 0.0), (2.0, 2.0)]))
+    assert lineage_fingerprint(first) != lineage_fingerprint(second)
 
 
 def test_fingerprint_ignores_names_and_persistence(ctx):
