@@ -49,8 +49,8 @@ class _Block:
     data: Any
     nbytes: int
     spill: bool = False
-    #: Columnar form of ``data``: seeded by ``put(batch=)`` for a source
-    #: drawn as columns, else set by :meth:`BlockManager.columnar` (to
+    #: Columnar form of ``data``: seeded by ``put(batch=)`` for a partition
+    #: computed as a batch, else set by :meth:`BlockManager.columnar` (to
     #: :data:`_REFUSED` when the rows cannot columnarise).  It lives on the
     #: entry so that every way the entry leaves memory (LRU drop or spill,
     #: remove, overwrite, revocation) takes it along.
@@ -108,8 +108,9 @@ class BlockManager:
         MEMORY_ONLY (evicted blocks are *dropped* and must be recomputed);
         True is MEMORY_AND_DISK (evicted blocks spill to the local SSD).
         ``batch`` is ``data``'s columnar form when the caller already holds
-        it (a source drawn as columns): the entry's sidecar from the start,
-        so :meth:`columnar` never converts this block.
+        it (a source drawn as columns, a reducer's merge; see
+        ``columnar.as_sidecar``): the entry's sidecar from the start, so
+        :meth:`columnar` never converts this block.
 
         Returns True if the block ended up in memory.  A block larger than
         the whole store is rejected outright (Spark drops such blocks).

@@ -9,15 +9,18 @@ records leave a bucket — is defined once, here: :func:`bucket_map_output`
 writes it, a fetch (``ShuffleManager.fetch``) slices the non-empty buckets
 out (tuples too), and :func:`merge_reduce_buckets` reads them.
 
-A declared ``Sum``'s map output may hold columns instead: the
-:class:`~repro.engine.columnar.ColumnarBatch` that ``Sum.combine`` laid
-out in the same bucket order, never turned into rows on the map side.
-When every map output of a shuffle is a batch of one schema, the fetch
-plan holds them as one reduce-major batch (:func:`reduce_major`: a stable
-sort by bucket keeps map order within a bucket), and a fetch is one slice
-of it.  A shuffle that mixes rows and batches turns its batches into rows
-in the plan and slices per map output, as a row shuffle does.  Bytes are
-charged from the record size either way.
+A declared combine's map output may hold columns instead (``dep.declared``,
+a ``Sum`` or a ``Group``): the
+:class:`~repro.engine.columnar.ColumnarBatch` its ``combine`` laid out in
+the same bucket order (:func:`~repro.engine.partitioner.key_order`, the one
+definition of that order for columns), never turned into rows on the map
+side.  When every map output of a shuffle is a batch of one schema, the
+fetch plan holds them as one reduce-major batch (:func:`reduce_major`:
+bucket after bucket, map order within a bucket), and a fetch is one slice
+of it.  A shuffle that mixes rows and batches turns its batches into
+the rows the row loop stores (``declared.rows``) in the plan and slices
+per map output, as a row shuffle does.  Bytes are charged from the record
+size either way.
 
 Stored shuffle state is kept out of the cyclic collector's way: CPython
 untracks a tuple whose items are all untracked, so a retained file of
@@ -32,7 +35,8 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, concat, take
+from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, merged_codes
+from repro.engine.declared import Group
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.partitioner import HASH_MASK, HashPartitioner, stable_hash
 
@@ -43,8 +47,8 @@ class MapOutput(NamedTuple):
     Two tuples whatever the reducer count.  Neither can change once
     written, and when every record is made of atomic values the collector
     untracks them both, so a retained map output costs a full collection
-    nothing.  A declared ``Sum``'s combined batch stands in for the rows
-    tuple as it is (one object with a few arrays).
+    nothing.  A declared combine's batch stands in for the rows tuple as
+    it is (one object with a few arrays).
     """
 
     rows: Union[Tuple[Any, ...], ColumnarBatch]
@@ -99,7 +103,7 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOu
             combined[key] = (
                 create(value) if prev is _ABSENT else merge_value(prev, value)
             )
-        if dep.declared_group:
+        if type(dep.declared) is Group:
             # The lists were this task's alone; the file keeps them frozen.
             records = zip(combined, map(tuple, combined.values()))
         else:
@@ -140,24 +144,21 @@ def merge_reduce_buckets(
     a fresh list, which the rest extend.
 
     From a transposed plan the fetch is one batch slice (a declared
-    ``Sum``'s combiners from every map).  It merges by sort when the
-    caller takes a batch (``as_batch``) and it holds at least
-    :data:`~repro.engine.columnar.MIN_LOWERED_ROWS` records:
-    ``Sum.combine`` with one bucket is this function's left fold in hash
-    order, first occurrence breaking hash ties.  Otherwise — a smaller
-    input, a row caller, or a refusal — it becomes rows here and merges
-    like any other bucket.
+    combine's combiners from every map).  It merges by sort
+    (``dep.declared.merge``) when the caller takes a batch (``as_batch``)
+    and it holds at least :data:`~repro.engine.columnar.MIN_LOWERED_ROWS`
+    records — exactly this function's output, keys in hash order with
+    first occurrence breaking hash ties.  Otherwise — a smaller input, a
+    row caller, or a refusal — it becomes rows here and merges like any
+    other bucket.
     """
+    declared = dep.declared
     if buckets and type(buckets[0]) is ColumnarBatch:
         (batch,) = buckets
-        if (
-            as_batch
-            and dep.declared_sum is not None
-            and batch.length >= MIN_LOWERED_ROWS
-        ):
-            merged = dep.declared_sum.combine(batch, 1)
+        if as_batch and batch.length >= MIN_LOWERED_ROWS:
+            merged = declared.merge(batch)
             if merged is not None:
-                return merged[0]
+                return merged
         buckets = [batch.to_records()]
     if dep.aggregator is None:
         out: List[Any] = []
@@ -167,7 +168,7 @@ def merge_reduce_buckets(
     create, merge_value, merge_combiners = dep.aggregator
     merged: Dict[Any, Any] = {}
     get = merged.get
-    if dep.declared_group:
+    if type(declared) is Group:
         for bucket in buckets:
             for key, values in bucket:
                 prev = get(key, _ABSENT)
@@ -197,7 +198,8 @@ def reduce_major(outputs: List[MapOutput], n_reduce: int) -> Optional[MapOutput]
     holding records is a batch of one schema; else None.
 
     Bucket ``r`` of the result holds bucket ``r`` of every map output, in
-    map order: the batches are concatenated, then stably sorted by bucket.
+    map order.  Each map output's records are scattered straight to their
+    places, so the batch is the only copy made.
     """
     held = [output for output in outputs if output.offsets[-1]]
     if not held or any(type(rows) is not ColumnarBatch for rows, _off in held):
@@ -205,9 +207,42 @@ def reduce_major(outputs: List[MapOutput], n_reduce: int) -> Optional[MapOutput]
     schema = held[0].rows.schema
     if any(rows.schema != schema for rows, _off in held):
         return None
-    whole = concat([rows for rows, _off in held])
-    reducers = np.arange(n_reduce)
-    bucket = np.concatenate([np.repeat(reducers, np.diff(off)) for _rows, off in held])
-    order = np.argsort(bucket, kind="stable")
-    sizes = np.bincount(bucket, minlength=n_reduce).tolist()
-    return map_output(ColumnarBatch(schema, take(schema, whole.data, order), whole.length), sizes)
+    counts = np.array([np.diff(off) for _rows, off in held])
+    sizes = counts.sum(axis=0)
+    # Bucket r of map m starts after bucket r of every earlier map.
+    starts = (np.cumsum(sizes) - sizes) + (np.cumsum(counts, axis=0) - counts)
+    places = [
+        np.repeat(starts[m] - off[:-1], counts[m]) + np.arange(off[-1])
+        for m, (_rows, off) in enumerate(held)
+    ]
+    total = int(sizes.sum())
+    data = _scatter(schema, [rows.data for rows, _off in held], places, total)
+    return map_output(ColumnarBatch(schema, data, total), sizes.tolist())
+
+
+def _scatter(schema: Any, trees: List[Any], places: List[np.ndarray], n: int) -> Any:
+    """One column tree of ``n`` records: record ``j`` of ``trees[i]`` at
+    ``places[i][j]`` (together the places cover ``range(n)`` once)."""
+    if type(schema) is str:
+        if schema == "s":
+            codes, words = merged_codes(trees)
+            return _scatter("i8", codes, places, n), words
+        out = np.empty(n, dtype=trees[0].dtype)
+        for column, place in zip(trees, places):
+            out[place] = column
+        return out
+    if schema[0] == "tuple":
+        return tuple(
+            _scatter(child, [tree[i] for tree in trees], places, n)
+            for i, child in enumerate(schema[1])
+        )
+    # A ragged level: each record's list moves to its record's list start.
+    counts = _scatter("i8", [tree[0] for tree in trees], places, n)
+    starts = np.cumsum(counts) - counts
+    child_places = [
+        np.repeat(starts[place] - (np.cumsum(lengths) - lengths), lengths)
+        + np.arange(int(lengths.sum()))
+        for (lengths, _child), place in zip(trees, places)
+    ]
+    child = _scatter(schema[1], [tree[1] for tree in trees], child_places, int(counts.sum()))
+    return counts, child

@@ -12,8 +12,8 @@ streams rows by choice — no conversion, no sidecar, no fallback counted.
   checkpoint payloads, memoised partitions, action results — is always
   *row* form (plain Python lists of records); the block manager refuses
   ColumnarBatch payloads.  A shuffle map output is a row tuple plus an
-  offset index, except one: a declared ``Sum``'s
-  (:mod:`repro.engine.declared`), whose combined batch is stored as it is.
+  offset index, except a declared combine's (``Sum`` or ``Group``,
+  :mod:`repro.engine.declared`), whose combined batch is stored as it is.
   Columns exist in five derived places only:
   a source partition drawn as columns (a generator returning
   :func:`columns` or :func:`token_lines`), handed as it is to a lowered
@@ -23,26 +23,29 @@ streams rows by choice — no conversion, no sidecar, no fallback counted.
   on exit); as a *sidecar*
   of a memory-resident cached block (``BlockManager.columnar``: the
   block's rows converted once — or, for a persisted source drawn as
-  columns, the drawn batch itself, seeded by ``BlockManager.put(batch=)``
-  — owned by the block entry and gone with it, so an iterative job does
-  not re-columnarise the same cached partition on every pass); at a map
+  columns, a reducer's merge or a cogroup by sort, the computed batch
+  itself where :func:`as_sidecar` takes it, seeded by
+  ``BlockManager.put(batch=)`` — owned by the block entry and gone with
+  it, so an iterative job does not re-columnarise the same cached
+  partition on every pass); at a map
   head that feeds a declared combine, whose map output is reduced
   straight from the batch — such a head is never turned back into rows
   unless something observes it (it is persisted or a materialisation
   point); and across that combine's shuffle (next rule).
 - **Reduce-side rules.**  When every map output of a shuffle is a batch
-  of one schema, the fetch plan concatenates them once per output epoch
-  into one reduce-major batch, and each fetch is one slice of it; a
+  of one schema, the fetch plan lays them out once per output epoch as
+  one reduce-major batch, and each fetch is one slice of it; a
   shuffle mixing rows and batches turns its batches into rows in the
   plan.  A reducer whose caller takes a batch (``as_batch``: a lowered
   chain's boundary, a declared combine's head, a cogroup's side) merges
   a fetched batch of at least :data:`MIN_LOWERED_ROWS` records by sort —
-  ``Sum.combine`` with one bucket — and a two-sided cogroup whose sides
+  the declared combine's ``merge`` — and a two-sided cogroup whose sides
   both arrive as ``i8``-keyed batches of that size groups by sort
-  (:func:`cogroup`).  Either result is exactly the batch ``from_records``
-  builds from the row path's output, keys in ``hash_sort_key`` order
-  with first occurrence breaking hash ties; where that cannot be
-  promised (a refusal, an empty side, a list level with no element) the
+  (:func:`cogroup`).  Either result holds exactly the row path's records,
+  keys in ``hash_sort_key`` order with first occurrence breaking hash
+  ties (``partitioner.key_order`` with one bucket, the one definition of
+  that order for columns); where that cannot be promised (a refusal, an
+  empty side, a cogroup side with a list level holding no element) the
   rows are built and the row loop runs.  Below the threshold nothing is
   converted but the fetched slice itself, and staying on rows is never
   counted as a fallback.
@@ -53,17 +56,17 @@ streams rows by choice — no conversion, no sidecar, no fallback counted.
   round-trip: empty partitions, ragged tuples, mixed-type columns, bools,
   ints outside int64, ``str`` subclasses, and any leaf that is not an
   ``int``, ``float`` or ``str``.  Refusal is never an error — the chain
-  silently falls back to the row plane.  ``Sum.combine`` holds the same
-  line: its combiners equal the row combine loop's exactly, in the same
-  bucket order, or it refuses.
-- **Born batches.** A batch drawn at a source need not be the one
-  ``from_records`` builds from its rows: a string dictionary may hold its
-  words in another order (or words no record uses), and a text source's
-  lines are born as :data:`LINE` where ``from_records`` of the same lines
-  gives ``"s"``.  Only records are compared: ``to_records`` of the two is
-  identical, and no kernel, combine or layout reads a dictionary's order —
-  a string's place among its equals is its first occurrence in the codes,
-  never its code.
+  silently falls back to the row plane.  A declared combine holds the
+  same line: its combiners equal the row combine loop's exactly, in the
+  same bucket order, or it refuses.
+- **Born batches.** A batch drawn at a source or computed by a merge need
+  not be the one ``from_records`` builds from its rows: a string
+  dictionary may hold its words in another order (or words no record
+  uses), and a text source's lines are born as :data:`LINE` where
+  ``from_records`` of the same lines gives ``"s"``.  Only records are
+  compared: ``to_records`` of the two is identical, and no kernel, combine
+  or layout reads a dictionary's order — a string's place among its
+  equals is its first occurrence in the codes, never its code.
 
 A batch is a schema tree plus a column tree mirroring it:
 
@@ -101,7 +104,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.partitioner import hash_int_keys
+from repro.engine.partitioner import key_order
 
 __all__ = [
     "ColumnarBatch",
@@ -110,11 +113,14 @@ __all__ = [
     "LINE",
     "MIN_LOWERED_ROWS",
     "are_tokens",
+    "as_sidecar",
     "cogroup",
     "columns",
     "concat",
     "encode",
     "from_records",
+    "grouped",
+    "merged_codes",
     "take",
     "token_lines",
 ]
@@ -324,19 +330,25 @@ def _concat(schema: Any, trees: List[Any]) -> Any:
 
 
 def _concat_strings(trees: List[Tuple[np.ndarray, Tuple[str, ...]]]) -> Any:
-    """String columns joined: the codes as they are when every dictionary is
-    the first one (the same object, or equal), else each column's codes
-    remapped into one merged dictionary — Python work per distinct string,
-    never per record."""
+    """String columns joined (:func:`merged_codes`)."""
+    codes, words = merged_codes(trees)
+    return np.concatenate(codes), words
+
+
+def merged_codes(trees: List[Tuple[np.ndarray, Tuple[str, ...]]]) -> Any:
+    """String columns on one dictionary: each column's codes as they are
+    when every dictionary is the first one (the same object, or equal),
+    else remapped into one merged dictionary — Python work per distinct
+    string, never per record.  Returns ``(codes per column, words)``."""
     first = trees[0][1]
     if all(words is first or words == first for _codes, words in trees):
-        return np.concatenate([codes for codes, _words in trees]), first
+        return [codes for codes, _words in trees], first
     code_of = dict(zip(dict.fromkeys(_chain.from_iterable(w for _c, w in trees)), _count()))
     remapped = [
         np.fromiter(map(code_of.__getitem__, words), dtype=np.int64, count=len(words))[codes]
         for codes, words in trees
     ]
-    return np.concatenate(remapped), tuple(code_of)
+    return remapped, tuple(code_of)
 
 
 def _vacuous(schema: Any, column: Any) -> bool:
@@ -499,16 +511,25 @@ def concat(batches: Sequence[ColumnarBatch]) -> ColumnarBatch:
     )
 
 
+def grouped(value_schema: Any, values: Any, target: np.ndarray, n: int) -> Tuple[Any, Any]:
+    """The ``("list", value_schema)`` column of ``n`` groups: value ``j``
+    joins group ``target[j]``, and a group keeps its values in their order."""
+    return (
+        np.bincount(target, minlength=n),
+        take(value_schema, values, np.argsort(target, kind="stable")),
+    )
+
+
 def cogroup(left: ColumnarBatch, right: ColumnarBatch) -> Optional[ColumnarBatch]:
     """Two-sided cogroup of ``(key, value)`` batches, by sort.
 
     One ``(key, ([left values], [right values]))`` record per distinct key:
     exactly the batch ``from_records`` builds from the row cogroup's output
-    (``CoGroupedRDD``) — keys in ``hash_sort_key`` order, hash ties broken
-    by first occurrence with the left side read first, and each group's
-    values in their side's order.  None where that cannot be promised: a
-    non-``i8`` key, an empty side, or a list level holding no element
-    anywhere (``from_records`` would infer its placeholder leaf).
+    (``CoGroupedRDD``) — keys in ``partitioner.key_order`` with one
+    bucket, the left side read first, and each group's values in their
+    side's order.  None where that cannot be promised: a non-``i8`` key, an
+    empty side, or a list level holding no element anywhere
+    (``from_records`` would infer its placeholder leaf).
     """
     sides = (left, right)
     for side in sides:
@@ -521,29 +542,40 @@ def cogroup(left: ColumnarBatch, right: ColumnarBatch) -> Optional[ColumnarBatch
             or _vacuous(schema[1][1], side.data[1])
         ):
             return None
-    distinct, first, inverse = np.unique(
-        np.concatenate((left.data[0], right.data[0])),
-        return_index=True,
-        return_inverse=True,
-    )
-    hashed, _bucket = hash_int_keys(distinct, 1)
-    order = np.lexsort((first, hashed))
-    # Each record's output record: its key's rank in that order.
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    target = rank[inverse]
+    layout = key_order("i8", np.concatenate((left.data[0], right.data[0])), 1)
+    target = layout.targets()
+    n = len(layout.pick)
     split = left.length
     schemas = []
     groups = []
     for side, at in zip(sides, (target[:split], target[split:])):
         value_schema = side.schema[1][1]
         schemas.append(("list", value_schema))
-        groups.append((
-            np.bincount(at, minlength=len(order)),
-            take(value_schema, side.data[1], np.argsort(at, kind="stable")),
-        ))
+        groups.append(grouped(value_schema, side.data[1], at, n))
     return ColumnarBatch(
-        ("tuple", ("i8", ("tuple", tuple(schemas)))),
-        (distinct[order], tuple(groups)),
-        len(order),
+        ("tuple", ("i8", ("tuple", tuple(schemas)))), (layout.keys, tuple(groups)), n
     )
+
+
+def as_sidecar(batch: ColumnarBatch) -> Optional[ColumnarBatch]:
+    """``batch``, made read-only, when it can stand in for ``from_records``
+    of its rows as a cached block's sidecar: the same records, and the
+    schema ``from_records`` infers — which it would not be where a list
+    level holds no element (a placeholder leaf is inferred there).  A
+    string dictionary may differ (see "Born batches").  Else None."""
+    if _vacuous(batch.schema, batch.data):
+        return None
+    _freeze(batch.schema, batch.data)
+    return batch
+
+
+def _freeze(schema: Any, column: Any) -> None:
+    """Make every array of one column tree read-only."""
+    if type(schema) is str:
+        _frozen(column[0] if schema == "s" else column)
+    elif schema[0] == "tuple":
+        for child, col in zip(schema[1], column):
+            _freeze(child, col)
+    else:
+        _frozen(column[0])
+        _freeze(schema[1], column[1])

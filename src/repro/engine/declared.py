@@ -4,9 +4,11 @@ A declared operator is passed where a lambda would be (``rdd.flat_map(
 Split())``, ``rdd.map(Pair(1))``, ``rdd.reduce_by_key(Sum())``), and the
 engine derives both of its forms from the one definition: calling it is
 the row function, and its batch form — ``kernel`` for a row function,
-:meth:`Sum.combine` for the reducer — runs the same computation over a
-:class:`~repro.engine.columnar.ColumnarBatch`, producing exactly the
-records the row form does or refusing.
+:meth:`Sum.combine` and :meth:`Sum.merge` for the reducer — runs the same
+computation over a :class:`~repro.engine.columnar.ColumnarBatch`,
+producing exactly the records the row form does or refusing.
+``group_by_key`` is declared without being passed: its shuffle's
+:class:`Group` is the batch form of ``dependencies.GROUP``.
 
 A row function is declared for a stage (``"map"`` or ``"flat_map"``) when
 its own class body defines ``__call__``, ``kernel`` and ``stage``
@@ -28,10 +30,11 @@ from repro.engine.columnar import (
     _frozen,
     _Refuse,
     encode,
+    grouped,
 )
-from repro.engine.partitioner import hash_int_keys, hash_str_keys
+from repro.engine.partitioner import key_order
 
-__all__ = ["Identity", "MapValues", "Pair", "Split", "Sum", "kernel_of"]
+__all__ = ["Group", "Identity", "MapValues", "Pair", "Split", "Sum", "kernel_of"]
 
 
 class Split:
@@ -183,68 +186,116 @@ class Sum:
 
         One combiner per distinct key, as a batch laid out the way
         ``buckets.bucket_map_output`` lays out its rows under a plain
-        ``HashPartitioner`` — bucket after bucket (``hash % n_buckets``),
-        hash-ordered within a bucket, first occurrence breaking hash ties —
-        plus each bucket's size.  Keys are ``i8`` or ``"s"``; a string key
-        is hashed once per distinct string, and its combiner keeps the
-        batch's dictionary.  None when it cannot promise the row loop's
-        values: other keys, list leaves (``+`` concatenates), an empty
-        batch, a ``-0.0`` leaf or an ``i8`` sum that could leave int64.
+        ``HashPartitioner`` (:func:`~repro.engine.partitioner.key_order`),
+        plus each bucket's size.  Keys are ``i8`` or ``"s"``; a string
+        key's combiner keeps the batch's dictionary.  None when it cannot
+        promise the row loop's values: other keys, list leaves (``+``
+        concatenates), an empty batch, a ``-0.0`` leaf or an ``i8`` sum
+        that could leave int64.
         """
-        schema = batch.schema
-        if batch.length == 0 or schema[0] != "tuple" or len(schema[1]) != 2:
+        pair = _pair_schemas(batch)
+        if pair is None:
             return None
-        key_schema, value_schema = schema[1]
+        key_schema, value_schema = pair
         keys, values = batch.data
-        if key_schema == "s":
-            # Codes are dense ids into the dictionary, so they are counted,
-            # never sorted, and each one's first occurrence taken in the
-            # same pass: the tables are the dictionary's size, which the
-            # batch already holds.  CRC32 can tie two distinct strings, so
-            # first occurrence breaks ties as the row loop does.
-            codes, words = keys
-            segments = codes
-            span = len(words)
-            filled = distinct = np.flatnonzero(np.bincount(codes, minlength=span))
-            first = np.full(span, batch.length, dtype=np.int64)
-            np.minimum.at(first, codes, np.arange(batch.length))
-            hashed, bucket = hash_str_keys(
-                list(map(words.__getitem__, distinct.tolist())), n_buckets
-            )
-            ties: Tuple[np.ndarray, ...] = (first[filled],)
-        elif key_schema == "i8":
-            low = int(keys.min())
-            span = int(keys.max()) - low + 1
-            if span <= min(8 * batch.length, 2**31):
-                # Dense ids (vertex ids, centroid indices): a key's segment
-                # is its offset in a table over the key range, so the
-                # records are counted, not sorted — about 3x cheaper with
-                # the table at this bound, and it stays a small multiple of
-                # the batch in memory (the sort draws level near 64x).
-                # Keys less than 2**31 apart never share a hash, so nothing
-                # can tie.
-                segments = keys - low
-                filled = np.flatnonzero(np.bincount(segments, minlength=span))
-                distinct = filled + low
-                ties = ()
-            else:
-                distinct, first, segments = np.unique(
-                    keys, return_index=True, return_inverse=True
-                )
-                span = len(distinct)
-                filled = np.arange(span)
-                ties = (first,)
-            hashed, bucket = hash_int_keys(distinct, n_buckets)
-        else:
+        layout = key_order(key_schema, keys, n_buckets)
+        if layout is None:
             return None
-        order = np.lexsort(ties + (hashed, bucket))
         try:
-            sums = _segment_sums(value_schema, values, segments, span, filled[order])
+            sums = _segment_sums(
+                value_schema, values, layout.segments, layout.span, layout.pick
+            )
         except _Refuse:
             return None
-        sizes = np.bincount(bucket, minlength=n_buckets).tolist()
-        combined = distinct[order] if key_schema == "i8" else (distinct[order], words)
-        return ColumnarBatch(schema, (combined, sums), len(order)), sizes
+        return ColumnarBatch(batch.schema, (layout.keys, sums), len(layout.pick)), layout.sizes
+
+    def merge(self, batch: ColumnarBatch) -> Optional[ColumnarBatch]:
+        """A reducer's merge of its fetched combiners, by sort: ``combine``
+        with one bucket is ``buckets.merge_reduce_buckets``' left fold in
+        ``hash_sort_key`` order, first occurrence breaking hash ties."""
+        combined = self.combine(batch, 1)
+        return None if combined is None else combined[0]
+
+    @staticmethod
+    def rows(batch: ColumnarBatch) -> List[Any]:
+        """A combined batch's records as the row loop stores them."""
+        return batch.to_records()
+
+
+class Group:
+    """Declared ``group_by_key`` combine: each key's values, in order.
+
+    The row form is ``dependencies.GROUP`` (the map side stores ``(key,
+    tuple(values))``, and the reducer hands out one fresh list per key);
+    this is its batch form on both sides of the shuffle.  :meth:`combine`
+    turns a ``(key, value)`` batch into one ``(key, ("list", value))``
+    combiner per distinct key, in :func:`~repro.engine.partitioner.key_order`,
+    each key's values in record order.  :meth:`merge` regroups a reducer's
+    fetched combiners — every map's, in map order — with one bucket, which
+    is the row merge's output exactly: a key's lists joined in map order,
+    keys in ``hash_sort_key`` order.  Grouping never computes on a value,
+    so any value schema groups; only the key must be ``i8`` or ``"s"``.
+    """
+
+    __slots__ = ()
+
+    def combine(
+        self, batch: ColumnarBatch, n_buckets: int
+    ) -> Optional[Tuple[ColumnarBatch, List[int]]]:
+        """Map-side combine of a ``(key, value)`` batch, plus each bucket's
+        size; None for other keys or an empty batch."""
+        pair = _pair_schemas(batch)
+        if pair is None:
+            return None
+        keys, values = batch.data
+        return _regroup(*pair, keys, values, None, n_buckets)
+
+    def merge(self, batch: ColumnarBatch) -> Optional[ColumnarBatch]:
+        """A reducer's merge of fetched ``(key, ("list", value))``
+        combiners, by sort; None for other keys or an empty batch."""
+        pair = _pair_schemas(batch)
+        if pair is None or pair[1][0] != "list":
+            return None
+        keys, (counts, values) = batch.data
+        regrouped = _regroup(pair[0], pair[1][1], keys, values, counts, 1)
+        return None if regrouped is None else regrouped[0]
+
+    @staticmethod
+    def rows(batch: ColumnarBatch) -> List[Any]:
+        """A combined batch's records as the row loop stores them:
+        ``(key, tuple(values))``."""
+        return [(key, tuple(values)) for key, values in batch.to_records()]
+
+
+def _pair_schemas(batch: ColumnarBatch) -> Optional[Tuple[Any, Any]]:
+    """``(key schema, value schema)`` of a non-empty batch of pairs."""
+    schema = batch.schema
+    if batch.length == 0 or schema[0] != "tuple" or len(schema[1]) != 2:
+        return None
+    return schema[1]
+
+
+def _regroup(
+    key_schema: Any,
+    value_schema: Any,
+    keys: Any,
+    values: Any,
+    counts: Optional[np.ndarray],
+    n_buckets: int,
+) -> Optional[Tuple[ColumnarBatch, List[int]]]:
+    """Group values by key in :func:`~repro.engine.partitioner.key_order`:
+    record ``j`` holds ``counts[j]`` of the values (one each without
+    ``counts``), and a key's values keep their order."""
+    layout = key_order(key_schema, keys, n_buckets)
+    if layout is None:
+        return None
+    target = layout.targets()
+    if counts is not None:
+        target = np.repeat(target, counts)
+    n = len(layout.pick)
+    schema = ("tuple", (key_schema, ("list", value_schema)))
+    column = (layout.keys, grouped(value_schema, values, target, n))
+    return ColumnarBatch(schema, column, n), layout.sizes
 
 
 def _segment_sums(

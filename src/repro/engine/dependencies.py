@@ -9,9 +9,9 @@ Spark's DAG scheduler.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
-from repro.engine.declared import Sum
+from repro.engine.declared import Group, Sum
 from repro.engine.partitioner import HashPartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,10 +42,13 @@ def group_extend(group, more):
     return group
 
 
-#: ``group_by_key``'s aggregator.  Combined map-side it is declared (see
-#: :attr:`ShuffleDependency.declared_group`): the shuffle runs these same
+#: ``group_by_key``'s aggregator, the row form of ``declared.Group``
+#: (see :attr:`ShuffleDependency.declared`): the shuffle runs these same
 #: three steps, but stores each group as a tuple nobody else sees.
 GROUP = (group_create, group_append, group_extend)
+
+#: The batch form of every :data:`GROUP` shuffle (it holds no state).
+_GROUP = Group()
 
 
 class Dependency:
@@ -99,18 +102,18 @@ class ShuffleDependency(Dependency):
         aggregator: (create_combiner, merge_value, merge_combiners) triple, or
             None for a raw repartition (partitionBy/groupByKey handles
             grouping reduce-side).
-        declared_sum: the :class:`~repro.engine.declared.Sum` when this is
-            ``reduce_by_key(Sum())`` combining map-side under a plain
-            ``HashPartitioner`` — the one shape whose map-side combine can
-            run from a batch (``Sum.combine``), whose map output may then
-            be that batch, merged by sort on the reduce side — else None.  A
-            subclass of ``Sum`` is not declared: its own ``__call__`` and
-            the kernel could disagree.
-        declared_group: True when this is ``group_by_key`` (the
-            :data:`GROUP` aggregator) combining map-side.  The map side
+        declared: the declared combine whose batch form runs where a map
+            head or a fetched slice is a batch, when this shuffle combines
+            map-side under a plain ``HashPartitioner`` (whose bucket rule
+            the batch form restates) — else None.  It is the
+            :class:`~repro.engine.declared.Sum` of ``reduce_by_key(Sum())``
+            (a subclass of ``Sum`` is not declared: its own ``__call__``
+            and the batch form could disagree), or a
+            :class:`~repro.engine.declared.Group` for ``group_by_key``
+            (the :data:`GROUP` aggregator).  A declared group's row loop
             appends to a list only its task sees and stores ``(key,
-            tuple(values))``; the reducer builds one fresh list per key.
-            Stored groups never alias a reducer's output, and groups of
+            tuple(values))``; the reducer builds one fresh list per key, so
+            stored groups never alias a reducer's output, and groups of
             atomic values are invisible to the cyclic collector.
     """
 
@@ -125,22 +128,13 @@ class ShuffleDependency(Dependency):
         self.partitioner = partitioner
         self.aggregator = aggregator
         self.map_side_combine = map_side_combine and aggregator is not None
-        self.declared_sum: Optional[Sum] = None
-        self.declared_group = False
-        if self.map_side_combine:
+        self.declared: Union[Sum, Group, None] = None
+        if self.map_side_combine and type(partitioner) is HashPartitioner:
             create, merge, merge_combiners = aggregator
-            self.declared_group = (
-                create is group_create
-                and merge is group_append
-                and merge_combiners is group_extend
-            )
-            if (
-                type(partitioner) is HashPartitioner
-                and create is identity
-                and merge_combiners is merge
-                and type(merge) is Sum
-            ):
-                self.declared_sum = merge
+            if create is group_create and merge is group_append and merge_combiners is group_extend:
+                self.declared = _GROUP
+            elif create is identity and merge_combiners is merge and type(merge) is Sum:
+                self.declared = merge
         self.shuffle_id = next(_shuffle_ids)
 
     @property

@@ -2,12 +2,14 @@
 
 Hashing must be deterministic across processes and runs, so we avoid
 Python's salted ``hash`` for strings and use a small stable hash instead.
+:func:`key_order` is the hash layout of a key column: which bucket each
+distinct key goes to, and in what order keys leave a bucket.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +60,98 @@ def hash_str_keys(words: Sequence[str], num_partitions: int) -> Tuple[Any, Any]:
     distinct words, not its records."""
     hashed = np.fromiter(map(stable_hash, words), np.int64, len(words))
     return hashed, hashed % num_partitions
+
+
+class KeyOrder(NamedTuple):
+    """Where a key column's records go in the shuffle's batch layout
+    (:func:`key_order`).
+
+    Each record belongs to a *segment* — an id in ``range(span)`` that
+    equal keys share — and each distinct key leaves as one output record,
+    in output order: segment ``pick[i]`` is output record ``i``.
+    """
+
+    #: The distinct keys in output order: an ``i8`` array, or a ``"s"``
+    #: column ``(codes, words)`` on the input's dictionary.
+    keys: Any
+    #: Each input record's segment.
+    segments: np.ndarray
+    #: The number of segment ids (some may hold no record).
+    span: int
+    #: The segment of each output record, in output order.
+    pick: np.ndarray
+    #: Output records per bucket.
+    sizes: List[int]
+
+    def targets(self) -> np.ndarray:
+        """Each input record's output record."""
+        rank = np.empty(self.span, dtype=np.int64)
+        rank[self.pick] = np.arange(len(self.pick))
+        return rank[self.segments]
+
+
+def key_order(key_schema: Any, keys: Any, n_buckets: int) -> Optional[KeyOrder]:
+    """The order in which a non-empty key column's distinct keys leave a
+    shuffle under a plain ``HashPartitioner``: bucket after bucket
+    (``hash % n_buckets``), hash-ordered within a bucket, first occurrence
+    breaking hash ties — ``buckets.bucket_map_output``'s combined rows,
+    and with one bucket the ``hash_sort_key`` order of a reducer's merge
+    and a cogroup.  The one definition of that order for columns: a
+    declared combine (``declared.Sum``, ``declared.Group``) and
+    ``columnar.cogroup`` lay their output out from it.
+
+    Keys are ``i8`` or ``"s"`` (None for any other leaf).  A string key is
+    hashed once per distinct string.  Dense ``i8`` keys (vertex ids,
+    centroid indices) are counted in a table over the key range instead of
+    sorted, and keys less than ``2**31`` apart never share a hash, so
+    nothing ties; sparse ones go through one ``np.unique``.  A string
+    column's codes are dense ids into its dictionary, so they are always
+    counted, each one's first occurrence taken in the same pass.
+    """
+    if key_schema == "s":
+        codes, words = keys
+        n = len(codes)
+        segments = codes
+        span = len(words)
+        filled = distinct = np.flatnonzero(np.bincount(codes, minlength=span))
+        first = np.full(span, n, dtype=np.int64)
+        np.minimum.at(first, codes, np.arange(n))
+        hashed, bucket = hash_str_keys(
+            list(map(words.__getitem__, distinct.tolist())), n_buckets
+        )
+        # CRC32 can tie two distinct strings.
+        ties: Optional[np.ndarray] = first[filled]
+    elif key_schema == "i8":
+        low = int(keys.min())
+        span = int(keys.max()) - low + 1
+        if span <= min(max(8 * len(keys), 2**14), 2**31):
+            # Counting wins while the range is under ~64x the records (one
+            # reducer's keys, every R-th id, are ~R x): the table is held to
+            # 8x the column, or 2**14 entries (128 KiB), whichever is larger.
+            segments = keys - low
+            filled = np.flatnonzero(np.bincount(segments, minlength=span))
+            distinct = filled + low
+            ties = None
+        else:
+            distinct, first, segments = np.unique(keys, return_index=True, return_inverse=True)
+            # Only keys 2**31 or more apart can share a hash.
+            ties = first if span > 2**31 else None
+            span = len(distinct)
+            filled = np.arange(span)
+        hashed, bucket = hash_int_keys(distinct, n_buckets)
+    else:
+        return None
+    # (bucket, hash) as one int64: a hash is below 2**32.
+    place = bucket * 2**32 + hashed
+    order = np.argsort(place) if ties is None else np.lexsort((ties, place))
+    picked = distinct[order]
+    return KeyOrder(
+        picked if key_schema == "i8" else (picked, words),
+        segments,
+        span,
+        filled[order],
+        np.bincount(bucket, minlength=n_buckets).tolist(),
+    )
 
 
 class HashPartitioner:

@@ -325,7 +325,7 @@ class RDD:
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
         """Group values per key into a fresh list each, in map order (combined
-        map-side, unlike Spark; see ``ShuffleDependency.declared_group``)."""
+        map-side, unlike Spark; see ``ShuffleDependency.declared``)."""
         return self.combine_by_key(*GROUP, num_partitions)
 
     def partition_by(self, partitioner: HashPartitioner) -> "RDD":

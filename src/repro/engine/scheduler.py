@@ -95,7 +95,8 @@ class SchedulerStats:
     columnar_chains: int = 0
     columnar_stages: int = 0
     columnar_fallbacks: int = 0
-    #: Map tasks whose declared ``Sum`` combine ran from a batch head.
+    #: Map tasks whose declared combine (``Sum``, ``Group``) ran from a
+    #: batch head.
     columnar_combines: int = 0
 
     def task_counts(self) -> Dict[str, int]:

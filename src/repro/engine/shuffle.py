@@ -339,10 +339,11 @@ class ShuffleManager:
         if transposed is not None:
             outputs = []
         elif any(type(output.rows) is ColumnarBatch for output in outputs):
-            # A shuffle mixing rows and batches: its batches become rows
-            # once per plan, not once per fetch.
+            # A shuffle mixing rows and batches: its batches become the
+            # rows the row loop stores, once per plan, not once per fetch.
+            rows = dep.declared.rows
             outputs = [
-                MapOutput(tuple(output.rows.to_records()), output.offsets)
+                MapOutput(tuple(rows(output.rows)), output.offsets)
                 if type(output.rows) is ColumnarBatch else output
                 for output in outputs
             ]

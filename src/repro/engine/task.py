@@ -71,8 +71,9 @@ class PendingPut:
     ``rdd`` lets the scheduler drop puts whose RDD was unpersisted while the
     task was in flight — with concurrent jobs, a sibling job's unpersist can
     land mid-task, and applying the put anyway would leak an unowned block.
-    ``batch`` is a source partition's columns as its generator drew them:
-    the block's columnar sidecar from the start.
+    ``batch`` is the partition's columns as the task computed them (a
+    source drawn as columns, a reducer's merge): the block's columnar
+    sidecar from the start.
     """
 
     block_id: str

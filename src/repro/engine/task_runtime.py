@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.engine.block_manager import block_id_for
 from repro.engine.columnar import (
-    MIN_LOWERED_ROWS, ColumnarBatch, ColumnarUnsupported, from_records,
+    MIN_LOWERED_ROWS, ColumnarBatch, ColumnarUnsupported, as_sidecar, from_records,
 )
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.lineage import fusion_edge
@@ -98,16 +98,16 @@ class TaskRuntime:
             self._memo[key] = data
             return data
 
-        drawn = None
+        sidecar = None
         if rdd.supports_fusion:
             data = self._compute_fused(rdd, partition, as_batch)
         else:
             data = rdd.compute(partition, self, as_batch)
-            if type(data) is ColumnarBatch and not rdd.dependencies:
-                # A source drawn as columns: exactly the batch its rows
-                # columnarise to, and read-only, so it can seed the
-                # block's sidecar.
-                drawn = data
+            if type(data) is ColumnarBatch and rdd.persisted:
+                # A source drawn as columns, a reducer's merge or a cogroup
+                # by sort: the partition's records as a batch, which seeds
+                # the block's sidecar where it can stand in for one.
+                sidecar = as_sidecar(data)
         # A batch's length is its row list's ``len()``: same charges.
         nbytes = rdd.partition_bytes(len(data))
         self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
@@ -120,7 +120,7 @@ class TaskRuntime:
             self.pending_puts.append(
                 PendingPut(
                     block_id_for(rdd.rdd_id, partition), rows, nbytes, rdd.disk_persist,
-                    rdd=rdd, batch=drawn,
+                    rdd=rdd, batch=sidecar,
                 )
             )
         if self._is_materialisation_point(rdd):
@@ -308,16 +308,16 @@ class TaskRuntime:
             return result, None
         if spec.kind == TaskKind.SHUFFLE_MAP:
             dep = spec.dep
-            reducer = dep.declared_sum
-            head = (self.iterator if reducer is None else self.batch_iterator)(
+            declared = dep.declared
+            head = (self.iterator if declared is None else self.batch_iterator)(
                 dep.rdd, spec.partition
             )
             combined = None
             if type(head) is ColumnarBatch:
-                # The declared combine, straight from the lowered batch,
-                # whose result is the map output as it is; a refusal runs
-                # the row loop on the rows it never needed.
-                combined = reducer.combine(head, dep.num_reduce_partitions)
+                # The declared combine, straight from the batch head, whose
+                # result is the map output as it is; a refusal runs the row
+                # loop on the rows it never needed.
+                combined = declared.combine(head, dep.num_reduce_partitions)
                 if combined is None:
                     head = head.to_records()
                 else:

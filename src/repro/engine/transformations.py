@@ -327,9 +327,9 @@ class ShuffledRDD(RDD):
 
     With an aggregator (reduceByKey/combineByKey) values are merged map-side
     into combiners and merged again here; without one (partitionBy) the
-    records pass through bucketed but untouched.  A declared ``Sum``'s
-    combiners arrive as columns and, for a caller that takes a batch,
-    merge by sort (``merge_reduce_buckets``).
+    records pass through bucketed but untouched.  A declared combine's
+    combiners (``Sum``, ``Group``) arrive as columns and, for a caller that
+    takes a batch, merge by sort (``merge_reduce_buckets``).
     """
 
     def __init__(

@@ -56,6 +56,9 @@ _SKIP_ATTRS = {
 
 _MAX_DEPTH = 6
 
+#: The values an opaque object's attribute is described by in full.
+_DESCRIBED = (bool, int, float, str, type(None), bytes, list, tuple, dict, set, frozenset)
+
 
 def _feed(hasher: "hashlib._Hash", token: str) -> None:
     hasher.update(token.encode("utf-8", "backslashreplace"))
@@ -67,7 +70,8 @@ def _describe_value(hasher: "hashlib._Hash", value: Any, depth: int = 0) -> None
 
     Memory addresses never leak into the digest: callables are described by
     module/qualname/bytecode/constants, containers element-wise, and opaque
-    objects by type name only (their ``repr`` may embed ``0x...`` ids).
+    objects by type name (their ``repr`` may embed ``0x...`` ids) plus their
+    public attributes: scalars and containers in full, objects by type.
     """
     if depth > _MAX_DEPTH:
         _feed(hasher, "depth-capped")
@@ -92,17 +96,26 @@ def _describe_value(hasher: "hashlib._Hash", value: Any, depth: int = 0) -> None
     elif callable(value):
         _describe_callable(hasher, value, depth)
     else:
-        # Opaque object: type identity only (repr may carry addresses).
-        _feed(hasher, f"obj:{type(value).__module__}.{type(value).__qualname__}")
+        # Opaque object: its type (repr may carry addresses) and its public
+        # state — scalars and containers in full, depth-capped, and any
+        # other object by its type alone, so a captured RDD or context is
+        # named, never walked.
+        _feed(hasher, _type_name(value))
         simple = getattr(value, "__dict__", None)
         if isinstance(simple, dict) and depth < _MAX_DEPTH:
             for key in sorted(simple):
                 if key.startswith("_"):
                     continue
                 inner = simple[key]
-                if isinstance(inner, (bool, int, float, str, type(None))):
-                    _feed(hasher, f"attr:{key}")
+                _feed(hasher, f"attr:{key}")
+                if isinstance(inner, _DESCRIBED):
                     _describe_value(hasher, inner, depth + 1)
+                else:
+                    _feed(hasher, _type_name(inner))
+
+
+def _type_name(value: Any) -> str:
+    return f"obj:{type(value).__module__}.{type(value).__qualname__}"
 
 
 def _describe_callable(hasher: "hashlib._Hash", fn: Any, depth: int) -> None:

@@ -3,6 +3,9 @@
 Events are ordered by ``(time, priority, sequence)``.  The sequence number
 guarantees FIFO order among events scheduled for the same instant with the
 same priority, which keeps runs deterministic regardless of heap tie-breaking.
+The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is unique,
+so tuple comparison never reaches the event, and ordering costs no Python
+call.
 """
 
 from __future__ import annotations
@@ -10,10 +13,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled simulator event.
 
@@ -40,10 +43,11 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects."""
+    """A deterministic min-heap of :class:`Event` objects, keyed by
+    ``(time, priority, seq)``."""
 
     def __init__(self):
-        self._heap: list[Event] = []
+        self._heap: list[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -72,21 +76,21 @@ class EventQueue:
             payload=payload,
             callback=callback,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, priority, event.seq, event))
         self._live += 1
         return event
 
     def peek(self) -> Optional[Event]:
         """Return the next non-cancelled event without removing it."""
         self._drop_cancelled()
-        return self._heap[0] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the next non-cancelled event."""
         self._drop_cancelled()
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         self._live -= 1
         return event
 
@@ -105,5 +109,5 @@ class EventQueue:
             yield self.pop()
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)

@@ -69,7 +69,7 @@ def combined_output(batch, n_buckets):
 
 def assert_matches_row_loop(records, n_buckets):
     dep = sum_dependency(n_buckets)
-    assert dep.declared_sum is SUM
+    assert dep.declared is SUM
     got = combined_output(from_records(records), n_buckets)
     assert got is not None, "the kernel refused a batch it should accept"
     want = bucket_map_output(dep, records)
@@ -201,9 +201,9 @@ class _OtherSum(Sum):
 
 
 def test_only_reduce_by_key_sum_under_a_plain_hash_partitioner_is_declared():
-    assert sum_dependency(3).declared_sum is SUM
-    assert sum_dependency(3, map_side_combine=False).declared_sum is None
-    assert sum_dependency(3, partitioner=_OtherPartitioner).declared_sum is None
+    assert sum_dependency(3).declared is SUM
+    assert sum_dependency(3, map_side_combine=False).declared is None
+    assert sum_dependency(3, partitioner=_OtherPartitioner).declared is None
     add = lambda a, b: a + b  # noqa: E731
     other = _OtherSum()
     for aggregator in [
@@ -214,7 +214,7 @@ def test_only_reduce_by_key_sum_under_a_plain_hash_partitioner_is_declared():
         (identity, other, other),  # a subclass may merge differently
     ]:
         dep = ShuffleDependency(None, HashPartitioner(3), aggregator, True)
-        assert dep.declared_sum is None
+        assert dep.declared is None
 
 
 def _reduce(columnar, records, build=None):

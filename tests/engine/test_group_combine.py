@@ -1,4 +1,4 @@
-"""``group_by_key`` as a declared combine (``ShuffleDependency.declared_group``).
+"""``group_by_key`` as a declared combine (``ShuffleDependency.declared``).
 
 The shuffle stores each map-side group as ``(key, tuple(values))`` and the
 reducer hands out one fresh list per key.  Against the list-concatenating
@@ -6,6 +6,13 @@ triple it replaced, nothing observable may move: records and their order,
 per-bucket counts, ``records_written``, offsets, bytes and simulated time.
 What does move: stored groups of atomic values are invisible to the cyclic
 collector, and a reducer's lists never alias the stored file.
+
+Its batch form (``declared.Group``) holds the same line on both sides of
+the shuffle: ``combine`` writes the row loop's map output as columns and
+``merge`` is the row merge by sort, record for record.  A persisted
+reducer's merged batch seeds its block's sidecar, so PageRank's cogroup
+reads its links without columnarising them; ALS's group, fed by a lambda,
+stays on the row loop.
 """
 
 from __future__ import annotations
@@ -14,11 +21,21 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.dependencies import GROUP
+from repro.engine.block_manager import block_id_for
+from repro.engine.columnar import as_sidecar, from_records
+from repro.engine.declared import Group
+from repro.engine.dependencies import GROUP, ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.buckets import bucket_map_output, merge_reduce_buckets
-from tests.conftest import build_on_demand_context
+from repro.engine.buckets import (
+    bucket_map_output, map_output, merge_reduce_buckets, reduce_major,
+)
+from repro.workloads import ALSWorkload, PageRankWorkload
+from tests.conftest import build_on_demand_context, plane
+from tests.engine.test_columnar_combine import ConversionCounter, exact
+from tests.engine.test_kernel_twins import F8, I8, TEXT
 from tests.engine.test_map_output import KEYS, _setup
 
 #: ``group_by_key``'s aggregator before it was declared.
@@ -65,7 +82,7 @@ def test_declared_group_matches_the_concatenating_triple(shape, seed):
                     lambda rdd: rdd.combine_by_key(*CONCAT, n_reduce)):
         ctx = build_on_demand_context(3)
         rdd = grouped(ctx.generate(lambda p: maps[p], num_maps, record_size=100))
-        runs.append((rdd.shuffle_dependency.declared_group, rdd.collect(), ctx.now,
+        runs.append((rdd.shuffle_dependency.declared is not None, rdd.collect(), ctx.now,
                      ctx.shuffle_manager.bytes_written))
     (declared, got, now, written), (undeclared, want, want_now, want_written) = runs
     assert declared and not undeclared
@@ -152,3 +169,145 @@ def test_fetched_buckets_are_tuples_and_groups_are_fresh():
             assert id(values) not in stored
             want = [v for records in maps for k, v in records if k == key]
             assert values == want
+
+
+# ----------------------------------------------------------------------
+# The batch form against the row path
+# ----------------------------------------------------------------------
+GROUPS = Group()
+
+#: Int keys that tie on their hash (``k`` and ``k ± 2**31``), negative ones,
+#: and keys too far apart to be counted in a table.
+TIED = st.sampled_from([-3, -1, 0, 2, 7, 2**31 - 1, 2 + 2**31, -1 - 2**31, 7 - 2**31])
+KEY_COLUMNS = st.sampled_from([TIED, st.integers(-40, 40), I8, TEXT])
+#: Values are never computed on, so any schema groups: ``-0.0``, NaN and
+#: infinities included, and lists that may all be empty.
+VALUE_COLUMNS = st.sampled_from([
+    F8,
+    st.tuples(F8, st.integers(-5, 5)),
+    st.lists(st.integers(-5, 5), max_size=3),
+    TEXT,
+])
+
+
+@st.composite
+def group_shuffles(draw):
+    """Map partitions of ``(key, value)`` records of one key and one value
+    strategy, and a reducer count."""
+    keys, values = draw(KEY_COLUMNS), draw(VALUE_COLUMNS)
+    records = st.lists(st.tuples(keys, values), min_size=1, max_size=60)
+    return draw(st.lists(records, min_size=1, max_size=4)), draw(st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_shuffles())
+def test_the_batch_group_equals_the_row_path_record_for_record(shuffle):
+    maps, n_reduce = shuffle
+    dep = ShuffleDependency(None, HashPartitioner(n_reduce), GROUP, True)
+    assert type(dep.declared) is Group
+    batches = [from_records(records) for records in maps]
+    if any(batch is None for batch in batches) or len({b.schema for b in batches}) > 1:
+        return  # the map heads would have stayed rows
+    rows_out, batch_out = [], []
+    for records, batch in zip(maps, batches):
+        want, written = bucket_map_output(dep, list(records))
+        combined, sizes = GROUPS.combine(batch, n_reduce)
+        got = map_output(combined, sizes)
+        assert got.offsets == want.offsets and combined.length == written
+        assert exact(GROUPS.rows(combined)) == exact(list(want.rows))
+        rows_out.append(want)
+        batch_out.append(got)
+    transposed, offsets = reduce_major(batch_out, n_reduce)
+    for r in range(n_reduce):
+        if offsets[r] == offsets[r + 1]:
+            continue
+        fetched = transposed.slice(offsets[r], offsets[r + 1])
+        want = merge_reduce_buckets(dep, [
+            rows[off[r]:off[r + 1]] for rows, off in rows_out if off[r] != off[r + 1]
+        ])
+        merged = GROUPS.merge(fetched)
+        assert exact(merged.to_records()) == exact(want)
+        # The row fallback of a fetched slice gives the same records.
+        assert exact(merge_reduce_buckets(dep, [fetched])) == exact(want)
+        if as_sidecar(merged) is not None:
+            assert merged.schema == from_records(want).schema
+
+
+def test_a_group_without_list_elements_seeds_no_sidecar():
+    records = [(k % 3, []) for k in range(40)]
+    merged = GROUPS.merge(GROUPS.combine(from_records(records), 1)[0])
+    assert exact(merged.to_records()) == exact([(k, [[]] * 14 if k == 0 else [[]] * 13)
+                                                for k in (0, 1, 2)])
+    assert as_sidecar(merged) is None
+    seeded = as_sidecar(GROUPS.merge(GROUPS.combine(from_records(
+        [(k % 3, float(k)) for k in range(40)]), 1)[0]))
+    keys, (counts, values) = seeded.data
+    assert not (keys.flags.writeable or counts.flags.writeable or values.flags.writeable)
+
+
+def test_other_keys_are_refused():
+    for records in ([((1, 2), 0.5)] * 40, [(0.5, 1)] * 40):
+        batch = from_records(records)
+        assert GROUPS.combine(batch, 3) is None
+        assert GROUPS.merge(batch) is None
+
+
+# ----------------------------------------------------------------------
+# End to end: PageRank's links lower, ALS's group stays on rows
+# ----------------------------------------------------------------------
+def _pagerank(columnar):
+    with plane(columnar):
+        ctx = build_on_demand_context(2)
+        pagerank = PageRankWorkload(
+            ctx, data_gb=0.1, num_edges=4000, num_vertices=400,
+            partitions=4, iterations=2, seed=5,
+        )
+        ranks = pagerank.run()
+    return ranks, ctx.now, ctx, pagerank.links
+
+
+def test_pagerank_groups_its_links_by_sort_and_never_columnarises_them(monkeypatch):
+    counted = ConversionCounter(monkeypatch)
+    ranks, now, ctx, links = _pagerank(True)
+    want_ranks, want_now, row_ctx, _links = _pagerank(False)
+    assert ranks == want_ranks and now == want_now
+    stats = ctx.scheduler.stats
+    assert stats.task_counts() == row_ctx.scheduler.stats.task_counts()
+    # 4 group heads drawn as columns, then 4 Sum heads per iteration.
+    assert stats.columnar_combines == 4 + 2 * 4
+    assert stats.columnar_fallbacks == 0
+    # Only the ranks the second iteration's cogroup reads are columnarised.
+    assert len(counted.from_rows) == 4
+    assert all(type(value) is float for rows in counted.from_rows for _key, value in rows)
+    seen = 0
+    for worker in ctx.cluster.live_workers():
+        store = worker.block_manager
+        for p in range(links.num_partitions):
+            block = block_id_for(links.rdd_id, p)
+            if block in store.memory_block_ids():
+                rows = store.get(block)[0]
+                sidecar = store.columnar(block, rows)
+                assert exact(sidecar.to_records()) == exact(rows)
+                assert sidecar.schema == from_records(rows).schema
+                seen += 1
+    assert seen == links.num_partitions
+    assert len(counted.from_rows) == 4
+
+
+def test_als_keeps_its_group_on_the_row_loop(monkeypatch):
+    counted = ConversionCounter(monkeypatch)
+    ctx = build_on_demand_context(2)
+    als = ALSWorkload(
+        ctx, data_gb=0.2, num_ratings=1200, num_users=80, num_items=30,
+        rank=4, partitions=4, iterations=2, seed=13,
+    )
+    als.run()
+    stats = ctx.scheduler.stats
+    # Its groups are declared, but a lambda flat_map feeds them: the head
+    # is rows, so no chain lowers, nothing combines from a batch, and the
+    # only conversion is the persisted ratings source, drawn as columns,
+    # becoming its blocks' rows.
+    assert stats.columnar_chains == 0
+    assert stats.columnar_combines == 0
+    assert stats.columnar_fallbacks == 0
+    assert (counted.from_rows, counted.to_rows) == ([], 4)

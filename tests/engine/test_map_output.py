@@ -8,7 +8,11 @@ Two contracts (see :mod:`repro.engine.buckets` and :mod:`repro.engine.shuffle`):
 - a fetch returns, for its reducer, exactly the buckets a per-reducer
   bucketing of every map's records gives — the seed's list-of-lists layout,
   kept below as the reference — as tuples, with the empty ones left out,
-  in map order.
+  in map order.  A declared group's map outputs may be batches
+  (``Group.combine``): where every map holding records wrote one, the fetch
+  is one slice of the shuffle's reduce-major batch holding those records;
+  where rows and batches mix, its batches become the row loop's stored
+  ``(key, tuple(values))``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import random
 import pytest
 
 from repro.cluster.worker import Worker
-from repro.engine.columnar import from_records
-from repro.engine.declared import Sum
-from repro.engine.dependencies import ShuffleDependency, identity
+from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, from_records
+from repro.engine.declared import Group, Sum
+from repro.engine.dependencies import GROUP, ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner, stable_hash
 from repro.engine.buckets import bucket_map_output, map_output
 from repro.engine.shuffle import ShuffleManager
@@ -29,6 +33,7 @@ from repro.market.instance import Instance
 from tests.conftest import build_on_demand_context
 
 SUM = Sum()
+GROUPS = Group()
 
 
 def _setup(num_maps, partitioner, aggregator=None, combine=False, num_workers=3):
@@ -59,17 +64,18 @@ def tracked_containers(obj):
     return count
 
 
-@pytest.mark.parametrize("producer", ["rows", "combine", "sum kernel"])
+@pytest.mark.parametrize("producer", ["rows", "combine", "sum kernel", "group kernel"])
 @pytest.mark.parametrize("n_reduce", [1, 20, 120])
 def test_a_map_output_is_two_containers(producer, n_reduce):
     combine = producer != "rows"
+    aggregator = GROUP if producer == "group kernel" else (identity, SUM, SUM)
     manager, dep, workers = _setup(
-        1, HashPartitioner(n_reduce), (identity, SUM, SUM) if combine else None, combine
+        1, HashPartitioner(n_reduce), aggregator if combine else None, combine
     )
     rng = random.Random(n_reduce)
     records = [(rng.randrange(10 * n_reduce), rng.random()) for _ in range(5 * n_reduce)]
-    if producer == "sum kernel":
-        output = map_output(*SUM.combine(from_records(records), n_reduce))
+    if producer.endswith("kernel"):
+        output = map_output(*dep.declared.combine(from_records(records), n_reduce))
     else:
         output, _written = bucket_map_output(dep, records)
     status = manager.register_map_output(dep, 0, workers[0], output, 100)
@@ -125,27 +131,59 @@ PARTITIONERS = {"hash": HashPartitioner, "other": _ModPartitioner}
 ADD = (lambda v: [v], lambda c, v: c + [v], lambda a, b: a + b)
 
 
-@pytest.mark.parametrize("combine", [False, True])
+def _map_output(dep, records, n_reduce):
+    """What a map task writes: a declared group's batch head (at least
+    ``MIN_LOWERED_ROWS`` records here) combined by ``Group.combine``, else
+    the row loop's output."""
+    if type(dep.declared) is Group and len(records) >= MIN_LOWERED_ROWS:
+        batch, sizes = GROUPS.combine(from_records(records), n_reduce)
+        return map_output(batch, sizes), batch.length
+    return bucket_map_output(dep, list(records))
+
+
+AGGREGATORS = {False: None, True: ADD, "group": GROUP}
+
+
+@pytest.mark.parametrize("combine", [False, True, "group"])
 @pytest.mark.parametrize("keys", sorted(KEYS))
 @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
 @pytest.mark.parametrize("seed", range(4))
 def test_fetch_equals_the_list_of_lists_reference(combine, keys, partitioner, seed):
     rng = random.Random(f"{combine}-{keys}-{partitioner}-{seed}")
     num_maps, n_reduce = rng.choice([1, 3, 6]), rng.choice([1, 2, 7, 30])
+    if combine == "group":
+        # A declared group's heads: an empty map, then batches; on odd seeds
+        # one head below MIN_LOWERED_ROWS stays rows, so the shuffle mixes
+        # rows and batches.
+        num_maps = rng.choice([3, 6])
+        sizes = iter([0, 5 if seed % 2 else 0] + [40 + 50 * (m % 2) for m in range(num_maps - 2)])
+        draw_size = sizes.__next__
+    else:
+        draw_size = lambda: rng.choice([0, 1, 5, 40])
     manager, dep, workers = _setup(
-        num_maps, PARTITIONERS[partitioner](n_reduce), ADD if combine else None, combine
+        num_maps, PARTITIONERS[partitioner](n_reduce), AGGREGATORS[combine], bool(combine)
     )
+    # A declared group (only under a plain HashPartitioner) stores each
+    # group as a tuple, whether a batch or the row loop wrote it.
+    frozen = type(dep.declared) is Group
     want = []
     for map_id in range(num_maps):
-        n = rng.choice([0, 1, 5, 40])
+        n = draw_size()
         records = [(k, rng.randrange(100)) for k in KEYS[keys](rng, n)]
         want.append(reference_buckets(dep, records))
-        output, written = bucket_map_output(dep, list(records))
+        if frozen:
+            want[-1] = [[(k, tuple(vs)) for k, vs in bucket] for bucket in want[-1]]
+        output, written = _map_output(dep, records, n_reduce)
         assert written == sum(map(len, want[-1]))
         manager.register_map_output(dep, map_id, rng.choice(workers), output, 100)
     for reduce_id in range(n_reduce):
         buckets, local, remote = manager.fetch(dep, reduce_id, rng.choice(workers))
         expected = [tuple(m[reduce_id]) for m in want if m[reduce_id]]
-        assert buckets == expected
-        assert all(type(bucket) is tuple for bucket in buckets)
+        if buckets and type(buckets[0]) is ColumnarBatch:
+            # Every map holding records wrote a batch: one slice, in map order.
+            (batch,) = buckets
+            assert GROUPS.rows(batch) == [record for bucket in expected for record in bucket]
+        else:
+            assert buckets == expected
+            assert all(type(bucket) is tuple for bucket in buckets)
         assert local + remote == 100 * sum(map(len, expected))

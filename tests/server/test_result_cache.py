@@ -123,6 +123,49 @@ def test_fingerprint_distinguishes_callable_instances_by_their_state(ctx):
     assert lineage_fingerprint(first) != lineage_fingerprint(second)
 
 
+class _Cfg:
+    """A plain object a lambda captures, whose state is a container."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+
+def test_fingerprint_describes_an_opaque_objects_containers(ctx):
+    base = ctx.parallelize(list(range(8)), 2)
+
+    def weighted(cfg):
+        return base.map(lambda x, c=cfg: x * c.weights[0] + c.weights[1])
+
+    first, second = weighted(_Cfg([1, 2])), weighted(_Cfg([3, 4]))
+    assert first.collect() != second.collect()
+    assert lineage_fingerprint(first) != lineage_fingerprint(second)
+    assert lineage_fingerprint(first) == lineage_fingerprint(weighted(_Cfg([1, 2])))
+    for a, b in [({"w": 1}, {"w": 2}), ((1,), (2,)), ({1}, {2})]:
+        assert lineage_fingerprint(weighted(_Cfg(a))) != lineage_fingerprint(weighted(_Cfg(b)))
+    # The oracle: a validated cache recomputes every hit, so two plans
+    # sharing a key would raise CacheInvariantError at the second query.
+    cache = ResultCache(validate=True)
+    server = JobServer(ctx, ServerConfig(result_cache=cache))
+    for plan in (first, second):
+        key = lineage_fingerprint(plan, action="collect")
+        served = server.submit_query(plan.collect, name="weighted", cache_key=key)
+        assert served.ok and not served.cached
+    assert (cache.hits, cache.misses) == (0, 2)
+
+
+def test_fingerprint_describes_an_opaque_objects_objects_by_type(ctx):
+    # A captured RDD is named by its type, never walked: its lineage is
+    # not the captured object's state.
+    base = ctx.parallelize(list(range(8)), 2)
+
+    def holding(obj):
+        return base.map(lambda x, c=_Cfg(obj): (x, c))
+
+    keys = {lineage_fingerprint(holding(ctx.parallelize([k], 1))) for k in (1, 2)}
+    assert len(keys) == 1
+    assert lineage_fingerprint(holding(_Scale(2))) not in keys
+
+
 def test_fingerprint_ignores_names_and_persistence(ctx):
     plain = _plan(ctx)
     decorated = _plan(ctx)
