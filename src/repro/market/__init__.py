@@ -18,7 +18,7 @@ from repro.market.market import (
 )
 from repro.market.instance import Instance, InstanceState
 from repro.market.billing import (
-    billed_hour_prices,
+    ec2_charged_hour_prices,
     ec2_hourly_cost,
     gce_preemptible_cost,
     on_demand_cost,
@@ -35,7 +35,7 @@ __all__ = [
     "InstanceState",
     "PiecewiseConstantFunction",
     "hour_transform",
-    "billed_hour_prices",
+    "ec2_charged_hour_prices",
     "ec2_hourly_cost",
     "gce_preemptible_cost",
     "on_demand_cost",

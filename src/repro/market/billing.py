@@ -30,39 +30,31 @@ def ec2_hourly_cost(
     end: float,
     revoked_by_provider: bool,
 ) -> float:
-    """Cost of a spot instance used on ``[start, end]``.
+    """Cost of a spot instance used on ``[start, end]``: each hour from
+    launch is billed at the spot price at its start, the in-progress hour
+    only if the user ended the instance.  The sequential Python sum keeps the
+    reduction order (and so the cost) bit-identical to a per-hour loop."""
+    return float(sum(ec2_charged_hour_prices(market, start, end, revoked_by_provider).tolist()))
 
-    Each hour boundary (measured from launch) starts a new billing hour at
-    the spot price then in effect.  The in-progress hour at ``end`` is free
-    if the provider revoked the instance, else charged in full.
+
+def ec2_charged_hour_prices(
+    market: Market, start: float, end: float, revoked_by_provider: bool
+) -> np.ndarray:
+    """Price of every hour EC2 charges for ``[start, end]``, in order.
+
+    The full hours' prices are one vectorised trace lookup over the grid
+    ``start + h * HOUR`` (the scalar arithmetic, so each price matches
+    ``market.current_price`` bit for bit); the in-progress hour follows
+    unless the provider revoked the instance.
     """
     if end < start:
         raise ValueError("end must be >= start")
-    if end == start:
-        return 0.0
     full_hours = int(math.floor((end - start + BILLING_EPSILON) / HOUR))
-    # One vectorised trace lookup over the hour-start grid instead of a
-    # per-hour ``current_price`` probe; the sequential Python sum keeps the
-    # reduction order (and therefore the cost) bit-identical to the loop it
-    # replaced.
-    cost = sum(billed_hour_prices(market, start, full_hours).tolist())
+    prices = market.prices_at(start + HOUR * np.arange(full_hours)) if full_hours else np.empty(0)
     partial = (end - start) - full_hours * HOUR
     if partial > BILLING_EPSILON and not revoked_by_provider:
-        cost += market.current_price(start + full_hours * HOUR)
-    return float(cost)
-
-
-def billed_hour_prices(market: Market, start: float, hours: int) -> np.ndarray:
-    """Spot price at each billed-hour start: ``start + h*HOUR`` for ``h < hours``.
-
-    The grid reproduces the scalar arithmetic (``start + h * HOUR`` per
-    element) so each looked-up price matches ``market.current_price`` bit for
-    bit; both the hourly biller above and the provider's analytic charge
-    ledger draw their per-hour prices from here.
-    """
-    if hours <= 0:
-        return np.empty(0)
-    return market.prices_at(start + HOUR * np.arange(hours))
+        prices = np.append(prices, market.current_price(start + full_hours * HOUR))
+    return prices
 
 
 def on_demand_cost(price_per_hour: float, start: float, end: float) -> float:

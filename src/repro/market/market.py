@@ -48,13 +48,9 @@ class Market:
     def note_revocation_draw(
         self, launch_time: float, instance_key: str, revocation_time: Optional[float]
     ) -> None:
-        """First-class hook: the provider stamped an instance's fate here.
-
-        Emits one instant event per granted instance recording the market's
-        price at launch and the pre-drawn revocation time (None = never),
-        which makes revocation storms visible on the market lane of a trace
-        before any worker dies.
-        """
+        """One instant event per granted instance: the price at launch and
+        its pre-drawn revocation time (None = never), so revocation storms
+        show on the market lane of a trace before any worker dies."""
         obs = self.obs
         if obs is None or not obs.enabled:
             return
@@ -94,18 +90,13 @@ class Market:
         return self.current_price(t) <= bid
 
     def estimate_mttf(self, bid: float, t: float, window: float = 14 * DAY) -> float:
-        """MTTF (seconds) at ``bid``, estimated from the trailing price history.
-
-        This is what Flint's node manager computes from EC2's published
-        history; it looks only backwards from ``t``.
-        """
+        """MTTF (seconds) at ``bid`` from the price history before ``t``, as
+        Flint's node manager computes it from EC2's published history."""
         raise NotImplementedError
 
     def revocation_time_for(self, launch_time: float, bid: float, instance_key: str) -> Optional[float]:
-        """Absolute simulation time at which an instance launched now dies.
-
-        Returns None when the instance is never revoked by the provider.
-        """
+        """Simulation time at which an instance launched now is revoked
+        (None: never)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -118,11 +109,8 @@ class SpotMarket(Market):
     #: Granularity of MTTF estimate caching; estimates change slowly.
     _MTTF_CACHE_REFRESH = 1 * DAY
 
-    #: LRU bound on cached MTTF estimates.  Month-long sweeps with
-    #: per-selection bids mint a fresh (bid, day, window) key per probe;
-    #: unbounded, the cache grew with the sweep.  The working set at any sim
-    #: instant is a handful of bids × windows, so a small bound keeps every
-    #: hot entry while pinning memory.
+    #: LRU bound on cached MTTF estimates: sweeps mint a (bid, day, window)
+    #: key per probe, and the working set is a handful of bids × windows.
     _MTTF_CACHE_MAX = 128
 
     def __init__(

@@ -1,21 +1,19 @@
-"""Piecewise-constant functions over sorted NumPy breakpoint arrays.
+"""Piecewise-constant functions built from a log of deltas.
 
 The analytic billing/market plane represents every aggregate the long-horizon
 simulator cares about — cluster capacity, per-market capacity, $/hour spend
 rate, cumulative committed dollars — as a :class:`PiecewiseConstantFunction`:
-a right-continuous step function mutated by *deltas* at breakpoints.  The
-idiom follows Yelp's clusterman simulator: events append deltas in O(1),
-queries compile the delta log into sorted NumPy arrays with cached
-cumulative integrals, and from then on every evaluation or window integral is
-one ``searchsorted`` — O(log breakpoints) instead of a walk over instances ×
-billed hours.
+a right-continuous step function mutated by *deltas* at breakpoints (the idiom
+of Yelp's clusterman simulator).  Mutation appends to a raw log in O(1); the
+first query after a burst compiles the log into the shared
+:class:`~repro.traces.breakpoints.Breakpoints` table, and every evaluation or
+window integral after that is one ``searchsorted``.
 
-Mutation never pays the sort: ``add_delta`` appends to a raw log.  The first
-query after a burst of mutations sorts only the deltas logged since the last
-compile and merges them into the compiled arrays — O(new log new +
-breakpoints), never O(history) — so both access patterns are cheap: long
-stretches of acquire/revoke/terminate events and then a batch of queries, and
-a ledger that is queried after every event.
+A compile costs O(new log new + tail + breakpoints): it sorts the new deltas
+with the breakpoints at or after the earliest of them and recomputes only that
+tail — the prefix keeps its deltas, running sums and integrals — plus one copy
+of each compiled array.  A ledger's new deltas land near the end of the curve,
+so the tail is usually a few breakpoints.
 """
 
 from __future__ import annotations
@@ -24,10 +22,19 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.traces.breakpoints import Breakpoints
+
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 #: Seconds per hour, for :func:`hour_transform`.
 _SECONDS_PER_HOUR = 3600.0
+
+
+def _chain(first: float, increments: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of ``increments`` continued from the running total
+    ``first``: bit for bit the tail of the cumulative sum ``first`` ended,
+    because ``np.cumsum`` is a sequential left fold."""
+    return np.cumsum(np.concatenate([[first], increments]))[1:]
 
 
 def hour_transform(seconds: ArrayLike) -> ArrayLike:
@@ -49,20 +56,19 @@ class PiecewiseConstantFunction:
     Multiple deltas at the same time accumulate.
     """
 
-    __slots__ = ("initial_value", "_log_times", "_log_deltas", "_xs", "_deltas",
-                 "_values", "_cumint")
+    __slots__ = ("initial_value", "_log_times", "_log_deltas", "_deltas", "_sums", "_core")
 
     def __init__(self, initial_value: float = 0.0):
         self.initial_value = float(initial_value)
         #: Deltas logged since the last compile (empty = compiled is current).
         self._log_times: list = []
         self._log_deltas: list = []
-        #: Compiled form: sorted distinct breakpoints, the coalesced delta at
-        #: each, the value in effect from each, and cumulative integrals.
-        self._xs = np.empty(0)
+        #: Compiled form: the coalesced delta at each breakpoint and their
+        #: running sums, beside the shared breakpoint table (breakpoints,
+        #: the value from each, cumulative integrals).
         self._deltas = np.empty(0)
-        self._values = np.empty(0)
-        self._cumint = np.zeros(1)
+        self._sums = np.empty(0)
+        self._core = Breakpoints(np.empty(0), np.array([self.initial_value]), np.zeros(1))
 
     # -- mutation (O(1) amortised; defers sorting to the next query) --------
     def add_delta(self, t: float, delta: float) -> None:
@@ -91,22 +97,26 @@ class PiecewiseConstantFunction:
 
     # -- compilation --------------------------------------------------------
     def _compile(self) -> None:
+        """Fold the logged deltas in, recomputing only the tail they touch:
+        ``np.cumsum`` is a sequential left fold and equal times keep old
+        before new, so the result is bit for bit the whole log compiled once.
+        """
         if not self._log_times:
             return
         times = np.asarray(self._log_times, dtype=float)
         deltas = np.asarray(self._log_deltas, dtype=float)
         self._log_times.clear()
         self._log_deltas.clear()
+        core = self._core
+        # Breakpoints strictly before the earliest new delta are kept; the
+        # rest merge with the log in one stable sort of old-then-new, so a
+        # duplicate breakpoint's deltas still sum in log order.
+        k = int(core.xs.searchsorted(times.min(), side="left"))
+        times = np.concatenate([core.xs[k:], times])
+        deltas = np.concatenate([self._deltas[k:], deltas])
         order = np.argsort(times, kind="stable")
         times = times[order]
         deltas = deltas[order]
-        if len(self._xs):
-            # Merge into the compiled arrays, old before new at equal times:
-            # a duplicate breakpoint's deltas then still sum in log order,
-            # so the result is bit for bit the whole log compiled at once.
-            at = np.searchsorted(self._xs, times, side="right")
-            times = np.insert(self._xs, at, times)
-            deltas = np.insert(self._deltas, at, deltas)
         # Coalesce duplicate breakpoints so the compiled arrays stay
         # minimal (month-long sweeps emit many same-instant deltas).
         keep = np.empty(len(times), dtype=bool)
@@ -118,13 +128,19 @@ class PiecewiseConstantFunction:
             np.add.at(summed, segment_ids, deltas)
             times = times[keep]
             deltas = summed
-        self._xs = times
-        self._deltas = deltas
-        self._values = self.initial_value + np.cumsum(deltas)
-        # cumint[i] = integral of the function over [xs[0], xs[i]].
-        self._cumint = np.concatenate(
-            [[0.0], np.cumsum(self._values[:-1] * np.diff(times))]
-        )
+        sums = _chain(self._sums[k - 1], deltas) if k else np.cumsum(deltas)
+        xs = np.concatenate([core.xs[:k], times])
+        steps = np.concatenate([core.steps[: k + 1], self.initial_value + sums])
+        self._deltas = np.concatenate([self._deltas[:k], deltas])
+        self._sums = np.concatenate([self._sums[:k], sums])
+        if k >= 2:
+            # cumint[i] = integral over [xs[0], xs[i]], chained from the last
+            # kept entry (cumint[0] is a literal zero, so chain past it only).
+            values = steps[1:]
+            tail = _chain(core.cumint[k - 1], values[k - 1 : -1] * np.diff(xs[k - 1 :]))
+            self._core = Breakpoints(xs, steps, np.concatenate([core.cumint[:k], tail]))
+        else:
+            self._core = Breakpoints.compile(xs, steps[1:], before=self.initial_value)
 
     # -- queries ------------------------------------------------------------
     @property
@@ -132,19 +148,16 @@ class PiecewiseConstantFunction:
         """``(times, values)``: sorted breakpoint instants and the value in
         effect from each one (copies; safe to mutate)."""
         self._compile()
-        return self._xs.copy(), self._values.copy()
+        return self._core.xs.copy(), self._core.values.copy()
 
     def __len__(self) -> int:
         self._compile()
-        return len(self._xs)
+        return len(self._core.xs)
 
     def call(self, t: float) -> float:
         """Value in effect at time ``t``."""
         self._compile()
-        if len(self._xs) == 0 or t < self._xs[0]:
-            return self.initial_value
-        idx = int(np.searchsorted(self._xs, t, side="right")) - 1
-        return float(self._values[idx])
+        return float(self._core.values_at(t))
 
     __call__ = call
 
@@ -153,34 +166,16 @@ class PiecewiseConstantFunction:
         exactly ``t``; with a cumulative-charge curve, ``call(b) -
         call_before(a)`` totals the charges landing inside ``[a, b]``)."""
         self._compile()
-        if len(self._xs) == 0 or t <= self._xs[0]:
+        xs = self._core.xs
+        if len(xs) == 0 or t <= xs[0]:
             return self.initial_value
-        idx = int(np.searchsorted(self._xs, t, side="left")) - 1
-        return float(self._values[idx])
+        idx = int(np.searchsorted(xs, t, side="left")) - 1
+        return float(self._core.values[idx])
 
     def values(self, ts: ArrayLike) -> np.ndarray:
         """Vectorised :meth:`call` over an array of query times."""
         self._compile()
-        ts = np.asarray(ts, dtype=float)
-        if len(self._xs) == 0:
-            return np.full(ts.shape, self.initial_value)
-        idx = np.searchsorted(self._xs, ts, side="right") - 1
-        out = np.where(idx >= 0, self._values[np.maximum(idx, 0)],
-                       self.initial_value)
-        return out
-
-    def _antiderivative(self, ts: np.ndarray) -> np.ndarray:
-        """Integral of the function over ``[xs[0], t]`` for each ``t``
-        (extends linearly with ``initial_value`` before the first breakpoint)."""
-        if len(self._xs) == 0:
-            return self.initial_value * ts
-        idx = np.searchsorted(self._xs, ts, side="right") - 1
-        before = idx < 0
-        idx_c = np.maximum(idx, 0)
-        out = self._cumint[idx_c] + self._values[idx_c] * (ts - self._xs[idx_c])
-        if before.any():
-            out = np.where(before, self.initial_value * (ts - self._xs[0]), out)
-        return out
+        return self._core.values_at(np.asarray(ts, dtype=float))
 
     def integral(
         self,
@@ -196,8 +191,8 @@ class PiecewiseConstantFunction:
         if end < start:
             raise ValueError("end must be >= start")
         self._compile()
-        pair = self._antiderivative(np.array([start, end]))
-        raw = float(pair[1] - pair[0])
+        lo, hi = self._core.integral_to(np.array([start, end]))
+        raw = float(hi - lo)
         return raw if transform is None else float(transform(raw))
 
     def integrals(
@@ -213,12 +208,13 @@ class PiecewiseConstantFunction:
         ends = np.asarray(ends, dtype=float)
         if np.any(ends < starts):
             raise ValueError("end must be >= start")
-        raw = self._antiderivative(ends) - self._antiderivative(starts)
+        integral_to = self._core.integral_to
+        raw = integral_to(ends) - integral_to(starts)
         return raw if transform is None else transform(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         self._compile()
         return (
-            f"PiecewiseConstantFunction(breakpoints={len(self._xs)}, "
+            f"PiecewiseConstantFunction(breakpoints={len(self._core.xs)}, "
             f"initial={self.initial_value})"
         )

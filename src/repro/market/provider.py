@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.market.billing import (
     BILLING_EPSILON,
-    billed_hour_prices,
+    ec2_charged_hour_prices,
     ec2_hourly_cost,
     gce_preemptible_cost,
     on_demand_cost,
@@ -35,6 +35,10 @@ GCE_REVOCATION_WARNING = 30.0
 #: minutes").
 REPLACEMENT_DELAY = 2 * MINUTE
 
+#: The analytic ledger's float contract: its totals match the per-instance
+#: books to this relative tolerance (curve sums re-associate additions).
+LEDGER_REL_TOL = 1e-6
+
 
 class MarketUnavailableError(RuntimeError):
     """Raised when a bid is below the current spot price at acquisition."""
@@ -44,22 +48,14 @@ class CloudProvider:
     """A collection of markets plus instance lifecycle and cost accounting.
 
     Besides the per-instance books (``instances`` and ``accrued_cost``), the
-    provider maintains an *analytic ledger*: piecewise-constant breakpoint
-    curves updated incrementally at acquire/revoke/terminate —
-
-    - ``capacity``: running-instance count over time (plus one curve per
-      market), answering :meth:`capacity_at` in O(log breakpoints);
-    - ``cost_per_hour``: the settled $/hour burn rate, where every *charged*
-      billing quantum (an EC2 hour, an on-demand hour, a GCE billed span)
-      contributes its price over the quantum's full extent;
-    - a cumulative committed-charge curve placing each settled bill's dollars
-      at the instant the charge accrues (EC2/on-demand hour starts, GCE
-      settlement at instance end), answering :meth:`cost_between` without
-      re-billing ended instances.
-
-    The ledger agrees with the per-instance books to float tolerance (curve
-    sums re-associate additions), not bit-for-bit; the per-instance path
-    remains the ground truth the equivalence tests compare against.
+    provider keeps an *analytic ledger* of breakpoint curves updated at
+    acquire/revoke/terminate: ``capacity`` (running instances over time, plus
+    one curve per market), ``cost_per_hour`` (every charged billing quantum's
+    price over its extent) and a committed-charge curve (each settled bill's
+    dollars at the instant it accrues), so :meth:`capacity_at` and
+    :meth:`cost_between` never re-bill ended instances.  Curve sums
+    re-associate additions, so the ledger agrees with the per-instance books
+    (the ground truth) to :data:`LEDGER_REL_TOL`, not bit for bit.
     """
 
     def __init__(self, markets: Iterable[Market], replacement_delay: float = REPLACEMENT_DELAY):
@@ -146,7 +142,6 @@ class CloudProvider:
     def terminate(self, instance: Instance, t: float) -> float:
         """User-initiated termination; returns the instance's final cost."""
         instance.mark_terminated(t)
-        instance.cost = self._bill(instance, t, revoked_by_provider=False)
         self._settle(instance, t, revoked_by_provider=False)
         self._record_spend(instance, t, revoked_by_provider=False)
         return instance.cost
@@ -154,33 +149,36 @@ class CloudProvider:
     def revoke(self, instance: Instance, t: float) -> float:
         """Provider-initiated revocation; returns the instance's final cost."""
         instance.mark_revoked(t)
-        instance.cost = self._bill(instance, t, revoked_by_provider=True)
         self._settle(instance, t, revoked_by_provider=True)
         self._record_spend(instance, t, revoked_by_provider=True)
         return instance.cost
 
     # -- analytic ledger maintenance ------------------------------------
     def _settle(self, instance: Instance, end: float, revoked_by_provider: bool) -> None:
-        """Fold one ended instance into the breakpoint curves.
+        """Bill one ended instance and fold it into the breakpoint curves.
 
         Called exactly once per instance, at its end; every curve update is
         an O(1) delta-log append, so a month-long 10k-node simulation pays
         nothing per event beyond the appends (the curves compile lazily at
-        the next query).
+        the next query).  An EC2 instance's charged hour prices are looked up
+        once and serve both its bill and its charges.
         """
         self._running.pop(instance.instance_id, None)
         self.capacity.add_delta(end, -1.0)
         self._market_capacity[instance.market_id].add_delta(end, -1.0)
-        self._committed_total += instance.cost
         market = self.market(instance.market_id)
         start = instance.launch_time
         if isinstance(market, OnDemandMarket):
+            instance.cost = on_demand_cost(market.on_demand_price, start, end)
             hours = int(math.ceil((end - start) / HOUR - BILLING_EPSILON / HOUR))
             if hours > 0:
                 h_times = start + HOUR * np.arange(hours)
                 prices = np.full(hours, market.on_demand_price)
                 self._charge_quanta(h_times, prices, HOUR)
         elif isinstance(market, PreemptibleMarket):
+            instance.cost = gce_preemptible_cost(
+                market.fixed_price, start, end, revoked_by_provider
+            )
             if instance.cost > 0.0:
                 # GCE settles per-minute at instance end; the billed span can
                 # outrun ``end`` (10-minute minimum on user termination), so
@@ -190,10 +188,11 @@ class CloudProvider:
                 self.cost_per_hour.add_delta(start, market.fixed_price)
                 self.cost_per_hour.add_delta(start + billed_span, -market.fixed_price)
         else:
-            prices = self._ec2_charged_hour_prices(market, start, end, revoked_by_provider)
+            prices = ec2_charged_hour_prices(market, start, end, revoked_by_provider)
+            instance.cost = float(sum(prices.tolist()))
             if prices.size:
-                h_times = start + HOUR * np.arange(prices.size)
-                self._charge_quanta(h_times, prices, HOUR)
+                self._charge_quanta(start + HOUR * np.arange(prices.size), prices, HOUR)
+        self._committed_total += instance.cost
 
     def _charge_quanta(self, starts: np.ndarray, prices: np.ndarray, span: float) -> None:
         """Record charged billing quanta: a committed-dollar impulse at each
@@ -202,24 +201,6 @@ class CloudProvider:
         self._committed.add_deltas(starts, prices)
         self.cost_per_hour.add_deltas(starts, prices)
         self.cost_per_hour.add_deltas(starts + span, -prices)
-
-    @staticmethod
-    def _ec2_charged_hour_prices(
-        market: Market, start: float, end: float, revoked_by_provider: bool
-    ) -> np.ndarray:
-        """Price of every hour EC2 charges for ``[start, end]`` — the same
-        hours and prices ``ec2_hourly_cost`` sums (partial hour free on
-        provider revocation, charged in full otherwise)."""
-        if end <= start:
-            return np.empty(0)
-        full_hours = int(math.floor((end - start + BILLING_EPSILON) / HOUR))
-        prices = billed_hour_prices(market, start, full_hours)
-        partial = (end - start) - full_hours * HOUR
-        if partial > BILLING_EPSILON and not revoked_by_provider:
-            prices = np.append(
-                prices, market.current_price(start + full_hours * HOUR)
-            )
-        return prices
 
     def _record_spend(self, instance: Instance, end: float, revoked_by_provider: bool) -> None:
         """Observability: one final bill -> one instance span."""
@@ -244,13 +225,8 @@ class CloudProvider:
         return self._bill(instance, now, revoked_by_provider=False)
 
     def total_cost(self, now: float) -> float:
-        """Aggregate cost of every instance ever rented, as of ``now``.
-
-        Ended instances are served from the committed-charge scalar (O(1),
-        never re-billed); only the currently running set is billed live, so
-        the query scales with cluster size rather than with every instance a
-        month-long simulation ever rented.
-        """
+        """Aggregate cost of every instance ever rented, as of ``now``: ended
+        instances from the committed total, the running set billed live."""
         return self._committed_total + sum(
             self._bill(inst, now, revoked_by_provider=False)
             for inst in self._running.values()
@@ -259,14 +235,11 @@ class CloudProvider:
     def cost_between(self, a: float, b: float) -> float:
         """Dollars charged over the window ``[a, b]``.
 
-        Settled charges come from the committed-charge curve (two
-        ``searchsorted`` lookups); charges are attributed to the instant they
-        accrue — EC2 and on-demand hours at each billed hour's start, GCE
-        bills at the instance's settlement (its end).  Running instances add
-        their in-window accrual on top, billed as if they were terminated at
-        ``b`` (the in-progress EC2/on-demand hour lands at its hour start,
-        GCE accrues continuously).  ``cost_between(0, now)`` therefore agrees
-        with :meth:`total_cost` to float tolerance.
+        A charge lands where it accrues: an EC2 or on-demand hour at its
+        start, a GCE bill at the instance's end.  Settled charges come from
+        the committed-charge curve; running instances add theirs as if
+        terminated at ``b`` (GCE accrues continuously), so ``cost_between(0,
+        now)`` agrees with :meth:`total_cost` to :data:`LEDGER_REL_TOL`.
         """
         if b < a:
             raise ValueError("end must be >= start")
@@ -298,7 +271,7 @@ class CloudProvider:
                 return 0.0
             h_times = start + HOUR * np.arange(hours)
             return float(market.on_demand_price * np.count_nonzero(h_times >= a))
-        prices = self._ec2_charged_hour_prices(market, start, b, False)
+        prices = ec2_charged_hour_prices(market, start, b, False)
         if prices.size == 0:
             return 0.0
         h_times = start + HOUR * np.arange(prices.size)

@@ -79,33 +79,15 @@ def peaky_trace(
     noise = np.exp(rng.normal(0.0, steady_jitter, size=n_steps))
     prices = on_demand_price * steady_fraction * noise
 
-    def overlay(spike_times, height_range, duration_mean):
-        # Heights and durations are drawn as whole batches up front, so the
-        # stream order is a function of the spike count alone — per-spike
-        # interleaved draws made the stream sensitive to how the loop body
-        # was arranged.  (This fixes the draw order relative to earlier
-        # per-spike versions of this generator: same seed, new trace.)
-        n = len(spike_times)
-        if n == 0:
-            return
-        lo, hi = height_range
-        heights = on_demand_price * rng.uniform(lo, hi, size=n)
-        durations = np.maximum(step, rng.exponential(duration_mean, size=n))
-        for t_spike, height, duration in zip(spike_times, heights, durations):
-            start_idx = int(t_spike // step)
-            end_idx = min(n_steps, start_idx + max(1, int(round(duration / step))))
-            prices[start_idx:end_idx] = np.maximum(prices[start_idx:end_idx], height)
-
-    overlay(
-        _poisson_arrivals(rng, spike_rate_per_hour / HOUR, horizon),
-        spike_height_range,
-        spike_duration_mean,
+    _overlay_spikes(
+        prices, rng, _poisson_arrivals(rng, spike_rate_per_hour / HOUR, horizon),
+        on_demand_price, spike_height_range, spike_duration_mean, step,
     )
     if churn_rate_per_hour > 0:
-        overlay(
+        _overlay_spikes(
+            prices, rng,
             _poisson_arrivals(rng.child("churn"), churn_rate_per_hour / HOUR, horizon),
-            churn_height_range,
-            churn_duration_mean,
+            on_demand_price, churn_height_range, churn_duration_mean, step,
         )
 
     return PriceTrace(times, prices, horizon)
@@ -151,18 +133,10 @@ def correlated_peaky_traces(
             step=step,
         )
         prices = base.prices.copy()
-        if len(common_spikes):
-            lo, hi = spike_height_range
-            # Batched draws, as in ``peaky_trace``'s overlay: the stream
-            # order depends only on the spike count.
-            heights = od_price * market_rng.uniform(lo, hi, size=len(common_spikes))
-            durations = np.maximum(
-                step, market_rng.exponential(spike_duration_mean, size=len(common_spikes))
-            )
-            for t_spike, height, duration in zip(common_spikes, heights, durations):
-                start_idx = int(t_spike // step)
-                end_idx = min(len(prices), start_idx + max(1, int(round(duration / step))))
-                prices[start_idx:end_idx] = np.maximum(prices[start_idx:end_idx], height)
+        _overlay_spikes(
+            prices, market_rng, common_spikes, od_price,
+            spike_height_range, spike_duration_mean, step,
+        )
         traces.append(PriceTrace(base.times, prices, horizon))
     return traces
 
@@ -189,11 +163,8 @@ def mean_reverting_trace(
     dt_hours = step / HOUR
     shocks = rng.normal(0.0, 1.0, size=n_steps)
     # The OU recurrence x_i = x_{i-1} + r*(mu - x_{i-1})*dt + c*s_i is the
-    # linear filter x_i = (1 - r*dt)*x_{i-1} + (r*mu*dt + c*s_i), evaluated
-    # here in one lfilter call instead of a Python loop.  The algebraic
-    # regrouping changes rounding in the last ulp relative to the original
-    # scalar loop; the trace is statistically unchanged and every consumer
-    # (bidding experiments) is qualitative.
+    # linear filter x_i = (1 - r*dt)*x_{i-1} + (r*mu*dt + c*s_i): one lfilter
+    # call (the regrouping moves the last ulp; consumers are qualitative).
     decay = 1.0 - reversion_rate * dt_hours
     drive = reversion_rate * mu * dt_hours + volatility * mu * np.sqrt(dt_hours) * shocks
     try:
@@ -210,16 +181,44 @@ def mean_reverting_trace(
     return PriceTrace(times, prices, horizon)
 
 
+def _overlay_spikes(
+    prices: np.ndarray,
+    rng: SeededRNG,
+    spike_times: np.ndarray,
+    price_scale: float,
+    height_range: tuple,
+    duration_mean: float,
+    step: float,
+) -> None:
+    """Lift ``prices`` (one per ``step``) to each spike's height, in place.
+
+    Heights and durations are drawn as batches (none without spikes), so the
+    stream order depends on the spike count alone.  A spike at ``t`` covers
+    ``round(duration / step)`` steps (at least one, half to even) from step
+    ``t // step``, cut at the trace's end; one ``np.maximum.at`` applies every
+    spike, and ``max`` is exact whatever order they land in.
+    """
+    n = len(spike_times)
+    if n == 0:
+        return
+    lo, hi = height_range
+    heights = price_scale * rng.uniform(lo, hi, size=n)
+    durations = np.maximum(step, rng.exponential(duration_mean, size=n))
+    starts = (np.asarray(spike_times) // step).astype(np.int64)
+    widths = np.maximum(1, np.rint(durations / step).astype(np.int64))
+    ends = np.minimum(len(prices), starts + widths)
+    lengths = np.maximum(ends - starts, 0)
+    first = np.cumsum(lengths) - lengths  # each spike's first cell in the flat list
+    cells = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+    np.maximum.at(prices, cells, np.repeat(heights, lengths))
+
+
 def _poisson_arrivals(rng: SeededRNG, rate_per_second: float, horizon: float) -> np.ndarray:
     """Arrival times of a homogeneous Poisson process on [0, horizon).
 
-    Batched draws with cumulative sums replace the one-draw-per-iteration
-    Python loop.  The per-draw stream order is preserved exactly: numpy's
-    ``Generator`` fills batched draws with the same scalar routine used for
-    single draws, ``np.cumsum`` accumulates left-to-right like the scalar
-    loop did, and the final chunk is rewound (bit-generator state restore)
-    and re-drawn at the exact count the loop would have consumed — so
-    callers sharing this stream see identical subsequent draws.
+    Batched draws and cumulative sums, with the final chunk rewound and
+    re-drawn at the exact count a one-draw-per-arrival loop consumes, so
+    callers sharing this stream see the same later draws.
     """
     if rate_per_second <= 0:
         return np.empty(0)

@@ -1,10 +1,15 @@
 """Piecewise-constant spot price traces.
 
 A trace is a sequence of ``(start_time, price)`` segments covering
-``[0, horizon)``.  Revocation in an EC2-style market is *deterministic* given
-a trace and a bid: the instance dies at the first instant the price strictly
-exceeds the bid.  ``PriceTrace`` therefore exposes exact exceedance queries
-rather than sampling.
+``[0, horizon)``, periodic past it.  Revocation in an EC2-style market is
+*deterministic* given a trace and a bid: the instance dies at the first
+instant the price strictly exceeds the bid, so ``PriceTrace`` answers exact
+exceedance queries rather than sampling.  Lookup, integral and exceedance are
+the shared :class:`~repro.traces.breakpoints.Breakpoints` table's; the trace
+adds the periodic wrap, the closed-form multi-period mean and the snap past
+float round-off.  A multi-period mean may differ from a period-by-period
+accumulation by up to :data:`MEAN_PRICE_WRAP_ULPS` ulps; everything else is
+exact.
 """
 
 from __future__ import annotations
@@ -13,6 +18,13 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+
+from repro.traces.breakpoints import Breakpoints
+
+#: The float contract of :meth:`PriceTrace.mean_price` over a window spanning
+#: full periods: ``full_periods × period integral`` re-associates the sum a
+#: period-by-period walk accumulates, so the two may differ by this many ulps.
+MEAN_PRICE_WRAP_ULPS = 4
 
 
 class PriceTrace:
@@ -39,30 +51,23 @@ class PriceTrace:
             raise ValueError("segment start times must be strictly increasing")
         if horizon <= times_arr[-1]:
             raise ValueError("horizon must exceed the last segment start")
-        if np.any(prices_arr < 0):
+        if not np.all(prices_arr >= 0):  # NaN too: it would poison the cached maximum
             raise ValueError("prices must be non-negative")
-        self._times = times_arr
-        self._prices = prices_arr
+        #: The compiled table: lookup, integral and exceedance.  Its last
+        #: ``cumint`` entry is the integral over one full period.
+        self._core = Breakpoints.compile(times_arr, prices_arr, end=horizon)
         self.horizon = float(horizon)
-        # Cumulative integral of price from 0 to each segment start (plus the
-        # horizon endpoint), so mean_price is O(log n) instead of a scan.
-        widths = np.diff(np.append(times_arr, horizon))
-        self._cumint = np.concatenate([[0.0], np.cumsum(self._prices * widths)])
-        # Integral over one full period, for closed-form multi-period windows.
-        self._period_integral = float(
-            self._cumint[-2] + self._prices[-1] * (horizon - self._times[-1])
-        )
 
     @property
     def times(self) -> np.ndarray:
-        return self._times
+        return self._core.xs
 
     @property
     def prices(self) -> np.ndarray:
-        return self._prices
+        return self._core.values
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self.times)
 
     def _wrap(self, t: float) -> float:
         if t < 0:
@@ -71,27 +76,18 @@ class PriceTrace:
 
     def price_at(self, t: float) -> float:
         """Price in effect at absolute time ``t`` (periodic past horizon)."""
-        tw = self._wrap(t)
-        idx = int(np.searchsorted(self._times, tw, side="right")) - 1
-        return float(self._prices[idx])
+        return float(self._core.values_at(self._wrap(t)))
 
     def prices_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`price_at` over an array of absolute times."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and float(ts.min()) < 0:
             raise ValueError(f"negative time {float(ts.min())}")
-        wrapped = np.mod(ts, self.horizon)
-        idx = np.searchsorted(self._times, wrapped, side="right") - 1
-        return self._prices[idx]
+        return self._core.values_at(np.mod(ts, self.horizon))
 
     def mean_price(self, start: float, end: float) -> float:
-        """Time-weighted mean price over ``[start, end]``.
-
-        Closed form over the periodic trace: the head partial period, a full-
-        period count × the cached period integral, and the tail partial — two
-        ``searchsorted`` calls total, instead of the chunked while-loop that
-        re-integrated every spanned period.
-        """
+        """Time-weighted mean price over ``[start, end]``: the head partial
+        period, full periods × the period integral, and the tail partial."""
         if end < start:
             raise ValueError("end must be >= start")
         if end == start:
@@ -102,50 +98,48 @@ class PriceTrace:
             offset = 0.0
             remaining = self.horizon
         span = end - start
+        integral_to = self._core.integral_to
         if span <= remaining:
             # Whole window inside one period: a single exact integral (this
             # is the hot path — the long-run simulator's billing segments are
             # hours long against multi-month traces).
-            total = self._integrate_within(offset, offset + span)
+            lo, hi = integral_to(np.array([offset, offset + span]))
+            total = float(hi - lo)
         else:
-            total = self._integrate_within(offset, self.horizon)
+            lo, hi = integral_to(np.array([offset, self.horizon]))
+            total = float(hi - lo)
             rest = span - remaining
             full_periods = int(math.floor(rest / self.horizon))
             tail = rest - full_periods * self.horizon
-            total += full_periods * self._period_integral
+            total += full_periods * float(self._core.cumint[-1])
             if tail > 1e-12:
-                total += self._integral_to(tail)
+                total += float(integral_to(tail))
         return total / (end - start)
 
-    def _integrate_within(self, a: float, b: float) -> float:
-        """Integrate price over ``[a, b]`` where both lie in one period."""
-        return self._integral_to(b) - self._integral_to(a)
-
-    def _integral_to(self, t: float) -> float:
-        """Integral of price over ``[0, t]`` for t within one period."""
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
-        return float(self._cumint[idx] + self._prices[idx] * (t - self._times[idx]))
+    def exceeds(self, threshold: float) -> bool:
+        """True when the price ever strictly exceeds ``threshold``."""
+        return self._core.exceeds(threshold)
 
     def next_exceedance(self, t: float, threshold: float) -> Optional[float]:
         """First absolute time ``>= t`` at which price strictly exceeds ``threshold``.
 
         Returns None if the (periodic) trace never exceeds the threshold.
         """
-        if not np.any(self._prices > threshold):
+        core = self._core
+        if not core.exceeds(threshold):
             return None
         tw = self._wrap(t)
         base = t - tw
-        idx = int(np.searchsorted(self._times, tw, side="right")) - 1
+        idx = int(core.index(tw))
+        first = core.first_above(idx, threshold)
         # Current segment already above threshold: exceedance is immediate.
-        if self._prices[idx] > threshold:
+        if first == idx:
             return t
-        # Scan the remainder of this period.
-        above = np.nonzero(self._prices[idx + 1 :] > threshold)[0]
-        if len(above) > 0:
-            return self._snap_above(base + float(self._times[idx + 1 + above[0]]), threshold)
+        if first >= 0:
+            return self._snap_above(base + float(self.times[first]), threshold)
         # Wrap: first exceedance anywhere in the next period.
-        first = int(np.nonzero(self._prices > threshold)[0][0])
-        return self._snap_above(base + self.horizon + float(self._times[first]), threshold)
+        first = core.first_above(0, threshold)
+        return self._snap_above(base + self.horizon + float(self.times[first]), threshold)
 
     #: Linear nudges tried before the snap widens geometrically, and the cap
     #: on geometric doublings before the snap gives up loudly.
@@ -154,16 +148,10 @@ class PriceTrace:
 
     def _snap_above(self, t_abs: float, threshold: float) -> float:
         """Nudge a reconstructed absolute time forward past float round-off
-        so the price at the returned instant genuinely exceeds the threshold
-        (``base + times[i]`` can land an ulp before the segment boundary).
-
-        The first nudges are linear (1e-9 relative, the round-off scale); if
-        those do not cross the boundary the step widens geometrically, and
-        after ``_SNAP_GEOMETRIC_LIMIT`` doublings the snap raises instead of
-        silently returning an instant at which the price does *not* exceed
-        the threshold — a silent miss here would mint a revocation time at
-        which the instance survives.
-        """
+        (``base + times[i]`` can land an ulp before the segment boundary)
+        until the price there exceeds the threshold: linear 1e-9-relative
+        steps, then geometric ones, then a loud failure — a silent miss would
+        mint a revocation time at which the instance survives."""
         candidate = t_abs
         for _ in range(self._SNAP_LINEAR_NUDGES):
             if self.price_at(candidate) > threshold:
@@ -187,18 +175,11 @@ class PriceTrace:
     def next_exceedance_grid(
         self, ts: np.ndarray, threshold: float
     ) -> Optional[np.ndarray]:
-        """Vectorised :meth:`next_exceedance` over an array of times.
-
-        Returns the first instant ``>= ts[i]`` at which the (periodic) price
-        strictly exceeds ``threshold``, for every grid point at once, or None
-        when the trace never exceeds the threshold anywhere.  Lane-for-lane
-        this replicates the scalar path — segment scan, periodic wrap, and
-        the forward snap past float round-off — so MTTF estimation over a
-        month of hourly launch instants is a few array passes instead of one
-        ``next_exceedance`` probe per point.
-        """
-        above = self._prices > threshold
-        if not np.any(above):
+        """Vectorised :meth:`next_exceedance` over an array of times (None
+        when the trace never exceeds ``threshold``); lane for lane the scalar
+        path's index, wrap and snap."""
+        core = self._core
+        if not core.exceeds(threshold):
             return None
         ts = np.asarray(ts, dtype=float)
         if ts.size == 0:
@@ -207,85 +188,38 @@ class PriceTrace:
             raise ValueError(f"negative time {float(ts.min())}")
         tw = np.mod(ts, self.horizon)
         base = ts - tw
-        idx = np.searchsorted(self._times, tw, side="right") - 1
-        above_positions = np.nonzero(above)[0]
-        # First above-threshold segment strictly after the current one; wrap
-        # to the first anywhere in the next period when none remains.
-        pos = np.searchsorted(above_positions, idx, side="right")
-        wraps = pos >= len(above_positions)
-        nxt = above_positions[np.minimum(pos, len(above_positions) - 1)]
-        first = above_positions[0]
+        idx = core.index(tw)
+        # First above-threshold segment at or after the current one; wrap to
+        # the first anywhere in the next period when none remains.
+        nxt = core.first_above(idx, threshold)
+        immediate = nxt == idx
+        first = core.first_above(0, threshold)
         candidates = np.where(
-            wraps,
-            base + self.horizon + float(self._times[first]),
-            base + self._times[nxt],
+            nxt < 0,
+            base + self.horizon + float(self.times[first]),
+            base + self.times[nxt],
         )
-        immediate = above[idx]
         result = np.where(immediate, ts, candidates)
-        # Vectorised snap: every non-immediate lane walks the same nudge
-        # schedule as the scalar `_snap_above`.
-        pending = ~immediate
-        for _ in range(self._SNAP_LINEAR_NUDGES):
-            if not pending.any():
-                return result
-            pending &= self.prices_at(result) <= threshold
-            result = np.where(
-                pending,
-                result + 1e-9 * np.maximum(1.0, np.abs(result)),
-                result,
-            )
-        steps = 1e-9 * np.maximum(1.0, np.abs(result))
-        for _ in range(self._SNAP_GEOMETRIC_LIMIT):
-            pending &= self.prices_at(result) <= threshold
-            if not pending.any():
-                return result
-            result = np.where(pending, result + steps, result)
-            steps = steps * 2.0
-        pending &= self.prices_at(result) <= threshold
-        if pending.any():
-            bad = float(ts[np.nonzero(pending)[0][0]])
-            raise RuntimeError(
-                f"price trace snap failed: no price > {threshold} reachable "
-                f"from t={bad} after {self._SNAP_LINEAR_NUDGES} linear and "
-                f"{self._SNAP_GEOMETRIC_LIMIT} geometric nudges; the "
-                f"reconstructed exceedance instant is invalid"
-            )
+        # One vectorised check settles almost every lane; the few reconstructed
+        # an ulp short walk the scalar snap's nudge schedule.
+        if not immediate.all():
+            late = ~immediate & (self.prices_at(result) <= threshold)
+            for lane in np.flatnonzero(late):
+                result[lane] = self._snap_above(float(result[lane]), threshold)
         return result
 
-    def next_drop_below(self, t: float, threshold: float) -> Optional[float]:
-        """First absolute time ``>= t`` at which price is ``<= threshold``."""
-        if not np.any(self._prices <= threshold):
-            return None
-        tw = self._wrap(t)
-        base = t - tw
-        idx = int(np.searchsorted(self._times, tw, side="right")) - 1
-        if self._prices[idx] <= threshold:
-            return t
-        below = np.nonzero(self._prices[idx + 1 :] <= threshold)[0]
-        if len(below) > 0:
-            return base + float(self._times[idx + 1 + below[0]])
-        first = int(np.nonzero(self._prices <= threshold)[0][0])
-        return base + self.horizon + float(self._times[first])
-
     def sample_grid(self, dt: float, start: float = 0.0, end: Optional[float] = None) -> np.ndarray:
-        """Prices sampled on a uniform grid (used for correlation analysis).
-
-        One vectorised ``searchsorted`` over the wrapped grid — the Fig 4
-        analysis samples 16-20 markets at 5-minute resolution over months,
-        where a per-point ``price_at`` loop dominated its runtime.
-        """
+        """Prices sampled on a uniform grid (the Fig 4 correlation analysis)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         if start < 0:
             raise ValueError(f"negative time {start}")
         end_time = self.horizon if end is None else end
         grid = np.arange(start, end_time, dt)
-        wrapped = np.mod(grid, self.horizon)
-        idx = np.searchsorted(self._times, wrapped, side="right") - 1
-        return self._prices[idx]
+        return self._core.values_at(np.mod(grid, self.horizon))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PriceTrace(segments={len(self)}, horizon={self.horizon:.0f}s, "
-            f"min={self._prices.min():.4f}, max={self._prices.max():.4f})"
+            f"min={self.prices.min():.4f}, max={self.prices.max():.4f})"
         )

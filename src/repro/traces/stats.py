@@ -1,10 +1,11 @@
 """Statistics Flint derives from price traces.
 
-These implement the measurement side of §3.1: the MTTF of a market at a given
-bid (estimated from price history, exactly as Flint's node manager does from
-EC2's published history), availability ECDFs (Figure 2), and pairwise price
-correlation between markets (Figure 4, the basis of the diversification
-policy).
+These implement the measurement side of §3.1: the MTTF of a market at a bid,
+estimated from price history as Flint's node manager does from EC2's published
+history; availability ECDFs (Figure 2); and pairwise price correlation
+between markets (Figure 4, the basis of the diversification policy).  The
+MTTF asks the trace's breakpoint table: "never exceeds" is one comparison
+with its cached maximum, and a whole launch grid is one exceedance query.
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from repro.traces.price_trace import PriceTrace
 
 
 def _launch_grid(start: float, end_time: float, sample_interval: float) -> np.ndarray:
-    """The uniform launch grid, built by the same float accumulation the
-    original per-point loop used (``t += interval``), so grid instants are
-    bit-identical to the pre-vectorised path."""
-    grid = []
-    t = start
-    while t < end_time:
-        grid.append(t)
-        t += sample_interval
-    return np.asarray(grid)
+    """The uniform launch grid ``start, start + interval, ...`` below
+    ``end_time``, as one ``np.cumsum``: a sequential left fold, so each
+    instant is bit for bit what ``t += interval`` accumulates."""
+    count = max(0, int((end_time - start) // sample_interval) + 2)
+    grid = np.cumsum(np.concatenate([[start], np.full(count, sample_interval)]))
+    return grid[: np.searchsorted(grid, end_time, side="left")]
 
 
 def time_to_failure_samples(
@@ -35,14 +33,9 @@ def time_to_failure_samples(
     start: float = 0.0,
     end: Optional[float] = None,
 ) -> np.ndarray:
-    """Time-to-revocation from each viable launch instant on a uniform grid.
-
-    A launch instant is viable when the spot price is at or below the bid
-    (EC2 only grants the instance then).  The time to failure from a viable
-    instant is the gap to the next strict exceedance of the bid.  One
-    vectorised exceedance query answers the whole grid; probing month-long
-    windows point-by-point used to dominate MTTF estimation.
-    """
+    """Time-to-revocation from each viable launch instant on a uniform grid:
+    an instant at which the price is at most the bid (EC2 grants the
+    instance only then), to the next strict exceedance of the bid."""
     end_time = trace.horizon if end is None else end
     grid = _launch_grid(start, end_time, sample_interval)
     if grid.size == 0:
@@ -65,7 +58,7 @@ def estimate_mttf(
     end: Optional[float] = None,
 ) -> float:
     """Mean time to failure at ``bid``; ``inf`` if the trace never exceeds it."""
-    if trace.next_exceedance(start, bid) is None:
+    if not trace.exceeds(bid):
         return float("inf")
     samples = time_to_failure_samples(trace, bid, sample_interval, start, end)
     if len(samples) == 0:

@@ -9,12 +9,12 @@ One documented exception: ``mean_price`` windows spanning *multiple full
 periods* of a short trace.  The closed form computes ``full_periods ×
 period_integral`` where the original accumulated period chunks one at a
 time; the reassociated sum can differ by an ulp.  Those rows (and only
-those) are compared at 4-ulp tolerance — the long-run sweep outcomes, which
-are the behaviour that matters, stay exactly identical.
+those) are compared at the 4-ulp ``MEAN_PRICE_WRAP_ULPS`` contract
+(``tests/market/test_float_contracts.py``) — the long-run sweep outcomes,
+which are the behaviour that matters, stay exactly identical.
 """
 
 import json
-import math
 import os
 
 import pytest
@@ -33,6 +33,7 @@ from repro.simulation.clock import DAY, HOUR
 from repro.simulation.rng import SeededRNG
 from repro.traces.generators import peaky_trace
 from repro.traces.stats import estimate_mttf, time_to_failure_samples
+from tests.market.test_float_contracts import assert_mean_price_contract
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_longrun.json")
 
@@ -57,32 +58,19 @@ def short_trace():
     )
 
 
-def ulps_apart(a: float, b: float, n: int) -> bool:
-    for _ in range(n + 1):
-        if a == b:
-            return True
-        a = math.nextafter(a, b)
-    return False
-
-
 def test_golden_mean_price(golden, provider):
     for mid, a, b, expected in golden["mean_price"]:
         got = provider.market(mid).trace.mean_price(a, b)
-        if b - a > provider.market(mid).trace.horizon:
-            assert ulps_apart(got, expected, 4), (mid, a, b, got, expected)
-        else:
-            assert got == expected, (mid, a, b)
+        spans_periods = b - a > provider.market(mid).trace.horizon
+        assert_mean_price_contract(got, expected, spans_periods, (mid, a, b))
 
 
 def test_golden_mean_price_short_trace(golden):
     trace = short_trace()
     for a, b, expected in golden["mean_price_short"]:
         got = trace.mean_price(a, b)
-        if b - a > trace.horizon:
-            # Multi-period wrap: reassociated full-period sum, ulp tolerance.
-            assert ulps_apart(got, expected, 4), (a, b, got, expected)
-        else:
-            assert got == expected, (a, b)
+        # Multi-period wrap: reassociated full-period sum, ulp tolerance.
+        assert_mean_price_contract(got, expected, b - a > trace.horizon, (a, b))
 
 
 def test_golden_ec2_hourly_cost(golden, provider):

@@ -179,6 +179,36 @@ def test_incremental_compile_equals_the_whole_log_compiled_once(operations, init
     assert _observe(f, 50.0, 10.0) == _observe(_compiled_once(initial, log), 50.0, 10.0)
 
 
+def _compiled_twice(initial, first, second, t, width):
+    """Compile ``first``, log ``second``, and observe the tail-only compile."""
+    f = PiecewiseConstantFunction(initial_value=initial)
+    f.add_deltas([x for x, _ in first], [d for _, d in first])
+    f.call(t)
+    f.add_deltas([x for x, _ in second], [d for _, d in second])
+    return _observe(f, t, width)
+
+
+def test_tail_compile_when_new_deltas_land_at_the_front():
+    """Deltas before (and at) the first breakpoints recompute the whole
+    curve, and still equal the whole log compiled once."""
+    first = [(x * 7.3, d) for x, d in zip(range(3, 40), [0.1, 0.2, -0.3, 1.5] * 10)]
+    for second in ([(0.0, 0.3)], [(21.9, 0.1), (0.0, -1.5)], [(29.2, 0.2)]):
+        for t, width in ((-5.0, 40.0), (25.0, 100.0), (300.0, 5.0)):
+            want = _observe(_compiled_once(2.0, first + second), t, width)
+            assert _compiled_twice(2.0, first, second, t, width) == want
+
+
+def test_tail_compile_with_equal_times_across_two_compiles():
+    """A breakpoint logged in both compiles sums its deltas in log order
+    (0.1 + 0.2 + 0.3 is not 0.1 + (0.2 + 0.3)), and the kept prefix chains
+    its running sums and integrals into the recomputed tail."""
+    first = [(7.3 * k, 1e16 if k == 2 else 0.1) for k in range(1, 9)] + [(43.8, 0.2)]
+    second = [(43.8, 0.3), (51.1, -1e16), (43.8, -0.1), (80.3, 0.3)]
+    for t, width in ((0.0, 90.0), (43.8, 0.0), (50.0, 40.0)):
+        want = _observe(_compiled_once(0.5, first + second), t, width)
+        assert _compiled_twice(0.5, first, second, t, width) == want
+
+
 @given(delta_lists, query_times, st.floats(-10.0, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_set_value_pins_the_value_at_t(deltas, t, target):

@@ -5,7 +5,8 @@ maintained incrementally at acquire/revoke/terminate; these tests drive a
 seeded chaos scenario — thousands of instances across spot, on-demand, and
 GCE-preemptible markets with interleaved revocations and terminations — and
 assert the analytic queries agree with brute-force per-instance billing to
-well within the 1e-6 relative contract.
+well within the ``LEDGER_REL_TOL`` relative contract
+(``tests/market/test_float_contracts.py``).
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from repro.factory import standard_provider
 from repro.market.market import OnDemandMarket, PreemptibleMarket
 from repro.market.piecewise import hour_transform
+from repro.market.provider import LEDGER_REL_TOL
 from repro.simulation.clock import HOUR
 from repro.simulation.rng import SeededRNG
 
-REL_TOL = 1e-6
+REL_TOL = LEDGER_REL_TOL
 
 
 def run_chaos(steps=1500, seed=42, include_preemptible=True):

@@ -98,3 +98,55 @@ def test_mean_reverting_trace_positive_and_centered():
     t = mean_reverting_trace(SeededRNG(9, "ou"), 1.0, mean_fraction=0.35, horizon=10 * 24 * HOUR)
     assert np.all(t.prices > 0)
     assert 0.1 < t.mean_price(0, t.horizon) < 0.9
+
+
+# ---------------------------------------------------------------------------
+# The vectorised spike overlay against the per-spike loop it replaced
+# ---------------------------------------------------------------------------
+def overlay_by_loop(prices, rng, spike_times, scale, height_range, duration_mean, step):
+    """The reference: one slice assignment per spike, in arrival order."""
+    n = len(spike_times)
+    if n == 0:
+        return
+    lo, hi = height_range
+    heights = scale * rng.uniform(lo, hi, size=n)
+    durations = np.maximum(step, rng.exponential(duration_mean, size=n))
+    for t_spike, height, duration in zip(spike_times, heights, durations):
+        start_idx = int(t_spike // step)
+        end_idx = min(len(prices), start_idx + max(1, int(round(duration / step))))
+        prices[start_idx:end_idx] = np.maximum(prices[start_idx:end_idx], height)
+
+
+@pytest.mark.parametrize("spike_times", [
+    np.empty(0),                                   # no spikes: no draws either
+    np.asarray([600.0, 650.0, 900.0, 1205.5]),     # overlapping spikes
+    np.asarray([2850.0, 2999.0]),                  # spikes running past n_steps
+    np.asarray([0.0, 1499.9, 1500.0, 1500.1]),     # on and around step edges
+])
+def test_overlay_matches_the_per_spike_loop(spike_times):
+    from repro.traces.generators import _overlay_spikes
+
+    step, n_steps = 150.0, 20
+    base = np.exp(SeededRNG(1, "base").normal(0.0, 0.05, size=n_steps))
+    got, want = base.copy(), base.copy()
+    rng_got, rng_want = SeededRNG(4, "spikes"), SeededRNG(4, "spikes")
+    args = (spike_times, 0.175, (1.5, 10.0), 900.0, step)
+    _overlay_spikes(got, rng_got, *args)
+    overlay_by_loop(want, rng_want, *args)
+    assert got.tobytes() == want.tobytes()
+    # The stream is left where the loop leaves it.
+    assert rng_got.uniform(0.0, 1.0) == rng_want.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_overlay_matches_the_loop_on_poisson_spikes(seed):
+    from repro.traces.generators import _overlay_spikes, _poisson_arrivals
+
+    step, horizon = 300.0, 3 * 24 * HOUR
+    n_steps = int(np.ceil(horizon / step))
+    spikes = _poisson_arrivals(SeededRNG(seed, "arrivals"), 2.0 / HOUR, horizon)
+    got, want = np.full(n_steps, 0.05), np.full(n_steps, 0.05)
+    args = (spikes, 0.175, (0.4, 10.0), 0.5 * HOUR, step)
+    _overlay_spikes(got, SeededRNG(seed, "h"), *args)
+    overlay_by_loop(want, SeededRNG(seed, "h"), *args)
+    assert got.tobytes() == want.tobytes()

@@ -103,13 +103,6 @@ def test_next_exceedance_none_when_never_exceeded():
     assert t.next_exceedance(0.0, 10.0) is None
 
 
-def test_next_drop_below():
-    t = simple_trace()
-    assert t.next_drop_below(12.0, 1.0) == 20.0
-    assert t.next_drop_below(0.0, 1.5) == 0.0
-    assert t.next_drop_below(12.0, 0.1) is None
-
-
 def test_sample_grid():
     t = simple_trace()
     grid = t.sample_grid(10.0)
