@@ -38,7 +38,7 @@ import numpy as np
 from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, merged_codes
 from repro.engine.declared import Group
 from repro.engine.dependencies import ShuffleDependency
-from repro.engine.partitioner import HASH_MASK, HashPartitioner, stable_hash
+from repro.engine.partitioner import HASH_MASK, stable_hash
 
 
 class MapOutput(NamedTuple):
@@ -81,13 +81,12 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOu
     """Lay one map partition out as its :class:`MapOutput`.
 
     Returns ``(output, records_written)``.  Records keep their order within
-    a bucket; with map-side combine a bucket holds one combiner per
-    distinct key, in hash order — a declared group's as ``(key,
-    tuple(values))``.
+    a bucket; with an aggregator (always combined map-side) a bucket holds
+    one combiner per distinct key, in hash order — a declared group's as
+    ``(key, tuple(values))``.
     """
     n_buckets = dep.num_reduce_partitions
-    partitioner = dep.partitioner
-    combine = dep.map_side_combine
+    combine = dep.aggregator is not None
     if combine:
         create, merge_value, _merge_combiners = dep.aggregator
         # Combine into one table, then distribute: the partitioner runs
@@ -109,21 +108,16 @@ def bucket_map_output(dep: ShuffleDependency, records: List[Any]) -> Tuple[MapOu
         else:
             records = combined.items()
     buckets: List[List[Any]] = [[] for _ in range(n_buckets)]
-    # ``num_reduce_partitions`` is the partitioner's own partition count,
-    # so a plain HashPartitioner's bucket choice can be inlined into the
-    # per-record loop (no function call per record).
-    if type(partitioner) is HashPartitioner:
-        mask = HASH_MASK
-        for record in records:
-            key = record[0]
-            if type(key) is int:
-                buckets[(key & mask) % n_buckets].append(record)
-            else:
-                buckets[stable_hash(key) % n_buckets].append(record)
-    else:
-        pf = partitioner.partition_for
-        for record in records:
-            buckets[pf(record[0])].append(record)
+    # ``num_reduce_partitions`` is the HashPartitioner's own partition
+    # count, so its bucket choice is inlined into the per-record loop (no
+    # function call per record).
+    mask = HASH_MASK
+    for record in records:
+        key = record[0]
+        if type(key) is int:
+            buckets[(key & mask) % n_buckets].append(record)
+        else:
+            buckets[stable_hash(key) % n_buckets].append(record)
     if combine:
         for bucket in buckets:
             if len(bucket) > 1:
@@ -136,12 +130,11 @@ def merge_reduce_buckets(
     dep: ShuffleDependency, buckets: List[Any], as_batch: bool = False
 ) -> Any:
     """One reducer's records from its fetched buckets (the non-empty ones,
-    in map order).
+    in map order) of a shuffle that combined map-side.
 
-    With an aggregator the values merge per key and leave in hash order;
-    without one the buckets concatenate untouched.  A declared group's
-    stored tuples are never handed on: each key's first one is copied into
-    a fresh list, which the rest extend.
+    The combiners merge per key and leave in hash order.  A declared
+    group's stored tuples are never handed on: each key's first one is
+    copied into a fresh list, which the rest extend.
 
     From a transposed plan the fetch is one batch slice (a declared
     combine's combiners from every map).  It merges by sort
@@ -160,12 +153,7 @@ def merge_reduce_buckets(
             if merged is not None:
                 return merged
         buckets = [batch.to_records()]
-    if dep.aggregator is None:
-        out: List[Any] = []
-        for bucket in buckets:
-            out.extend(bucket)
-        return out
-    create, merge_value, merge_combiners = dep.aggregator
+    merge_combiners = dep.aggregator[2]
     merged: Dict[Any, Any] = {}
     get = merged.get
     if type(declared) is Group:
@@ -175,20 +163,12 @@ def merge_reduce_buckets(
                 merged[key] = (
                     list(values) if prev is _ABSENT else merge_combiners(prev, values)
                 )
-    elif dep.map_side_combine:
-        # Map side already produced combiners.
-        for bucket in buckets:
-            for key, value in bucket:
-                prev = get(key, _ABSENT)
-                merged[key] = (
-                    value if prev is _ABSENT else merge_combiners(prev, value)
-                )
     else:
         for bucket in buckets:
             for key, value in bucket:
                 prev = get(key, _ABSENT)
                 merged[key] = (
-                    create(value) if prev is _ABSENT else merge_value(prev, value)
+                    value if prev is _ABSENT else merge_combiners(prev, value)
                 )
     return sorted(merged.items(), key=hash_sort_key)
 

@@ -116,7 +116,6 @@ __all__ = [
     "as_sidecar",
     "cogroup",
     "columns",
-    "concat",
     "encode",
     "from_records",
     "grouped",
@@ -312,29 +311,6 @@ def _slice(schema: Any, column: Any, start: int, stop: int) -> Any:
     return counts[start:stop], _slice(schema[1], child_column, low, high)
 
 
-def _concat(schema: Any, trees: List[Any]) -> Any:
-    """One column tree holding several trees' records, in order."""
-    if type(schema) is str:
-        if schema == "s":
-            return _concat_strings(trees)
-        return np.concatenate(trees)
-    if schema[0] == "tuple":
-        return tuple(
-            _concat(child, [col[i] for col in trees])
-            for i, child in enumerate(schema[1])
-        )
-    return (
-        np.concatenate([col[0] for col in trees]),
-        _concat(schema[1], [col[1] for col in trees]),
-    )
-
-
-def _concat_strings(trees: List[Tuple[np.ndarray, Tuple[str, ...]]]) -> Any:
-    """String columns joined (:func:`merged_codes`)."""
-    codes, words = merged_codes(trees)
-    return np.concatenate(codes), words
-
-
 def merged_codes(trees: List[Tuple[np.ndarray, Tuple[str, ...]]]) -> Any:
     """String columns on one dictionary: each column's codes as they are
     when every dictionary is the first one (the same object, or equal),
@@ -496,19 +472,6 @@ def token_lines(codes: np.ndarray, words: Tuple[str, ...], per_line: int) -> Dra
         return []
     counts = _frozen(np.full(lines, per_line, dtype=np.int64))
     return ColumnarBatch(LINE, (counts, (_frozen(codes), tuple(words))), lines)
-
-
-def concat(batches: Sequence[ColumnarBatch]) -> ColumnarBatch:
-    """One batch holding every batch's records, in order; they must share
-    one schema."""
-    schema = batches[0].schema
-    if any(batch.schema != schema for batch in batches):
-        raise ValueError("concat() needs batches of one schema")
-    return ColumnarBatch(
-        schema,
-        _concat(schema, [batch.data for batch in batches]),
-        sum(batch.length for batch in batches),
-    )
 
 
 def grouped(value_schema: Any, values: Any, target: np.ndarray, n: int) -> Tuple[Any, Any]:

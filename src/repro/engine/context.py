@@ -167,10 +167,6 @@ class FlintContext:
         finally:
             self.current_job_pool = previous
 
-    def run_until(self, t: float) -> None:
-        """Advance simulated time with no job active (interactive idle)."""
-        self.env.run_until(t)
-
     def adopt_worker(self, worker: "Worker") -> None:
         """Wire a joining worker into the application-wide services."""
         if worker.block_manager is None:

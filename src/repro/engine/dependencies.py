@@ -97,15 +97,12 @@ class ShuffleDependency(Dependency):
 
     Attributes:
         partitioner: assigns each map-side record's key to a reduce bucket.
-        map_side_combine: when an aggregator is present, values are combined
-            on the map side before shuffle write (reduceByKey semantics).
-        aggregator: (create_combiner, merge_value, merge_combiners) triple, or
-            None for a raw repartition (partitionBy/groupByKey handles
-            grouping reduce-side).
+        aggregator: (create_combiner, merge_value, merge_combiners) triple,
+            always combined on the map side before shuffle write
+            (reduceByKey semantics), or None for a raw side of a
+            ``cogroup``, whose records are bucketed untouched.
         declared: the declared combine whose batch form runs where a map
-            head or a fetched slice is a batch, when this shuffle combines
-            map-side under a plain ``HashPartitioner`` (whose bucket rule
-            the batch form restates) — else None.  It is the
+            head or a fetched slice is a batch — else None.  It is the
             :class:`~repro.engine.declared.Sum` of ``reduce_by_key(Sum())``
             (a subclass of ``Sum`` is not declared: its own ``__call__``
             and the batch form could disagree), or a
@@ -122,14 +119,12 @@ class ShuffleDependency(Dependency):
         rdd: "RDD",
         partitioner: HashPartitioner,
         aggregator: Optional[Tuple[Callable, Callable, Callable]] = None,
-        map_side_combine: bool = False,
     ):
         super().__init__(rdd)
         self.partitioner = partitioner
         self.aggregator = aggregator
-        self.map_side_combine = map_side_combine and aggregator is not None
         self.declared: Union[Sum, Group, None] = None
-        if self.map_side_combine and type(partitioner) is HashPartitioner:
+        if aggregator is not None:
             create, merge, merge_combiners = aggregator
             if create is group_create and merge is group_append and merge_combiners is group_extend:
                 self.declared = _GROUP

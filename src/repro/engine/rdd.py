@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.engine.declared import MapValues
 from repro.engine.dependencies import GROUP, Dependency, identity
@@ -124,11 +124,6 @@ class RDD:
         return None
 
     @property
-    def is_source(self) -> bool:
-        """True for lineage roots backed by stable input."""
-        return not self.dependencies
-
-    @property
     def record_size(self) -> int:
         """Virtual bytes per record (own hint, else inherited, else default).
 
@@ -184,10 +179,6 @@ class RDD:
         self.disk_persist = use_disk
         return self
 
-    def cache(self) -> "RDD":
-        """Alias for :meth:`persist` (Spark's default memory level)."""
-        return self.persist()
-
     def unpersist(self) -> "RDD":
         """Stop caching and drop existing cached partitions."""
         self.persisted = False
@@ -235,45 +226,15 @@ class RDD:
 
         return t.FlatMappedRDD(self, fn, compute_multiplier)
 
-    def map_partitions(
-        self,
-        fn: Callable[[List[Any]], List[Any]],
-        compute_multiplier: float = 1.0,
-    ) -> "RDD":
-        """Apply ``fn`` to each whole partition."""
-        from repro.engine import transformations as t
-
-        return t.MapPartitionsRDD(self, fn, compute_multiplier)
-
     def union(self, other: "RDD") -> "RDD":
         """Concatenate two RDDs (no dedup), preserving partition counts."""
         from repro.engine import transformations as t
 
         return t.UnionRDD(self.context, [self, other])
 
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        """Deterministic Bernoulli sample of the records."""
-        from repro.engine import transformations as t
-
-        return t.SampledRDD(self, fraction, seed)
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
-        """Remove duplicate records (requires a shuffle)."""
-        return (
-            self.map(lambda x: (x, None))
-            .reduce_by_key(lambda a, b: a, num_partitions)
-            .map(lambda kv: kv[0])
-        )
-
     def key_by(self, fn: Callable[[Any], Any]) -> "RDD":
         """Turn records into ``(fn(record), record)`` pairs."""
         return self.map(lambda x: (fn(x), x))
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
 
     def map_values(self, fn: Callable[[Any], Any]) -> "RDD":
         """Map over pair values, preserving keys and partitioning.
@@ -284,14 +245,6 @@ class RDD:
         from repro.engine import transformations as t
 
         rdd = t.MappedRDD(self, MapValues(fn))
-        rdd.partitioner = self.partitioner
-        return rdd
-
-    def flat_map_values(self, fn: Callable[[Any], Any]) -> "RDD":
-        """Flat-map over pair values, preserving keys and partitioning."""
-        from repro.engine import transformations as t
-
-        rdd = t.FlatMappedRDD(self, lambda kv: [(kv[0], v) for v in fn(kv[1])])
         rdd.partitioner = self.partitioner
         return rdd
 
@@ -315,9 +268,7 @@ class RDD:
         from repro.engine import transformations as t
 
         partitioner = HashPartitioner(self._default_partitions(num_partitions))
-        return t.ShuffledRDD(
-            self, partitioner, (create_combiner, merge_value, merge_combiners), map_side_combine=True
-        )
+        return t.ShuffledRDD(self, partitioner, (create_combiner, merge_value, merge_combiners))
 
     def reduce_by_key(self, fn: Callable[[Any, Any], Any], num_partitions: Optional[int] = None) -> "RDD":
         """Merge values per key with an associative function (or ``Sum()``)."""
@@ -328,121 +279,12 @@ class RDD:
         map-side, unlike Spark; see ``ShuffleDependency.declared``)."""
         return self.combine_by_key(*GROUP, num_partitions)
 
-    def partition_by(self, partitioner: HashPartitioner) -> "RDD":
-        """Repartition pair records by key without aggregation."""
-        from repro.engine import transformations as t
-
-        return t.ShuffledRDD(self, partitioner, aggregator=None)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Redistribute records evenly across ``num_partitions``.
-
-        Records are keyed by their (partition, index) position so the
-        redistribution is deterministic under recomputation.
-        """
-        from repro.engine import transformations as t
-
-        indexed = t.PartitionIndexedRDD(self)
-        shuffled = t.ShuffledRDD(indexed, HashPartitioner(num_partitions), aggregator=None)
-        return shuffled.map(lambda kv: kv[1])
-
-    def aggregate_by_key(
-        self,
-        zero: Any,
-        seq_fn: Callable[[Any, Any], Any],
-        comb_fn: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        """Aggregate pair values per key with a zero element.
-
-        ``zero`` must be immutable (or treated as such by ``seq_fn``): it is
-        shared across keys, exactly as in Spark.
-        """
-        return self.combine_by_key(
-            lambda v: seq_fn(zero, v), seq_fn, comb_fn, num_partitions
-        )
-
-    def subtract(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Records of this RDD absent from ``other`` (keeps duplicates)."""
-
-        def emit(kv):
-            value, (mine, theirs) = kv
-            return [] if theirs else [value] * len(mine)
-
-        keyed_self = self.map(lambda x: (x, 1))
-        keyed_other = other.map(lambda x: (x, 1))
-        return keyed_self.cogroup(keyed_other, num_partitions).flat_map(emit)
-
-    def intersection(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Distinct records present in both RDDs."""
-
-        def emit(kv):
-            value, (mine, theirs) = kv
-            return [value] if mine and theirs else []
-
-        keyed_self = self.map(lambda x: (x, 1))
-        keyed_other = other.map(lambda x: (x, 1))
-        return keyed_self.cogroup(keyed_other, num_partitions).flat_map(emit)
-
-    def sort_by(
-        self,
-        key_fn: Callable[[Any], Any],
-        ascending: bool = True,
-        num_partitions: int = 1,
-    ) -> "RDD":
-        """Globally sorted records (single output partition by default).
-
-        Note: unlike Spark's sampled range partitioner, multi-partition
-        output here is sorted only *within* partitions.
-        """
-        shuffled = self.repartition(num_partitions)
-        return shuffled.map_partitions(
-            lambda records: sorted(records, key=key_fn, reverse=not ascending)
-        )
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each record with its global index.
-
-        As in Spark, this triggers a job to learn partition sizes before the
-        transformation is usable.
-        """
-        from repro.engine import transformations as t
-
-        sizes = self.context.run_job(self, len)
-        offsets = []
-        total = 0
-        for size in sizes:
-            offsets.append(total)
-            total += size
-        return t.ZipWithIndexRDD(self, offsets)
-
     def cogroup(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
         """Group both RDDs' values per key into ``(key, (vs_self, vs_other))``."""
         from repro.engine import transformations as t
 
         partitioner = HashPartitioner(self._default_partitions(num_partitions))
         return t.CoGroupedRDD(self.context, [self, other], partitioner)
-
-    def join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Inner join on keys."""
-
-        def emit(kv):
-            _key, (left, right) = kv
-            return [(kv[0], (lv, rv)) for lv in left for rv in right]
-
-        joined = self.cogroup(other, num_partitions).flat_map(emit)
-        return joined
-
-    def left_outer_join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Left outer join; missing right values appear as None."""
-
-        def emit(kv):
-            key, (left, right) = kv
-            if not right:
-                return [(key, (lv, None)) for lv in left]
-            return [(key, (lv, rv)) for lv in left for rv in right]
-
-        return self.cogroup(other, num_partitions).flat_map(emit)
 
     # ------------------------------------------------------------------
     # Actions (eager — trigger a job)
@@ -459,14 +301,6 @@ class RDD:
         """Number of records."""
         return sum(self.context.run_job(self, len))
 
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        """Reduce all records with an associative binary function."""
-        parts = [p for p in self.context.run_job(self, lambda rs: rs) if p]
-        partials = [functools.reduce(fn, p) for p in parts]
-        if not partials:
-            raise ValueError("reduce of an empty RDD")
-        return functools.reduce(fn, partials)
-
     def fold(self, zero: Any, fn: Callable[[Any, Any], Any]) -> Any:
         """Fold with a zero element (applied per partition, then combined)."""
         partials = self.context.run_job(self, lambda rs: functools.reduce(fn, rs, zero))
@@ -475,98 +309,6 @@ class RDD:
     def sum(self) -> Any:
         """Sum of the records."""
         return self.fold(0, operator.add)
-
-    def take(self, n: int) -> List[Any]:
-        """First ``n`` records in partition order."""
-        if n <= 0:
-            return []
-        out: List[Any] = []
-        for part in self.context.run_job(self, lambda rs: rs):
-            out.extend(part)
-            if len(out) >= n:
-                break
-        return out[:n]
-
-    def first(self) -> Any:
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("first() on an empty RDD")
-        return taken[0]
-
-    def top(self, n: int, key: Optional[Callable[[Any], Any]] = None) -> List[Any]:
-        """The ``n`` largest records (per-partition heaps merged at driver)."""
-        import heapq
-
-        if n <= 0:
-            return []
-        partials = self.context.run_job(
-            self, lambda records: heapq.nlargest(n, records, key=key)
-        )
-        merged: List[Any] = []
-        for part in partials:
-            merged.extend(part)
-        return heapq.nlargest(n, merged, key=key)
-
-    def max(self) -> Any:
-        """Largest record."""
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self) -> Any:
-        """Smallest record."""
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def mean(self) -> float:
-        """Arithmetic mean of numeric records."""
-        total, count = self.aggregate_stats()[:2]
-        if count == 0:
-            raise ValueError("mean of an empty RDD")
-        return total / count
-
-    def aggregate_stats(self) -> Tuple[float, int, float]:
-        """``(sum, count, sum_of_squares)`` in one pass (Spark's StatCounter)."""
-
-        def partial(records):
-            s = c = sq = 0.0
-            for x in records:
-                s += x
-                c += 1
-                sq += x * x
-            return s, int(c), sq
-
-        total, count, squares = 0.0, 0, 0.0
-        for s, c, sq in self.context.run_job(self, partial):
-            total += s
-            count += c
-            squares += sq
-        return total, count, squares
-
-    def stdev(self) -> float:
-        """Population standard deviation of numeric records."""
-        total, count, squares = self.aggregate_stats()
-        if count == 0:
-            raise ValueError("stdev of an empty RDD")
-        mean = total / count
-        variance = max(0.0, squares / count - mean * mean)
-        return variance ** 0.5
-
-    def count_by_key(self) -> Dict[Any, int]:
-        """Count records per key (pair RDDs)."""
-
-        def partial(records):
-            counts: Dict[Any, int] = {}
-            for key, _value in records:
-                counts[key] = counts.get(key, 0) + 1
-            return counts
-
-        merged: Dict[Any, int] = {}
-        for counts in self.context.run_job(self, partial):
-            for key, c in counts.items():
-                merged[key] = merged.get(key, 0) + c
-        return merged
-
-    def lookup(self, key: Any) -> List[Any]:
-        """All values for ``key`` (pair RDDs)."""
-        return [v for k, v in self.collect() if k == key]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}(id={self.rdd_id}, partitions={self.num_partitions})"

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.engine.buckets import hash_sort_key, merge_reduce_buckets
 from repro.engine.columnar import MIN_LOWERED_ROWS, ColumnarBatch, cogroup
 from repro.engine.declared import Identity, kernel_of
@@ -28,7 +26,6 @@ from repro.engine.dependencies import (
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
 from repro.engine.sizeof import estimate_record_size
-from repro.simulation.rng import SeededRNG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.context import FlintContext
@@ -162,136 +159,6 @@ class FlatMappedRDD(RDD):
         return self._kernel
 
 
-class MapPartitionsRDD(RDD):
-    """Applies a function to an entire partition at once."""
-
-    supports_fusion = True
-
-    def __init__(
-        self,
-        parent: RDD,
-        fn: Callable[[List[Any]], List[Any]],
-        compute_multiplier: float = 1.0,
-    ):
-        super().__init__(
-            parent.context,
-            [OneToOneDependency(parent)],
-            parent.num_partitions,
-            compute_multiplier=compute_multiplier,
-            name="mapPartitions",
-        )
-        self._fn = fn
-
-    def compute_fused(self, records: Any, split: int) -> List[Any]:
-        # The user function gets a private list copy, exactly as unfused:
-        # it may mutate its argument, and ``records`` can be a cached
-        # partition the block manager still owns.
-        return list(self._fn(list(records)))
-
-
-class PartitionIndexedRDD(RDD):
-    """Tags each record with a deterministic ``(partition, index)`` key.
-
-    Used by ``repartition`` so the redistribution is a pure function of the
-    data — recomputation after a failure lands every record in the same
-    reduce bucket it originally went to.
-    """
-
-    supports_fusion = True
-
-    def __init__(self, parent: RDD):
-        super().__init__(
-            parent.context, [OneToOneDependency(parent)], parent.num_partitions, name="indexKey"
-        )
-
-    def compute_fused(self, records: Any, split: int) -> List[Any]:
-        return [((split, i), x) for i, x in enumerate(records)]
-
-    def batch_kernel(self, split: int) -> Optional[Callable]:
-        # Built-in: prepend a ((split, i), ·) key column pair — pure array
-        # construction, valid for any columnarisable payload schema.
-        def kernel(batch: ColumnarBatch) -> ColumnarBatch:
-            n = batch.length
-            part = np.full(n, split, dtype=np.int64)
-            idx = np.arange(n, dtype=np.int64)
-            return ColumnarBatch(
-                ("tuple", (("tuple", ("i8", "i8")), batch.schema)),
-                ((part, idx), batch.data),
-                n,
-            )
-
-        return kernel
-
-
-class ZipWithIndexRDD(RDD):
-    """Pairs records with global indices from precomputed partition offsets."""
-
-    supports_fusion = True
-
-    def __init__(self, parent: RDD, offsets: List[int]):
-        if len(offsets) != parent.num_partitions:
-            raise ValueError("need one offset per partition")
-        super().__init__(
-            parent.context, [OneToOneDependency(parent)], parent.num_partitions,
-            name="zipWithIndex",
-        )
-        self._offsets = list(offsets)
-
-    def compute_fused(self, records: Any, split: int) -> List[Any]:
-        base = self._offsets[split]
-        return [(x, base + i) for i, x in enumerate(records)]
-
-    def batch_kernel(self, split: int) -> Optional[Callable]:
-        base = self._offsets[split]
-
-        def kernel(batch: ColumnarBatch) -> ColumnarBatch:
-            idx = np.arange(base, base + batch.length, dtype=np.int64)
-            return ColumnarBatch(
-                ("tuple", (batch.schema, "i8")), (batch.data, idx), batch.length
-            )
-
-        return kernel
-
-
-class SampledRDD(RDD):
-    """Deterministic Bernoulli sampling (seeded per partition)."""
-
-    supports_fusion = True
-
-    def __init__(self, parent: RDD, fraction: float, seed: int = 0):
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        super().__init__(
-            parent.context, [OneToOneDependency(parent)], parent.num_partitions, name="sample"
-        )
-        self._fraction = fraction
-        self._seed = seed
-
-    def compute_fused(self, records: Any, split: int) -> List[Any]:
-        # Seeded by (user seed, partition) only — not the RDD id — so the
-        # same pipeline built twice samples identically.
-        rng = SeededRNG(self._seed, f"sample-{split}")
-        if type(records) is not list:
-            records = list(records)
-        if not records:
-            return []
-        mask = rng.random(len(records)) < self._fraction
-        return [x for x, keep in zip(records, mask) if keep]
-
-    def batch_kernel(self, split: int) -> Optional[Callable]:
-        # Built-in: the same seeded RNG draws the same mask over the same
-        # record count, so the selected subset is identical to the row plane.
-        fraction = self._fraction
-        seed = self._seed
-
-        def kernel(batch: ColumnarBatch) -> ColumnarBatch:
-            rng = SeededRNG(seed, f"sample-{split}")
-            mask = np.asarray(rng.random(batch.length) < fraction)
-            return batch.select(mask)
-
-        return kernel
-
-
 class UnionRDD(RDD):
     """Concatenation of several RDDs via range dependencies.
 
@@ -323,23 +190,21 @@ class UnionRDD(RDD):
 
 
 class ShuffledRDD(RDD):
-    """Reduce side of a hash shuffle, with optional aggregation.
+    """Reduce side of a hash shuffle that combines map-side.
 
-    With an aggregator (reduceByKey/combineByKey) values are merged map-side
-    into combiners and merged again here; without one (partitionBy) the
-    records pass through bucketed but untouched.  A declared combine's
-    combiners (``Sum``, ``Group``) arrive as columns and, for a caller that
-    takes a batch, merge by sort (``merge_reduce_buckets``).
+    Values are merged map-side into combiners and merged again here
+    (``combine_by_key``, ``reduce_by_key``, ``group_by_key``).  A declared
+    combine's combiners (``Sum``, ``Group``) arrive as columns and, for a
+    caller that takes a batch, merge by sort (``merge_reduce_buckets``).
     """
 
     def __init__(
         self,
         parent: RDD,
         partitioner: HashPartitioner,
-        aggregator: Optional[Tuple[Callable, Callable, Callable]] = None,
-        map_side_combine: bool = False,
+        aggregator: Tuple[Callable, Callable, Callable],
     ):
-        dep = ShuffleDependency(parent, partitioner, aggregator, map_side_combine)
+        dep = ShuffleDependency(parent, partitioner, aggregator)
         super().__init__(
             parent.context, [dep], partitioner.num_partitions, name="shuffle"
         )
@@ -355,39 +220,39 @@ class ShuffledRDD(RDD):
 
 
 class CoGroupedRDD(RDD):
-    """Groups two (or more) keyed RDDs by key: ``(k, ([vs_0], [vs_1], ...))``.
+    """Groups two keyed RDDs by key: ``(k, ([vs_0], [vs_1]))``.
 
     As in Spark, a parent already hash-partitioned by the same partitioner
     contributes through a *narrow* dependency — its partition ``p`` holds
     exactly the keys of output partition ``p`` — so iterative joins against
     a pre-partitioned dataset (PageRank's ``links``) shuffle only the small
-    side.  For a caller that takes a batch, two sides that both arrive as
-    ``i8``-keyed batches of at least ``MIN_LOWERED_ROWS`` records group by
-    sort (``columnar.cogroup``) into the batch of the rows below.
+    side.  Any other parent is a raw shuffle side (no aggregator).  For a
+    caller that takes a batch, two sides that both arrive as ``i8``-keyed
+    batches of at least ``MIN_LOWERED_ROWS`` records group by sort
+    (``columnar.cogroup``) into the batch of the rows below.
     """
 
     def __init__(self, context: "FlintContext", parents: List[RDD], partitioner: HashPartitioner):
-        if len(parents) < 2:
-            raise ValueError("cogroup needs at least two parents")
+        if len(parents) != 2:
+            raise ValueError("cogroup takes exactly two parents")
         deps: List = []
         for parent in parents:
             if parent.partitioner == partitioner:
                 deps.append(OneToOneDependency(parent))
             else:
-                deps.append(ShuffleDependency(parent, partitioner, aggregator=None))
+                deps.append(ShuffleDependency(parent, partitioner))
         super().__init__(context, deps, partitioner.num_partitions, name="cogroup")
         self.partitioner = partitioner
 
     def compute(self, split: int, runtime: "TaskRuntime", as_batch: bool = False) -> Any:
         deps = self.dependencies
-        n = len(deps)
         sides = [
             runtime.shuffle_fetch(dep, split)
             if isinstance(dep, ShuffleDependency)
             else [(runtime.batch_iterator if as_batch else runtime.iterator)(dep.rdd, split)]
             for dep in deps
         ]
-        if as_batch and n == 2:
+        if as_batch:
             # By sort, when both sides arrived as one batch each, large
             # enough to pay; every input was resolved once, above.
             left, right = (
@@ -401,11 +266,9 @@ class CoGroupedRDD(RDD):
                 grouped = cogroup(left, right)
                 if grouped is not None:
                     return grouped
-        # Group tuples are built up-front (not converted from lists at the
-        # end), so the result is one sort over the table itself.  The
-        # two-sided case — every ``cogroup``/``join`` the engine itself
-        # creates — constructs its group pair as a literal.
-        table: Dict[Any, Tuple[List[Any], ...]] = {}
+        # Group pairs are built up-front (not converted from lists at the
+        # end), so the result is one sort over the table itself.
+        table: Dict[Any, Tuple[List[Any], List[Any]]] = {}
         get = table.get
         for side, (dep, sources) in enumerate(zip(deps, sides)):
             if not isinstance(dep, ShuffleDependency) and type(sources[0]) is ColumnarBatch:
@@ -413,19 +276,10 @@ class CoGroupedRDD(RDD):
                 # once, or already holds the block's rows.  (A cogroup's
                 # shuffles carry no declared combine, so they fetch rows.)
                 sources = [runtime.iterator(dep.rdd, split)]
-            if n == 2:
-                for records in sources:
-                    for key, value in records:
-                        groups = get(key)
-                        if groups is None:
-                            groups = table[key] = ([], [])
-                        groups[side].append(value)
-            else:
-                for records in sources:
-                    for key, value in records:
-                        groups = get(key)
-                        if groups is None:
-                            groups = table[key] = tuple([] for _ in range(n))
-                        groups[side].append(value)
+            for records in sources:
+                for key, value in records:
+                    groups = get(key)
+                    if groups is None:
+                        groups = table[key] = ([], [])
+                    groups[side].append(value)
         return sorted(table.items(), key=hash_sort_key)
-

@@ -198,7 +198,7 @@ def lineage_fingerprint(
             if isinstance(dep, ShuffleDependency):
                 # The aggregator lives on the edge, not the node: without
                 # it reduce_by_key(add) and reduce_by_key(max) hash alike.
-                _feed(hasher, f"combine:{dep.map_side_combine}")
+                _feed(hasher, f"combine:{dep.aggregator is not None}")
                 _describe_value(hasher, dep.aggregator)
         for key in sorted(vars(node)):
             if key in _SKIP_ATTRS or key == "name":

@@ -18,6 +18,13 @@ from repro.simulation.rng import SeededRNG
 from repro.traces.generators import peaky_trace
 
 
+def joined(kv):
+    """``flat_map`` over a two-sided cogroup's ``(key, (left, right))``: the
+    inner join's ``(key, (l, r))`` pairs, the way the workloads join."""
+    key, (left, right) = kv
+    return [(key, (lv, rv)) for lv in left for rv in right]
+
+
 def flat_output(buckets) -> MapOutput:
     """The map output whose bucket ``r`` is ``buckets[r]``."""
     return map_output([r for bucket in buckets for r in bucket], map(len, buckets))

@@ -368,17 +368,15 @@ def test_partial_chain_stays_on_row_plane():
 
 
 def test_builtin_kernels_match_row_plane():
-    """zip_with_index / sample / union lower via their built-in kernels."""
+    """union lowers via its built-in kernel."""
     outcomes = {}
     for knob in ("on", "off"):
         with plane(knob == "on"):
             ctx = build_on_demand_context(4)
             base = ctx.parallelize(list(range(4 * MIN_LOWERED_ROWS)), 4, record_size=100)
             mapped = base.map(Declared(lambda x: x + 1, _inc_batch))
-            sampled = mapped.sample(0.5, seed=3).collect()
-            indexed = mapped.zip_with_index().collect()
             both = mapped.union(mapped.map(Declared(lambda x: -x, lambda b: ColumnarBatch(
                 "i8", -b.require("i8"), len(b))))).collect()
-            outcomes[knob] = (sampled, indexed, both, ctx.now, ctx)
-    assert outcomes["on"][:4] == outcomes["off"][:4]
-    assert outcomes["on"][4].scheduler.stats.columnar_chains > 0
+            outcomes[knob] = (both, ctx.now, ctx)
+    assert outcomes["on"][:2] == outcomes["off"][:2]
+    assert outcomes["on"][2].scheduler.stats.columnar_chains > 0

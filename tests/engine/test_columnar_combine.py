@@ -31,7 +31,6 @@ from repro.engine.dependencies import ShuffleDependency, identity
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.buckets import bucket_map_output, map_output
 from repro.engine.task_runtime import MIN_LOWERED_ROWS
-from repro.engine.transformations import ShuffledRDD
 from repro.streaming import StreamingWindowWorkload
 from repro.workloads import KMeansWorkload
 from repro.workloads import kmeans as kmeans_module
@@ -51,10 +50,8 @@ def exact(value):
     return (type(value).__name__, value)
 
 
-def sum_dependency(n_buckets, map_side_combine=True, partitioner=HashPartitioner):
-    return ShuffleDependency(
-        None, partitioner(n_buckets), (identity, SUM, SUM), map_side_combine
-    )
+def sum_dependency(n_buckets):
+    return ShuffleDependency(None, HashPartitioner(n_buckets), (identity, SUM, SUM))
 
 
 def combined_output(batch, n_buckets):
@@ -189,10 +186,6 @@ def test_kernel_refuses_an_empty_batch():
     assert SUM.combine(empty, 3) is None
 
 
-class _OtherPartitioner(HashPartitioner):
-    pass
-
-
 class _OtherSum(Sum):
     """Its row merge is no longer the kernel's fold."""
 
@@ -202,8 +195,6 @@ class _OtherSum(Sum):
 
 def test_only_reduce_by_key_sum_under_a_plain_hash_partitioner_is_declared():
     assert sum_dependency(3).declared is SUM
-    assert sum_dependency(3, map_side_combine=False).declared is None
-    assert sum_dependency(3, partitioner=_OtherPartitioner).declared is None
     add = lambda a, b: a + b  # noqa: E731
     other = _OtherSum()
     for aggregator in [
@@ -213,7 +204,7 @@ def test_only_reduce_by_key_sum_under_a_plain_hash_partitioner_is_declared():
         (identity, SUM, add),
         (identity, other, other),  # a subclass may merge differently
     ]:
-        dep = ShuffleDependency(None, HashPartitioner(3), aggregator, True)
+        dep = ShuffleDependency(None, HashPartitioner(3), aggregator)
         assert dep.declared is None
 
 
@@ -259,12 +250,6 @@ def test_undeclared_shuffles_stay_on_the_row_loop():
     records = [(i % 5, float(i)) for i in range(2 * MIN_LOWERED_ROWS)]
     builds = {
         "lambda": lambda head: head.reduce_by_key(lambda a, b: a + b, 3),
-        "no map-side combine": lambda head: ShuffledRDD(
-            head, HashPartitioner(3), (identity, SUM, SUM), map_side_combine=False
-        ),
-        "other partitioner": lambda head: ShuffledRDD(
-            head, _OtherPartitioner(3), (identity, SUM, SUM), map_side_combine=True
-        ),
     }
     want, _, _ = _reduce(True, records)
     for name, build in builds.items():

@@ -1,7 +1,7 @@
 """Co-partitioned cogroup: narrow joins against pre-partitioned data."""
 
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, joined
 
 
 def test_cogroup_with_matching_partitioner_is_narrow():
@@ -27,7 +27,7 @@ def test_copartitioned_join_correctness():
     data = [(i % 13, i) for i in range(100)]
     left = ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b)
     right = left.map_values(lambda v: v * 2)
-    got = sorted(left.join(right, 4).collect())
+    got = sorted(left.cogroup(right, 4).flat_map(joined).collect())
     sums = {}
     for k, v in data:
         sums[k] = sums.get(k, 0) + v
@@ -50,7 +50,7 @@ def test_recovery_through_narrow_cogroup():
     ctx = build_on_demand_context(3)
     data = [(i % 7, i) for i in range(100)]
     left = ctx.parallelize(data, 4, record_size=1000).reduce_by_key(lambda a, b: a + b).persist()
-    joined = left.join(left.map_values(lambda v: v), 4).persist()
-    before = sorted(joined.collect())
+    pairs = left.cogroup(left.map_values(lambda v: v), 4).flat_map(joined).persist()
+    before = sorted(pairs.collect())
     ctx.cluster.force_revoke(ctx.cluster.live_workers()[:2])
-    assert sorted(joined.collect()) == before
+    assert sorted(pairs.collect()) == before

@@ -44,10 +44,3 @@ def test_shuffle_dependency_ids_unique_and_counts():
     assert d1.shuffle_id != d2.shuffle_id
     assert d1.num_map_partitions == 3
     assert d1.num_reduce_partitions == 5
-
-
-def test_map_side_combine_requires_aggregator():
-    ctx = build_on_demand_context(2)
-    rdd = ctx.parallelize([(1, 1)], 2)
-    dep = ShuffleDependency(rdd, HashPartitioner(2), aggregator=None, map_side_combine=True)
-    assert not dep.map_side_combine

@@ -92,7 +92,7 @@ def test_declared_group_matches_the_concatenating_triple(shape, seed):
 
     # Map side, output by output; reduce side, reducer by reducer.
     managers, deps, workers = zip(*(
-        _setup(num_maps, HashPartitioner(n_reduce), agg, True) for agg in (GROUP, CONCAT)
+        _setup(num_maps, HashPartitioner(n_reduce), agg) for agg in (GROUP, CONCAT)
     ))
     for map_id, records in enumerate(maps):
         (out, n), (ref, ref_n) = (bucket_map_output(dep, list(records)) for dep in deps)
@@ -133,7 +133,7 @@ def _full_collections(passes=5):
 @pytest.mark.parametrize("aggregator", ["none", "group"])
 def test_stored_atomic_records_are_untracked(aggregator):
     group = aggregator == "group"
-    manager, dep, (worker, *_) = _setup(1, HashPartitioner(4), GROUP if group else None, group)
+    manager, dep, (worker, *_) = _setup(1, HashPartitioner(4), GROUP if group else None)
     rng = random.Random(aggregator)
     records = [(rng.randrange(50), (rng.random(), "s")) for _ in range(400)]
     output, _written = bucket_map_output(dep, records)
@@ -147,7 +147,7 @@ def test_stored_atomic_records_are_untracked(aggregator):
 
 def test_concatenated_groups_stay_tracked():
     # The contrast: list combiners keep every stored record visible.
-    _manager, dep, _workers = _setup(1, HashPartitioner(4), CONCAT, True)
+    _manager, dep, _workers = _setup(1, HashPartitioner(4), CONCAT)
     output, _written = bucket_map_output(dep, [(k % 9, k) for k in range(100)])
     _full_collections()
     assert gc.is_tracked(output.rows)
@@ -155,7 +155,7 @@ def test_concatenated_groups_stay_tracked():
 
 
 def test_fetched_buckets_are_tuples_and_groups_are_fresh():
-    manager, dep, workers = _setup(3, HashPartitioner(2), GROUP, True)
+    manager, dep, workers = _setup(3, HashPartitioner(2), GROUP)
     maps = [[(m, m), (m, -m), (10, m)] for m in range(3)]
     for map_id, records in enumerate(maps):
         output, _written = bucket_map_output(dep, records)
@@ -203,7 +203,7 @@ def group_shuffles(draw):
 @given(group_shuffles())
 def test_the_batch_group_equals_the_row_path_record_for_record(shuffle):
     maps, n_reduce = shuffle
-    dep = ShuffleDependency(None, HashPartitioner(n_reduce), GROUP, True)
+    dep = ShuffleDependency(None, HashPartitioner(n_reduce), GROUP)
     assert type(dep.declared) is Group
     batches = [from_records(records) for records in maps]
     if any(batch is None for batch in batches) or len({b.schema for b in batches}) > 1:

@@ -35,14 +35,7 @@ from repro.engine.columnar import (
     token_lines,
 )
 from repro.engine.declared import Identity, MapValues, Pair, Split, kernel_of
-from repro.engine.transformations import (
-    FlatMappedRDD,
-    MappedRDD,
-    PartitionIndexedRDD,
-    SampledRDD,
-    UnionRDD,
-    ZipWithIndexRDD,
-)
+from repro.engine.transformations import FlatMappedRDD, MappedRDD, UnionRDD
 from repro.workloads import kmeans, pagerank
 from tests.conftest import build_on_demand_context
 from tests.engine.test_columnar_combine import exact
@@ -215,7 +208,7 @@ def test_streaming_identity(records):
 
 
 # ----------------------------------------------------------------------
-# Built-in kernels: each RDD's batch_kernel against its compute_fused
+# The built-in kernel: union's batch_kernel against its compute_fused
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def _parent():
@@ -227,27 +220,6 @@ def assert_rdd_twins(rdd, split, records):
     assert_twins(
         rdd.batch_kernel(split), lambda rows: rdd.compute_fused(rows, split), records
     )
-
-
-SPLITS = st.integers(0, 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ANY_RECORDS, SPLITS)
-def test_partition_indexed(records, split):
-    assert_rdd_twins(PartitionIndexedRDD(_parent()), split, records)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ANY_RECORDS, SPLITS, st.lists(st.integers(0, 2**40), min_size=2, max_size=2))
-def test_zip_with_index(records, split, offsets):
-    assert_rdd_twins(ZipWithIndexRDD(_parent(), offsets), split, records)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ANY_RECORDS, SPLITS, st.floats(0.0, 1.0), st.integers(0, 2**32))
-def test_sample(records, split, fraction, seed):
-    assert_rdd_twins(SampledRDD(_parent(), fraction, seed), split, records)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """Lineage traversal helpers."""
 
 from repro.engine import lineage
-from tests.conftest import build_on_demand_context
+from tests.conftest import build_on_demand_context, joined
 
 
 def make_dag(ctx):
@@ -9,7 +9,7 @@ def make_dag(ctx):
     b = a.map(lambda kv: kv)
     c = b.reduce_by_key(lambda x, y: x + y)
     d = ctx.parallelize([(1, 2)], 2)
-    e = c.join(d)  # cogroup -> flat_map
+    e = c.cogroup(d).flat_map(joined)
     return a, b, c, d, e
 
 

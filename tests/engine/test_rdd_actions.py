@@ -1,4 +1,4 @@
-"""Action semantics: collect/count/reduce/fold/take and friends."""
+"""Action semantics: collect/count/fold/sum, sources and persistence."""
 
 import pytest
 
@@ -23,20 +23,6 @@ def test_count_empty(ctx):
     assert ctx.parallelize([], 2).count() == 0
 
 
-def test_reduce(ctx):
-    assert ctx.parallelize(list(range(1, 11)), 3).reduce(lambda a, b: a + b) == 55
-
-
-def test_reduce_empty_raises(ctx):
-    with pytest.raises(ValueError):
-        ctx.parallelize([], 2).reduce(lambda a, b: a + b)
-
-
-def test_reduce_with_empty_partitions(ctx):
-    # 2 records over 4 partitions: some partitions are empty.
-    assert ctx.parallelize([3, 4], 4).reduce(lambda a, b: a + b) == 7
-
-
 def test_fold(ctx):
     assert ctx.parallelize([1, 2, 3], 3).fold(0, lambda a, b: a + b) == 6
     assert ctx.parallelize([], 3).fold(0, lambda a, b: a + b) == 0
@@ -44,29 +30,6 @@ def test_fold(ctx):
 
 def test_sum(ctx):
     assert ctx.parallelize([1.5, 2.5], 2).sum() == pytest.approx(4.0)
-
-
-def test_take_and_first(ctx):
-    rdd = ctx.parallelize(list(range(100)), 4)
-    assert rdd.take(5) == [0, 1, 2, 3, 4]
-    assert rdd.take(0) == []
-    assert rdd.first() == 0
-
-
-def test_first_empty_raises(ctx):
-    with pytest.raises(ValueError):
-        ctx.parallelize([], 1).first()
-
-
-def test_count_by_key(ctx):
-    data = [("a", 1), ("b", 2), ("a", 3)]
-    assert ctx.parallelize(data, 2).count_by_key() == {"a": 2, "b": 1}
-
-
-def test_lookup(ctx):
-    data = [("a", 1), ("b", 2), ("a", 3)]
-    assert sorted(ctx.parallelize(data, 2).lookup("a")) == [1, 3]
-    assert ctx.parallelize(data, 2).lookup("zzz") == []
 
 
 def test_actions_advance_simulated_time(ctx):
@@ -78,7 +41,6 @@ def test_actions_advance_simulated_time(ctx):
 def test_generate_source(ctx):
     rdd = ctx.generate(lambda p: list(range(p * 10, (p + 1) * 10)), 4)
     assert rdd.collect() == list(range(40))
-    assert rdd.is_source
 
 
 def test_persist_caches_partitions(ctx):

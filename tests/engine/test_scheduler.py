@@ -128,7 +128,7 @@ def test_remote_cache_hits_cost_network_time():
     rdd = ctx.parallelize(list(range(100)), 4, record_size=1_000_000).persist()
     rdd.count()
     t0 = ctx.now
-    rdd.repartition(1).count()
+    rdd.map(lambda x: (x, x)).group_by_key(1).count()
     dt = ctx.now - t0
     min_network = 100 * 1_000_000 / ctx.cost_model.network_bandwidth / 8
     assert dt > min_network / 10  # some transfer time was charged

@@ -4,8 +4,8 @@ Contracts (see :mod:`repro.engine.columnar` and :mod:`repro.engine.declared`):
 
 - a list of ``str`` round-trips exactly through ``from_records``, as codes
   into a dictionary of its distinct strings in first-occurrence order, and
-  ``take``/``slice``/``concat`` equal the row operations whatever each
-  batch's dictionary holds;
+  ``take``/``slice`` equal the row operations, and ``merged_codes`` puts
+  columns on one dictionary, whatever each batch's dictionary holds;
 - ``Sum.combine`` over ``("s", value)`` pairs lays out exactly the map
   output ``bucket_map_output`` builds from the rows, CRC32 ties broken by
   first occurrence;
@@ -29,8 +29,8 @@ from repro.engine.columnar import (
     LINE,
     MIN_LOWERED_ROWS,
     ColumnarBatch,
-    concat,
     from_records,
+    merged_codes,
     take,
 )
 from repro.engine.declared import Pair, Split, Sum
@@ -76,12 +76,20 @@ def test_strings_nested_in_tuples_and_lists_round_trip(records):
     assert from_records(records).to_records() == records
 
 
+def _joined(batches):
+    """One ``"s"`` batch of every batch's records, in order, on the
+    dictionary ``merged_codes`` gives them (the way ``reduce_major``
+    places string columns)."""
+    codes, words = merged_codes([batch.data for batch in batches])
+    return ColumnarBatch("s", (np.concatenate(codes), words), sum(map(len, batches)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(STRINGS, min_size=1, max_size=4), st.data())
-def test_take_slice_and_concat_equal_the_rows(parts, data):
+def test_take_slice_and_merged_codes_equal_the_rows(parts, data):
     batches = [from_records(part) for part in parts]
     rows = [v for part in parts for v in part]
-    whole = concat(batches)
+    whole = _joined(batches)
     assert whole.to_records() == rows
     codes, words = whole.data
     assert len(set(words)) == len(words)
@@ -91,20 +99,20 @@ def test_take_slice_and_concat_equal_the_rows(parts, data):
     start = data.draw(st.integers(0, len(rows)))
     stop = data.draw(st.integers(start, len(rows)))
     assert whole.slice(start, stop).to_records() == rows[start:stop]
-    # Slices of differing dictionaries concatenate too.
+    # Slices of differing dictionaries merge too.
     tails = [batch.slice(len(batch) // 2, len(batch)) for batch in batches]
-    assert concat(tails).to_records() == [
+    assert _joined(tails).to_records() == [
         v for part in parts for v in part[len(part) // 2:]
     ]
 
 
-def test_concat_keeps_codes_when_the_dictionaries_agree():
+def test_merged_codes_keeps_codes_when_the_dictionaries_agree():
     a, b = from_records(["x", "y", "x"]), from_records(["x", "y"])
     assert a.data[1] == b.data[1] and a.data[1] is not b.data[1]
-    joined = concat([a, b])
+    joined = _joined([a, b])
     assert joined.data[1] is a.data[1]
     assert joined.data[0].tolist() == [0, 1, 0, 0, 1]
-    merged = concat([a, from_records(["z", "x"])])
+    merged = _joined([a, from_records(["z", "x"])])
     assert merged.data[1] == ("x", "y", "z")
     assert merged.to_records() == ["x", "y", "x", "z", "x"]
 

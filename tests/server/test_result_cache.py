@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.experiments import build_engine_context
 from repro.engine import Pair, Split
-from repro.engine.partitioner import HashPartitioner
 from repro.server import (
     CacheInvariantError,
     JobServer,
@@ -62,7 +61,6 @@ def test_fingerprint_distinguishes_shuffle_aggregators(ctx):
         pairs.reduce_by_key(lambda a, b: a + b, 2),
         pairs.reduce_by_key(max, 2),
         pairs.group_by_key(2),
-        pairs.partition_by(HashPartitioner(2)),
     ]
     keys = {lineage_fingerprint(plan) for plan in plans}
     assert len(keys) == len(plans)

@@ -16,9 +16,11 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``add_argument`` calls in ``cli.py``; lower it when a flag goes.
 CLI_ADD_ARGUMENT_CALLS = 48
 
-#: ``def``s taking a ``batch_fn=`` kernel twin: none.  A stage's kernel
-#: comes only from its declared operator (``repro.engine.declared``).
-BATCH_FN_PARAMETERS = 0
+#: ``def``s taking each retired parameter: none.  ``batch_fn=`` was a
+#: kernel twin (a stage's kernel comes only from its declared operator,
+#: ``repro.engine.declared``); ``map_side_combine=`` chose a shuffle shape
+#: (an aggregator always combines map-side).
+RETIRED_PARAMETERS = {"batch_fn": 0, "map_side_combine": 0}
 
 
 def _is_environ(node: ast.AST) -> bool:
@@ -64,17 +66,15 @@ def test_the_cli_grows_no_flags():
     assert len(calls) <= CLI_ADD_ARGUMENT_CALLS
 
 
-def test_batch_fn_parameters_only_shrink():
-    """Count every ``def`` with a ``batch_fn`` parameter, constructors and
+def test_retired_parameters_only_shrink():
+    """Count every ``def`` taking a retired parameter, constructors and
     private functions included."""
-    defs = [
-        f"{path.name}:{getattr(node, 'name', 'lambda')}"
-        for path in SRC.rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        and any(
-            a.arg == "batch_fn"
-            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-        )
-    ]
-    assert len(defs) <= BATCH_FN_PARAMETERS, sorted(defs)
+    defs = {name: [] for name in RETIRED_PARAMETERS}
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                for name in {a.arg for a in arguments} & defs.keys():
+                    defs[name].append(f"{path.name}:{getattr(node, 'name', 'lambda')}")
+    for name, limit in RETIRED_PARAMETERS.items():
+        assert len(defs[name]) <= limit, (name, sorted(defs[name]))
